@@ -17,8 +17,8 @@ from .errors import DomainError, SizeCeilingError
 from .intmat import (
     Matrix,
     has_trivial_cokernel,
-    mat_vec,
     smith_normal_form,
+    unit_pivot_presentation,
     zeros,
 )
 from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
@@ -121,41 +121,40 @@ class H1Summary:
 class H1Calculator:
     """Exact H1 = ker d1 / im d2 with coordinates.
 
-    Keeps enough of both Smith decompositions to express any edge cycle in
-    the chosen basis of the nontrivial summands, so inclusion-induced maps
+    A cycle is coordinatized by its non-tree edges over a BFS spanning
+    forest (the fundamental-cycle basis).  Faces become sparse relations on
+    those coordinates; every +-1 pivot is eliminated sparsely and dense
+    Smith runs only on the residual core, so inclusion-induced maps still
     come out as honest integer matrices.
     """
 
     def __init__(self, k: CW2Complex):
         self.complex = k
-        n_edges = len(k.edges)
-        s1 = smith_normal_form(k.boundary1())
-        self._rank1 = s1.rank
-        self._v1 = s1.v
-        self._v1_inv = s1.v_inv
-        self.cycle_count = n_edges - s1.rank
-        # Relation matrix: boundaries of faces in cycle coordinates.
-        d2 = k.boundary2()
-        relations = [
-            [0] * len(k.faces) for _ in range(self.cycle_count)
-        ]
-        for j in range(len(k.faces)):
-            col = [d2[e][j] for e in range(n_edges)]
-            coords = self.cycle_coords(col)
-            for r in range(self.cycle_count):
-                relations[r][j] = coords[r]
-        if self.cycle_count:
-            s2 = smith_normal_form(relations)
-            diag = s2.d
-            self._u2 = s2.u
-            self._u2_inv = s2.u_inv
+        self._parent, self._depth, tree_edges = _spanning_forest(k)
+        self._non_tree = [e for e in range(len(k.edges)) if e not in tree_edges]
+        self.cycle_count = len(self._non_tree)
+        pos = {e: r for r, e in enumerate(self._non_tree)}
+        relations = []
+        for word in k.faces:
+            col: dict = {}
+            for e, s in word:
+                r = pos.get(e)
+                if r is not None:
+                    col[r] = col.get(r, 0) + s
+            relations.append(col)
+        self._pres = unit_pivot_presentation(self.cycle_count, relations)
+        core_rank = len(self._pres.rows)
+        if core_rank:
+            s = smith_normal_form(self._pres.core)
+            diag = s.d + [0] * (core_rank - len(s.d))
+            self._u, self._u_inv = s.u, s.u_inv
         else:
             diag = []
-            self._u2 = []
-            self._u2_inv = []
-        self.factors = [
-            diag[i] if i < len(diag) else 0 for i in range(self.cycle_count)
-        ]
+        # Slots: one unit per elimination, the core's invariant factors,
+        # then one free summand per untouched surviving row.
+        self._core_start = len(self._pres.log)
+        self._free_start = self._core_start + core_rank
+        self.factors = [1] * self._core_start + diag + [0] * len(self._pres.free)
         self.generator_slots = [i for i, f in enumerate(self.factors) if f != 1]
 
     def summary(self) -> H1Summary:
@@ -165,33 +164,54 @@ class H1Calculator:
         )
 
     def cycle_coords(self, edge_vector: list) -> list:
-        """Coordinates of an edge cycle in the kernel basis of d1."""
-        full = mat_vec(self._v1_inv, edge_vector)
-        if any(x != 0 for x in full[: self._rank1]):
+        """Coordinates of an edge cycle in the fundamental-cycle basis: its
+        non-tree-edge entries, once its boundary is checked to vanish."""
+        k = self.complex
+        if len(edge_vector) != len(k.edges):
+            raise DomainError(
+                f"edge vector has length {len(edge_vector)}, want {len(k.edges)}"
+            )
+        acc: dict = {}
+        for (t, h), c in zip(k.edges, edge_vector):
+            if c and t != h:
+                acc[h] = acc.get(h, 0) + c
+                acc[t] = acc.get(t, 0) - c
+        if any(acc.values()):
             raise DomainError("edge vector is not a cycle")
-        return full[self._rank1 :]
+        return [edge_vector[e] for e in self._non_tree]
 
     def h1_coords(self, edge_vector: list) -> list:
         """Class of a cycle on the nontrivial summands, torsion reduced."""
-        y = self.cycle_coords(edge_vector)
-        u = mat_vec(self._u2, y) if self.cycle_count else []
+        y = {r: c for r, c in enumerate(self.cycle_coords(edge_vector)) if c}
+        self._pres.reduce(y)
+        rows, free = self._pres.rows, self._pres.free
         out = []
         for slot in self.generator_slots:
             f = self.factors[slot]
-            out.append(u[slot] % f if f > 1 else u[slot])
+            if slot >= self._free_start:
+                out.append(y.get(free[slot - self._free_start], 0))
+                continue
+            u_row = self._u[slot - self._core_start]
+            x = sum(u_row[j] * y.get(r, 0) for j, r in enumerate(rows))
+            out.append(x % f if f > 1 else x)
         return out
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
         slot = self.generator_slots[which]
-        coords = [self._u2_inv[r][slot] for r in range(self.cycle_count)]
-        n_edges = len(self.complex.edges)
-        vec = [0] * n_edges
-        for r, c in enumerate(coords):
+        if slot >= self._free_start:
+            coords = {self._pres.free[slot - self._free_start]: 1}
+        else:
+            i = slot - self._core_start
+            coords = {r: self._u_inv[j][i] for j, r in enumerate(self._pres.rows)}
+        vec = [0] * len(self.complex.edges)
+        for r, c in coords.items():
             if c:
-                kernel_col = self._rank1 + r
-                for e in range(n_edges):
-                    vec[e] += c * self._v1[e][kernel_col]
+                cycle = _fundamental_cycle(
+                    self.complex, self._parent, self._depth, self._non_tree[r]
+                )
+                for idx, x in cycle.items():
+                    vec[idx] += c * x
         return vec
 
 
@@ -568,17 +588,19 @@ def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
     return chain
 
 
+def _fundamental_cycle(k: CW2Complex, parent, depth, idx: int) -> dict:
+    """Non-tree edge ``idx`` closed up by the forest path back to its tail."""
+    t, h = k.edges[idx]
+    chain = _tree_path_chain(parent, depth, h, t)
+    chain[idx] = chain.get(idx, 0) + 1
+    return chain
+
+
 def fundamental_cycles(k: CW2Complex):
     """(non-tree edge indices, cycle chains): a basis of the cycle space."""
     parent, depth, tree_edges = _spanning_forest(k)
     non_tree = [idx for idx in range(len(k.edges)) if idx not in tree_edges]
-    cycles = []
-    for idx in non_tree:
-        t, h = k.edges[idx]
-        chain = _tree_path_chain(parent, depth, h, t)
-        chain[idx] = chain.get(idx, 0) + 1
-        cycles.append(chain)
-    return non_tree, cycles
+    return non_tree, [_fundamental_cycle(k, parent, depth, idx) for idx in non_tree]
 
 
 @dataclass(frozen=True)

@@ -259,10 +259,102 @@ def hermite_column_basis(a: Matrix) -> Matrix:
     return [[w[i][j] for j in range(slot)] for i in range(m)]
 
 
+@dataclass
+class Presentation:
+    """Z^n / <relations> with every +-1 pivot eliminated.
+
+    ``log`` lists the eliminations in order as (row, {row: coeff}): in the
+    quotient, e_row equals the sum, which only names rows still live at
+    that point.  What survives is Z^(rows + free) / column span of ``core``:
+    ``core`` is dense, len(rows) x (relations left), and ``free`` are the
+    surviving rows no relation touches.  Both row lists are ascending.
+    """
+
+    log: list
+    rows: list
+    free: list
+    core: Matrix
+
+    def reduce(self, vec: dict) -> None:
+        """Replay the log on a sparse vector {row: coeff}, in place, so that
+        only surviving rows remain."""
+        for p, sub in self.log:
+            a = vec.pop(p, 0)
+            if a:
+                for q, x in sub.items():
+                    y = vec.get(q, 0) + a * x
+                    if y:
+                        vec[q] = y
+                    else:
+                        del vec[q]
+
+
+def unit_pivot_presentation(n: int, relations: list) -> Presentation:
+    """Eliminate +-1 pivots from Z^n / <relations>, relations given as
+    sparse columns {row: coeff}.
+
+    Relations are visited from the last one backwards, repeating until none
+    has a +-1 entry.  The row eliminated is the +-1 entry that occurs in the
+    fewest live relations, ties going to the largest row index; the choice
+    is deterministic, so generator signs downstream are too.
+    """
+    cols = [{r: x for r, x in rel.items() if x} for rel in relations]
+    occ: list = [set() for _ in range(n)]
+    for j, col in enumerate(cols):
+        for r in col:
+            occ[r].add(j)
+    log = []
+    changed = True
+    while changed:
+        changed = False
+        for j in range(len(cols) - 1, -1, -1):
+            col = cols[j]
+            units = [r for r, x in col.items() if x == 1 or x == -1]
+            if not units:
+                continue
+            p = min(units, key=lambda r: (len(occ[r]), -r))
+            s = col.pop(p)
+            sub = {q: -s * x for q, x in col.items()}
+            log.append((p, sub))
+            cols[j] = {}  # an empty relation is a dead one
+            for q in col:
+                occ[q].discard(j)
+            occ[p].discard(j)
+            for k in occ[p]:
+                other = cols[k]
+                a = other.pop(p)
+                for q, x in sub.items():
+                    y = other.get(q, 0) + a * x
+                    if y:
+                        if q not in other:
+                            occ[q].add(k)
+                        other[q] = y
+                    else:
+                        del other[q]
+                        occ[q].discard(k)
+            occ[p] = set()
+            changed = True
+    eliminated = {p for p, _ in log}
+    rows = [r for r in range(n) if occ[r]]
+    free = [r for r in range(n) if not occ[r] and r not in eliminated]
+    pos = {r: i for i, r in enumerate(rows)}
+    left = [col for col in cols if col]
+    core = zeros(len(rows), len(left))
+    for j, col in enumerate(left):
+        for r, x in col.items():
+            core[pos[r]][j] = x
+    return Presentation(log=log, rows=rows, free=free, core=core)
+
+
 def has_trivial_cokernel(a: Matrix) -> bool:
     """Whether Z^rows / (column span of A) is the zero group."""
-    m, _ = dims(a)
-    if m == 0:
+    m, n = dims(a)
+    p = unit_pivot_presentation(
+        m, [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
+    )
+    if p.free:
+        return False
+    if not p.rows:
         return True
-    s = smith_normal_form(a)
-    return s.rank == m and all(x == 1 for x in s.d[:m])
+    s = smith_normal_form(p.core)
+    return s.rank == len(p.rows) and all(x == 1 for x in s.d)

@@ -1,8 +1,10 @@
 """Tests for 2-complexes, telescope bases, strip covers, and frontier graphs."""
 
+from collections import deque
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import CORPUS
 from treeends.coset import CosetTree
@@ -27,7 +29,7 @@ from treeends.cw import (
     subcomplex,
 )
 from treeends.errors import DomainError, SizeCeilingError
-from treeends.intmat import mat_mul, mat_vec
+from treeends.intmat import mat_mul, mat_vec, smith_normal_form
 from treeends.unfold import null_forest, positive_part, truncate
 
 
@@ -148,6 +150,81 @@ class TestH1:
         vec[0] = 1  # a climb edge on its own has boundary
         with pytest.raises(DomainError, match="not a cycle"):
             calc.h1_coords(vec)
+
+    @pytest.mark.parametrize("delta", [-1, 1])
+    def test_wrong_length_edge_vector_rejected(self, delta):
+        k = base_for("bs2", 2).complex
+        calc = H1Calculator(k)
+        vec = [0] * (len(k.edges) + delta)
+        with pytest.raises(DomainError, match="length"):
+            calc.cycle_coords(vec)
+        with pytest.raises(DomainError, match="length"):
+            calc.h1_coords(vec)
+
+
+@st.composite
+def random_complexes(draw):
+    """Small complexes: random edges (loops included), often several
+    components, and faces that are random closed walks."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    vertex = st.integers(min_value=0, max_value=n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=7))
+    steps_at: list = [[] for _ in range(n)]
+    for e, (t, h) in enumerate(edges):
+        steps_at[t].append((e, 1, h))
+        steps_at[h].append((e, -1, t))
+    faces = []
+    starts = [v for v in range(n) if steps_at[v]]
+    for _ in range(draw(st.integers(min_value=0, max_value=4)) if starts else 0):
+        start = draw(st.sampled_from(starts))
+        at = start
+        word = []
+        for choice in draw(st.lists(st.integers(min_value=0, max_value=20), min_size=1, max_size=6)):
+            e, s, nxt = steps_at[at][choice % len(steps_at[at])]
+            word.append((e, s))
+            at = nxt
+        # close up along a shortest path back to the start
+        back = {at: None}
+        queue = deque([at])
+        while start not in back:
+            v = queue.popleft()
+            for e, s, w in steps_at[v]:
+                if w not in back:
+                    back[w] = (v, e, s)
+                    queue.append(w)
+        tail = []
+        v = start
+        while back[v] is not None:
+            u, e, s = back[v]
+            tail.append((e, s))
+            v = u
+        faces.append(word + tail[::-1])
+    return CW2Complex(n, edges, faces)
+
+
+def dense_h1(k: CW2Complex) -> H1Summary:
+    """Reference: betti = E - rank d1 - rank d2, torsion from Smith of d2."""
+    s1, s2 = smith_normal_form(k.boundary1()), smith_normal_form(k.boundary2())
+    betti = len(k.edges) - s1.rank - s2.rank
+    return H1Summary(betti, tuple(x for x in s2.d if x > 1))
+
+
+class TestSparseEngine:
+    @settings(max_examples=150, deadline=None)
+    @given(random_complexes())
+    # torsion Z/2 + Z/6 beside a free circle, and three circles over two components
+    @example(CW2Complex(2, [(0, 0), (0, 0), (1, 1)], [[(0, 1), (0, 1)], [(1, 1)] * 6]))
+    @example(CW2Complex(3, [(0, 1), (1, 0), (0, 0), (2, 2)], []))
+    def test_agrees_with_dense_smith(self, k):
+        calc = H1Calculator(k)
+        assert calc.summary() == dense_h1(k)
+        n = len(calc.generator_slots)
+        for which in range(n):
+            coords = calc.h1_coords(calc.generator_edge_vector(which))
+            assert coords == [1 if i == which else 0 for i in range(n)]
+        d2 = k.boundary2()
+        for j in range(len(k.faces)):
+            assert calc.h1_coords([row[j] for row in d2]) == [0] * n
 
 
 class TestSelections:

@@ -132,3 +132,28 @@ def test_cokernel_triviality():
     assert not has_trivial_cokernel([[1], [0]])
     assert not has_trivial_cokernel([[], []])  # two rows, no columns
     assert has_trivial_cokernel([[1, 0], [3, 1]])
+
+
+def bare_matrices(entries):
+    """m x n matrices with m, n in 0..5; an m x 0 matrix is m empty rows."""
+    return st.integers(min_value=0, max_value=5).flatmap(
+        lambda m: st.integers(min_value=0, max_value=5).flatmap(
+            lambda n: st.lists(
+                st.lists(entries, min_size=n, max_size=n), min_size=m, max_size=m
+            )
+        )
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(
+        bare_matrices(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, 4, -6])),
+        bare_matrices(st.sampled_from([0, 0, 2, -2, 3, 6])),  # no unit entries
+    )
+)
+def test_cokernel_triviality_matches_dense_smith(a):
+    m = len(a)
+    s = smith_normal_form(a)
+    want = m == 0 or (s.rank == m and all(x == 1 for x in s.d[:m]))
+    assert has_trivial_cokernel(a) == want
