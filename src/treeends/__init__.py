@@ -37,8 +37,6 @@ from .coset import (
     frontier_count,
     lambda_of_coset,
     lambda_plus,
-    odometer,
-    sigma_apply,
     vertex_order,
     wedge_expansion,
 )
@@ -52,9 +50,7 @@ from .cw import (
     build_base,
     build_cover,
     collapse_h1_matrix,
-    components,
     format_complex,
-    frontier_complex_cover,
     h1,
     induced_h1,
     infinity_neighborhood_base,

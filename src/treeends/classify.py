@@ -312,7 +312,7 @@ def cross_checks(
 
     if report.fixed_end_count == 1:
         ranks = pro_h1_fixed_end(g, fr_max)
-        betti = [cw.frontier_complex_cover(coset, i)[1] for i in range(fr_max + 1)]
+        betti = [cw.build_frontier_graph(coset, i).betti for i in range(fr_max + 1)]
         add(
             "frontier-rank",
             list(ranks.ranks) == betti,

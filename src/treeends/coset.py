@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, SizeCeilingError
-from .germ import GermGraph
+from .germ import GermGraph, walk_counts
 from .unfold import (
     DEFAULT_CEILING,
     NullForest,
@@ -119,14 +119,6 @@ class OdometerMap:
         return tuple(self.image_index(i, power) for i in range(len(self.coset.verts)))
 
 
-def odometer(coset: CosetTree) -> OdometerMap:
-    return OdometerMap(coset)
-
-
-def sigma_apply(od: OdometerMap, power: int) -> tuple:
-    return od.permutation(power)
-
-
 def frontier_count(germ: GermGraph, tier: int) -> int:
     """Number of clone-tree vertices over tier ``tier``.
 
@@ -135,15 +127,7 @@ def frontier_count(germ: GermGraph, tier: int) -> int:
     """
     if tier < 0:
         raise DomainError("tier must be nonnegative")
-    weights = {germ.root: 1}
-    for _ in range(tier):
-        nxt: dict = {}
-        for src, w in weights.items():
-            for _, edge in germ.out_edges(src):
-                if edge.label > 0:
-                    nxt[edge.dst] = nxt.get(edge.dst, 0) + w * edge.label
-        weights = nxt
-    return sum(weights.values())
+    return walk_counts(germ, (germ.root,), lambda e: e.label, tier)[tier]
 
 
 @dataclass(frozen=True)

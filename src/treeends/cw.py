@@ -103,10 +103,6 @@ class CW2Complex:
         return [tuple(groups[r]) for r in sorted(groups)]
 
 
-def components(k: CW2Complex) -> list:
-    return k.components()
-
-
 @dataclass(frozen=True)
 class H1Summary:
     betti: int
@@ -533,13 +529,6 @@ def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     k = CW2Complex(len(vertex_index), edges, [])
     betti = len(edges) - len(vertex_index) + len(k.components())
     return FrontierGraph(k, c, i, vertex_index, edge_index, betti)
-
-
-def frontier_complex_cover(c: CosetTree, i: int):
-    """The frontier graph of the height-``i`` cover neighborhood and its
-    first Betti number (edge count - vertex count + component count)."""
-    fg = build_frontier_graph(c, i)
-    return fg.complex, fg.betti
 
 
 def _spanning_forest(k: CW2Complex):

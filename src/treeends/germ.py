@@ -8,16 +8,16 @@ order is significant because it fixes child order in the unfolding.
 
 from __future__ import annotations
 
+import math
 import re
+import sys
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from functools import cached_property
+from typing import Callable, Iterable, NamedTuple
 
-from .errors import ParseError, ValidationFailed
+from .errors import ParseError, SizeCeilingError, ValidationFailed
 
 NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
-
-# Labels in input files are machine-width; products computed elsewhere are not.
-MAX_LABEL = 2**63 - 1
 
 
 class GermEdge(NamedTuple):
@@ -31,7 +31,9 @@ class GermGraph:
     """Immutable germ value.
 
     ``vertices`` preserves declaration order; ``edges`` preserves declaration
-    order and carries nonnegative integer labels.
+    order and carries nonnegative integer labels.  The validation report and
+    the out-edge index are computed once per value, on first use; they are
+    not fields, so equality and hashing see only the three fields.
     """
 
     vertices: tuple[str, ...]
@@ -42,9 +44,20 @@ class GermGraph:
     def is_trivial(self) -> bool:
         return not self.edges
 
-    def out_edges(self, v: str) -> list[tuple[int, GermEdge]]:
-        """Outgoing edges of ``v`` with their declaration indices."""
-        return [(i, e) for i, e in enumerate(self.edges) if e.src == v]
+    @cached_property
+    def report(self) -> ValidationReport:
+        return validate_germ(self)
+
+    @cached_property
+    def _out_index(self) -> dict[str, tuple[tuple[int, GermEdge], ...]]:
+        index: dict[str, list[tuple[int, GermEdge]]] = {}
+        for i, e in enumerate(self.edges):
+            index.setdefault(e.src, []).append((i, e))
+        return {v: tuple(pairs) for v, pairs in index.items()}
+
+    def out_edges(self, v: str) -> tuple[tuple[int, GermEdge], ...]:
+        """Outgoing edges of ``v`` with their declaration indices, in order."""
+        return self._out_index.get(v, ())
 
 
 @dataclass(frozen=True)
@@ -114,9 +127,14 @@ def parse_germ(text: str) -> GermGraph:
             _check_name(lineno, tokens[2])
             if not re.fullmatch(r"\d+", tokens[3]):
                 raise ParseError(lineno, f"label {tokens[3]!r} is not a nonnegative integer")
-            label = int(tokens[3])
-            if label > MAX_LABEL:
-                raise ParseError(lineno, f"label {label} exceeds {MAX_LABEL}")
+            try:
+                label = int(tokens[3])
+            except ValueError:  # longer than sys.get_int_max_str_digits()
+                raise ParseError(
+                    lineno,
+                    f"label of {len(tokens[3])} digits exceeds the "
+                    f"{sys.get_int_max_str_digits()}-digit limit",
+                ) from None
             edge_rows.append((lineno, tokens[1], tokens[2], label))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
@@ -178,21 +196,17 @@ def validate_germ(g: GermGraph) -> ValidationReport:
     if violations:
         return ValidationReport(ok=False, violations=tuple(violations))
 
-    reachable = _reachable_from_root(g)
-
-    out_by_vertex: dict[str, list[GermEdge]] = {v: [] for v in g.vertices}
-    for e in g.edges:
-        out_by_vertex[e.src].append(e)
+    reached = reachable(g, (g.root,))
 
     trivial = g.is_trivial and len(g.vertices) == 1
     for v in g.vertices:
-        if v in reachable and not out_by_vertex[v] and not trivial:
+        if v in reached and not g.out_edges(v) and not trivial:
             violations.append(Violation("leafless", v, f"vertex {v!r} has no outgoing edge"))
 
-    null_targets = {e.dst for e in g.edges if e.label == 0 and e.src in reachable}
+    null_targets = {e.dst for e in g.edges if e.label == 0 and e.src in reached}
     for v in g.vertices:
         if v in null_targets:
-            bad = [e for e in out_by_vertex[v] if e.label > 0]
+            bad = [e for _, e in g.out_edges(v) if e.label > 0]
             if bad:
                 e = bad[0]
                 violations.append(
@@ -204,31 +218,61 @@ def validate_germ(g: GermGraph) -> ValidationReport:
                 )
 
     for v in g.vertices:
-        if v not in reachable:
+        if v not in reached:
             violations.append(Violation("unreachable", v, f"vertex {v!r} is not reachable from the root"))
 
     return ValidationReport(ok=not violations, violations=tuple(violations))
 
 
-def _reachable_from_root(g: GermGraph) -> set[str]:
-    reached = {g.root}
-    frontier = [g.root]
-    adj: dict[str, list[str]] = {}
-    for e in g.edges:
-        adj.setdefault(e.src, []).append(e.dst)
-    while frontier:
-        v = frontier.pop()
-        for w in adj.get(v, ()):
-            if w not in reached:
-                reached.add(w)
-                frontier.append(w)
+def require_valid(g: GermGraph) -> None:
+    if not g.report.ok:
+        raise ValidationFailed(g.report)
+
+
+def reachable(
+    g: GermGraph, starts: Iterable[str], keep: Callable[[GermEdge], bool] = lambda e: True
+) -> set[str]:
+    """Vertices reached from ``starts`` along the edges that ``keep`` accepts."""
+    reached = set(starts)
+    stack = list(reached)
+    while stack:
+        for _, e in g.out_edges(stack.pop()):
+            if keep(e) and e.dst not in reached:
+                reached.add(e.dst)
+                stack.append(e.dst)
     return reached
 
 
-def require_valid(g: GermGraph) -> None:
-    report = validate_germ(g)
-    if not report.ok:
-        raise ValidationFailed(report)
+def walk_counts(
+    g: GermGraph, starts: Iterable[str], weight: Callable[[GermEdge], int], steps: int
+) -> list[int]:
+    """Entry n, for n = 0..steps, is the total weight of the length-n walks
+    from ``starts``; a walk weighs the product of ``weight`` over its edges,
+    and edges of weight 0 are never taken."""
+    weights = dict.fromkeys(starts, 1)
+    totals = [sum(weights.values())]
+    for _ in range(steps):
+        nxt: dict[str, int] = {}
+        for v, w in weights.items():
+            for _, e in g.out_edges(v):
+                k = weight(e)
+                if k:
+                    nxt[e.dst] = nxt.get(e.dst, 0) + w * k
+        weights = nxt
+        totals.append(sum(weights.values()))
+    return totals
+
+
+def check_label(label: int) -> int:
+    """Return ``label``, or raise SizeCeilingError when it has more decimal
+    digits than Python converts (``sys.get_int_max_str_digits()``, 0 for no
+    limit).  ``parse_germ`` reads labels under the same limit, so a label
+    that passes can be written out and read back."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    if limit and label.bit_length() > 3 * limit and label >= 10**limit:
+        digits = int(label.bit_length() * math.log10(2))  # the count, or one less
+        raise SizeCeilingError("label digits", digits + (label >= 10**digits), limit)
+    return label
 
 
 def germ_from_edges(root: str, edges: Iterable[tuple[str, str, int]]) -> GermGraph:

@@ -52,15 +52,6 @@ def mat_vec(a: Matrix, v: list) -> list:
     return [sum(a[i][j] * v[j] for j in range(n)) for i in range(m)]
 
 
-def transpose(a: Matrix) -> Matrix:
-    m, n = dims(a)
-    return [[a[i][j] for i in range(m)] for j in range(n)]
-
-
-def is_zero(a: Matrix) -> bool:
-    return all(all(x == 0 for x in row) for row in a)
-
-
 def det(a: Matrix) -> int:
     """Bareiss fraction-free determinant (square matrices)."""
     n = len(a)
@@ -203,13 +194,6 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
 
     diag = [w[i][i] for i in range(limit)]
     return SmithDecomposition(d=diag, u=u, v=v, u_inv=u_inv, v_inv=v_inv, rows=m, cols=n)
-
-
-def kernel_basis(a: Matrix) -> list:
-    """Integer basis of {x : A x = 0}, as a list of column vectors."""
-    m, n = dims(a)
-    s = smith_normal_form(a)
-    return [[s.v[i][j] for i in range(n)] for j in range(s.rank, n)]
 
 
 def hermite_column_basis(a: Matrix) -> Matrix:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from .errors import DomainError, SizeCeilingError
-from .germ import GermEdge, GermGraph, require_valid
+from .germ import GermEdge, GermGraph, check_label, require_valid
 from .unfold import DEFAULT_CEILING, TreeNode, TruncatedTree
 
 
@@ -38,6 +38,7 @@ def elementary_reduction(t: TruncatedTree, i: int, j: int) -> TruncatedTree:
             while cur.tier > i:
                 label *= cur.label
                 cur = t.node(cur.parent)
+            label = check_label(label)
             parent = new_id[cur.id]
         else:
             label = node.label
@@ -65,7 +66,7 @@ def germ_power_detailed(
         while stack:
             at, trail, label = stack.pop()
             if len(trail) == m:
-                edges.append(GermEdge(src, at, label))
+                edges.append(GermEdge(src, at, check_label(label)))
                 paths.append(trail)
                 if len(edges) > ceiling:
                     raise SizeCeilingError("powered germ edges", len(edges), ceiling)

@@ -10,7 +10,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .errors import DomainError, SizeCeilingError
-from .germ import GermEdge, GermGraph, require_valid
+from .germ import GermGraph, reachable, require_valid, walk_counts
 
 DEFAULT_CEILING = 10**6
 
@@ -40,9 +40,6 @@ class TruncatedTree:
     def node(self, node_id: int) -> TreeNode:
         return self._by_id[node_id]
 
-    def has_node(self, node_id: int) -> bool:
-        return node_id in self._by_id
-
     def children(self, node_id: int) -> tuple[int, ...]:
         return tuple(self._children[node_id])
 
@@ -52,12 +49,6 @@ class TruncatedTree:
 
     def tier_nodes(self, tier: int) -> list[TreeNode]:
         return [n for n in self.nodes if n.tier == tier]
-
-    def structure_key(self, node_id: int | None = None):
-        """Recursive (name, label, positive, children) shape, for comparisons."""
-        n = self.root if node_id is None else self.node(node_id)
-        kids = tuple(self.structure_key(c) for c in self.children(n.id))
-        return (n.germ_vertex, n.label, n.positive, kids)
 
     def __eq__(self, other) -> bool:
         return (
@@ -79,13 +70,12 @@ def truncate(g: GermGraph, depth: int, ceiling: int = DEFAULT_CEILING) -> Trunca
     require_valid(g)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    out_edges = {v: g.out_edges(v) for v in g.vertices}
     nodes = [TreeNode(0, 0, None, g.root, None, True)]
     tier_start = 0
     for tier in range(1, depth + 1):
         next_nodes: list[TreeNode] = []
         for parent in nodes[tier_start:]:
-            for _, e in out_edges[parent.germ_vertex]:
+            for _, e in g.out_edges(parent.germ_vertex):
                 positive = parent.positive and e.label > 0
                 next_nodes.append(
                     TreeNode(len(nodes) + len(next_nodes), tier, parent.id, e.dst, e.label, positive)
@@ -178,88 +168,31 @@ def gamma_plus_is_finite(g: GermGraph) -> tuple[bool, int | None]:
     root, or (False, None) when a positive cycle is reachable positively.
     """
     require_valid(g)
-    adj: dict[str, list[str]] = {}
-    for e in g.edges:
-        if e.label > 0:
-            adj.setdefault(e.src, []).append(e.dst)
-    reach = {g.root}
-    stack = [g.root]
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in reach:
-                reach.add(w)
-                stack.append(w)
-    # Cycle detection inside the positively reachable subgraph.
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {v: WHITE for v in reach}
-    order: list[str] = []
-
-    def visit(start: str) -> bool:
-        stack = [(start, iter(adj.get(start, ())))]
-        color[start] = GRAY
-        while stack:
-            v, it = stack[-1]
-            advanced = False
-            for w in it:
-                if w not in reach:
-                    continue
-                if color[w] == GRAY:
-                    return True
-                if color[w] == WHITE:
-                    color[w] = GRAY
-                    stack.append((w, iter(adj.get(w, ()))))
-                    advanced = True
-                    break
-            if not advanced:
-                color[v] = BLACK
-                order.append(v)
-                stack.pop()
-        return False
-
-    for v in sorted(reach):
-        if color[v] == WHITE and visit(v):
-            return (False, None)
-
-    # Acyclic: longest positive path from the root via reverse postorder DP.
-    longest = {v: None for v in reach}
-    longest[g.root] = 0
-    for v in reversed(order):
-        if longest[v] is None:
-            continue
-        for w in adj.get(v, ()):
-            if w in reach and (longest[w] is None or longest[w] < longest[v] + 1):
-                longest[w] = longest[v] + 1
-    bound = max(x for x in longest.values() if x is not None)
-    return (True, bound)
+    reach = reachable(g, (g.root,), lambda e: e.label > 0)
+    edges = [(e.src, e.dst) for e in g.edges if e.label > 0 and e.src in reach]
+    sccs = _strongly_connected(reach, edges)
+    # A positive cycle is a strongly connected piece of two or more vertices,
+    # or a self-loop.
+    if any(len(comp) > 1 for comp in sccs) or any(s == d for s, d in edges):
+        return (False, None)
+    # Acyclic: Tarjan emits the one-vertex pieces in reverse topological
+    # order, so the longest-path DP from the root runs over them reversed.
+    longest = {g.root: 0}
+    for (v,) in reversed(sccs):
+        for _, e in g.out_edges(v):
+            if e.label > 0:
+                longest[e.dst] = max(longest.get(e.dst, 0), longest[v] + 1)
+    return (True, max(longest.values()))
 
 
-def _null_context(g: GermGraph) -> tuple[set[str], list[tuple[str, str]], set[str]]:
-    """Vertices reachable through a 0-labeled edge, the 0-edges among them,
-    and the entry vertices (targets of reachable 0-labeled edges)."""
-    reachable = set()
-    stack = [g.root]
-    reachable.add(g.root)
-    adj: dict[str, list[GermEdge]] = {}
-    for e in g.edges:
-        adj.setdefault(e.src, []).append(e)
-    while stack:
-        v = stack.pop()
-        for e in adj.get(v, ()):
-            if e.dst not in reachable:
-                reachable.add(e.dst)
-                stack.append(e.dst)
-    entries = {e.dst for e in g.edges if e.label == 0 and e.src in reachable}
-    zone = set(entries)
-    stack = list(entries)
-    while stack:
-        v = stack.pop()
-        for e in adj.get(v, ()):
-            if e.label == 0 and e.dst not in zone:
-                zone.add(e.dst)
-                stack.append(e.dst)
-    null_edges = [(e.src, e.dst) for e in g.edges if e.label == 0 and e.src in zone]
-    return zone, null_edges, entries
+def _null_context(g: GermGraph) -> tuple[set[str], list[tuple[str, str]]]:
+    """The null zone of a valid germ (the targets of 0-labeled edges) and
+    the edges out of it.  On a valid germ every vertex is reachable and
+    null-closure makes every edge out of the zone 0-labeled, so these are
+    the zone's 0-labeled edges and they end inside it."""
+    zone = {e.dst for e in g.edges if e.label == 0}
+    null_edges = [(e.src, e.dst) for e in g.edges if e.src in zone]
+    return zone, null_edges
 
 
 def null_end_class(g: GermGraph) -> CardinalityClass:
@@ -271,10 +204,9 @@ def null_end_class(g: GermGraph) -> CardinalityClass:
     otherwise.
     """
     require_valid(g)
-    reachable_zero = [e for e in g.edges if e.label == 0 and e.src in _reachable(g)]
-    if not reachable_zero:
+    zone, null_edges = _null_context(g)
+    if not zone:
         return CardinalityClass.empty()
-    zone, null_edges, _ = _null_context(g)
     for comp in _strongly_connected(zone, null_edges):
         comp_set = set(comp)
         internal = sum(1 for s, d in null_edges if s in comp_set and d in comp_set)
@@ -283,70 +215,47 @@ def null_end_class(g: GermGraph) -> CardinalityClass:
     return CardinalityClass.countable()
 
 
-def _reachable(g: GermGraph) -> set[str]:
-    seen = {g.root}
-    stack = [g.root]
-    adj: dict[str, list[str]] = {}
-    for e in g.edges:
-        adj.setdefault(e.src, []).append(e.dst)
-    while stack:
-        v = stack.pop()
-        for w in adj.get(v, ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return seen
-
-
 def _strongly_connected(vertices: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
-    """Tarjan, iterative.  Parallel edges collapse for the DFS itself."""
+    """Tarjan, iterative.  Components come out in reverse topological order;
+    parallel edges collapse for the DFS itself."""
     adj: dict[str, list[str]] = {v: [] for v in vertices}
     for s, d in edges:
         adj[s].append(d)
     index: dict[str, int] = {}
     low: dict[str, int] = {}
-    on_stack: set[str] = set()
     stack: list[str] = []
+    on_stack: set[str] = set()
+    work: list = []  # (vertex, iterator over its successors)
     sccs: list[list[str]] = []
-    counter = [0]
+
+    def push(v: str) -> None:
+        index[v] = low[v] = len(index)
+        stack.append(v)
+        on_stack.add(v)
+        work.append((v, iter(adj[v])))
 
     for start in sorted(vertices):
         if start in index:
             continue
-        work = [(start, iter(adj[start]))]
-        index[start] = low[start] = counter[0]
-        counter[0] += 1
-        stack.append(start)
-        on_stack.add(start)
+        push(start)
         while work:
             v, it = work[-1]
-            advanced = False
             for w in it:
                 if w not in index:
-                    index[w] = low[w] = counter[0]
-                    counter[0] += 1
-                    stack.append(w)
-                    on_stack.add(w)
-                    work.append((w, iter(adj[w])))
-                    advanced = True
+                    push(w)
                     break
                 if w in on_stack:
                     low[v] = min(low[v], index[w])
-            if advanced:
-                continue
-            work.pop()
-            if work:
-                pv = work[-1][0]
-                low[pv] = min(low[pv], low[v])
-            if low[v] == index[v]:
-                comp = []
-                while True:
-                    w = stack.pop()
-                    on_stack.discard(w)
-                    comp.append(w)
-                    if w == v:
-                        break
-                sccs.append(comp)
+            else:
+                work.pop()
+                if work:
+                    pv = work[-1][0]
+                    low[pv] = min(low[pv], low[v])
+                if low[v] == index[v]:
+                    k = stack.index(v)
+                    sccs.append(stack[k:][::-1])
+                    on_stack.difference_update(stack[k:])
+                    del stack[k:]
     return sccs
 
 
@@ -361,17 +270,8 @@ def null_path_counts(g: GermGraph, n_max: int) -> list[int]:
     subgraph that start at an entry vertex.  The growth class of this count
     separates countably many null ends from uncountably many."""
     require_valid(g)
-    zone, null_edges, entries = _null_context(g)
-    out: dict[str, list[str]] = {v: [] for v in zone}
-    for s, d in null_edges:
-        out[s].append(d)
-    counts = []
-    # paths_from[v] = number of length-n paths starting at v, by DP on n.
-    paths_from = {v: 1 for v in zone}
-    for _ in range(n_max):
-        paths_from = {v: sum(paths_from[w] for w in out[v]) for v in zone}
-        counts.append(sum(paths_from[v] for v in entries))
-    return counts
+    zone, _ = _null_context(g)
+    return walk_counts(g, zone, lambda e: int(e.label == 0), n_max)[1:]
 
 
 def growth_class(counts: list[int], max_degree: int = 8) -> GrowthClass:

@@ -13,16 +13,15 @@ from corpus import CORPUS, ONE_FIXED_END
 from treeends.classify import classify_ends, full_report, pro_h1_fixed_end
 from treeends.coset import (
     CosetTree,
+    OdometerMap,
     clone_tree_models,
     colored_trees_isomorphic,
     frontier_count,
-    odometer,
 )
 from treeends.cw import (
     build_base,
     build_cover,
     collapse_h1_matrix,
-    components,
     h1,
     induced_h1,
     infinity_neighborhood_base,
@@ -83,7 +82,7 @@ def test_criterion_1_full_pipeline():
             problems.append(f"neighborhood {i} multiplier")
     t = truncate(g, 2)
     cover = build_cover(CosetTree(t), null_forest(t), 2)
-    if len(components(cover.complex)) != 1:
+    if len(cover.complex.components()) != 1:
         problems.append("cover is disconnected")
     if cover.complex.num_vertices != 35:
         problems.append(f"cover size {cover.complex.num_vertices}")
@@ -150,7 +149,7 @@ def test_criterion_5_odometer_orbits():
     for name in sorted(CORPUS):
         for depth in range(1, 5):
             c = CosetTree(positive_part(truncate(CORPUS[name], depth)))
-            od = odometer(c)
+            od = OdometerMap(c)
             for vi in range(len(c.verts)):
                 bid, _ = c.verts[vi]
                 order = c.order_of[bid]
@@ -282,7 +281,7 @@ def test_criterion_9_horizon_stability():
             problems.append(f"deeper telescope neighborhood {i}")
     t = truncate(g, 2)
     cover = build_cover(CosetTree(t), null_forest(t), 3)
-    if len(components(cover.complex)) != 1:
+    if len(cover.complex.components()) != 1:
         problems.append("taller cover is disconnected")
     for name in ONE_FIXED_END:
         c = CosetTree(positive_part(truncate(CORPUS[name], 5)))

@@ -1,5 +1,7 @@
 """Tests for end classification, rays, rank towers, and the oracle battery."""
 
+import dataclasses
+
 import pytest
 
 from corpus import CORPUS, ONE_FIXED_END
@@ -17,6 +19,7 @@ from treeends.classify import (
     render_text,
     to_json_dict,
 )
+from treeends import germ
 from treeends.errors import DomainError
 from treeends.germ import germ_from_edges
 from treeends.proseq import block_compress
@@ -246,6 +249,15 @@ class TestCrossChecks:
 
 
 class TestReports:
+    def test_each_germ_value_is_validated_once(self, monkeypatch):
+        calls = []
+        validate = germ.validate_germ
+        monkeypatch.setattr(germ, "validate_germ", lambda g: calls.append(g) or validate(g))
+        g = dataclasses.replace(CORPUS["two_loops"])  # a value no other test has validated
+        full_report(g)
+        seen = list(calls)
+        assert seen == [g, germ_power(g, 2), germ_power(g, 3)]  # the input and its two powers
+
     def test_json_schema_fields(self):
         d = to_json_dict(full_report(CORPUS["bs2"]))
         assert sorted(d) == [

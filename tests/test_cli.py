@@ -207,6 +207,35 @@ class TestReduce:
         assert [e["label"] for e in data["edges"]] == [4, 6, 6, 9]
 
 
+class TestLabels:
+    """Labels are Python ints, bounded only by the int/str digit limit."""
+
+    def test_power_output_validates(self, cli, tmp_path, int_digit_limit):
+        germ = tmp_path / "big.germ"
+        germ.write_text(f"root A\nedge A A {2**40}\n")
+        code, out, err = cli("reduce", germ, "--power", 2)
+        assert (code, out, err) == (0, f"root A\nedge A A {2**80}\n", "")
+        germ.write_text(out)
+        assert cli("validate", germ) == (0, "ok\n", "")
+
+    def test_label_past_the_digit_limit_is_a_parse_error(self, cli, tmp_path, int_digit_limit):
+        germ = tmp_path / "long.germ"
+        germ.write_text("root A\nedge A A " + "7" * 5000 + "\n")
+        code, out, err = cli("validate", germ)
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: label of 5000 digits exceeds the 4300-digit limit\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["--power", 15000], ["--interval", 0, 15000, "--depth", 15000]],
+        ids=["power", "interval"],
+    )
+    def test_unprintable_label_hits_the_ceiling(self, cli, argv, int_digit_limit):
+        code, out, err = cli("reduce", GERMS / "bs2.germ", *argv)
+        assert (code, out) == (3, "")
+        assert err == "error: label digits exceeds the size ceiling (4516 > 4300)\n"
+
+
 class TestProseq:
     def test_text_output(self, cli):
         code, out, _ = cli("proseq", "prefix:3;cycle:2,1")

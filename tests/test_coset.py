@@ -13,13 +13,12 @@ from treeends import (
     lambda_of_coset,
     lambda_plus,
     null_forest,
-    odometer,
     positive_part,
     truncate,
     vertex_order,
     wedge_expansion,
 )
-from treeends.coset import CosetTree
+from treeends.coset import CosetTree, OdometerMap
 from corpus import CORPUS
 
 
@@ -94,7 +93,7 @@ def test_coset_ceiling():
 @pytest.mark.parametrize("name", ["bs2", "bs3", "two_loops", "spin", "mixed2"])
 def test_odometer_commutes_with_parent(name):
     c = lambda_plus(positive_part(truncate(CORPUS[name], 3)))
-    od = odometer(c)
+    od = OdometerMap(c)
     for vi in range(len(c.verts)):
         p = c.parent_idx[vi]
         if p is None:
@@ -105,7 +104,7 @@ def test_odometer_commutes_with_parent(name):
 @pytest.mark.parametrize("name", ["bs2", "bs3", "two_loops", "spin"])
 def test_odometer_orbits_have_full_length(name):
     c = lambda_plus(positive_part(truncate(CORPUS[name], 3)))
-    od = odometer(c)
+    od = OdometerMap(c)
     perm = od.permutation()
     seen = set()
     for start in range(len(perm)):
@@ -125,7 +124,7 @@ def test_odometer_orbits_have_full_length(name):
 
 def test_odometer_power_wraps():
     c = lambda_plus(positive_part(truncate(CORPUS["bs2"], 2)))
-    od = odometer(c)
+    od = OdometerMap(c)
     for vi in range(len(c.verts)):
         bid, _ = c.verts[vi]
         assert od.image_index(vi, c.order_of[bid]) == vi

@@ -18,9 +18,7 @@ from treeends.cw import (
     build_cover,
     build_frontier_graph,
     collapse_h1_matrix,
-    components,
     format_complex,
-    frontier_complex_cover,
     full_selection,
     fundamental_cycles,
     h1,
@@ -98,7 +96,7 @@ class TestCW2Complex:
 
     def test_components_sorted(self):
         k = CW2Complex(5, [(1, 2), (4, 3)], [])
-        assert components(k) == [(0,), (1, 2), (3, 4)]
+        assert k.components() == [(0,), (1, 2), (3, 4)]
 
 
 class TestH1:
@@ -275,7 +273,7 @@ class TestCover:
         cov = build_cover(CosetTree(t), null_forest(t), 3)
         k = cov.complex
         assert (k.num_vertices, len(k.edges), len(k.faces)) == (7, 6, 0)
-        assert len(components(k)) == 1
+        assert len(k.components()) == 1
         # cutting the middle vertex separates the two ends
         mid = cov.middle_vertex
         keep = [v for v in range(k.num_vertices) if v != mid]
@@ -289,21 +287,21 @@ class TestCover:
             ],
             [],
         )
-        assert len(components(rest)) == 2
+        assert len(rest.components()) == 2
 
     def test_doubling_strip_counts(self):
         t = truncate(CORPUS["bs2"], 2)
         cov = build_cover(CosetTree(t), null_forest(t), 2)
         k = cov.complex
         assert (k.num_vertices, len(k.edges), len(k.faces)) == (35, 58, 24)
-        assert len(components(k)) == 1
+        assert len(k.components()) == 1
 
     def test_null_copies_stay_attached(self):
         t = truncate(CORPUS["mixed"], 2)
         cov = build_cover(CosetTree(positive_part(t)), null_forest(t), 1)
         k = cov.complex
         assert (k.num_vertices, len(k.edges), len(k.faces)) == (18, 21, 4)
-        assert len(components(k)) == 1
+        assert len(k.components()) == 1
 
     def test_null_bridges_follow_the_residue_odometer(self):
         t = truncate(CORPUS["mixed2"], 2)
@@ -370,10 +368,8 @@ class TestFrontier:
     def test_betti_agrees_with_cover_route(self, name, radius):
         c = coset_for(name, 3)
         fg = build_frontier_graph(c, radius)
-        _, via_cover = frontier_complex_cover(c, radius)
-        assert fg.betti == via_cover
         k = fg.complex
-        assert fg.betti == len(k.edges) - k.num_vertices + len(components(k))
+        assert fg.betti == len(k.edges) - k.num_vertices + len(k.components())
 
     def test_fundamental_cycles_close_up(self):
         fg = build_frontier_graph(coset_for("bs2", 4), 2)

@@ -1,18 +1,27 @@
+import dataclasses
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from treeends import (
     GermEdge,
     GermGraph,
     ParseError,
+    SizeCeilingError,
     ValidationFailed,
     germ_from_edges,
+    germ_power,
     parse_germ,
     render_germ,
     require_valid,
     validate_germ,
 )
+from treeends.germ import check_label
 from corpus import CORPUS
+
+# What ``treeends reduce --power 2`` prints for the germ ``edge A A 2**40``.
+POWER_2_40 = "root A\nedge A A 1208925819614629174706176\n"
+LONG_LABEL = "root A\nedge A A " + "7" * 5000 + "\n"
 
 
 def test_round_trip_corpus():
@@ -133,3 +142,55 @@ def test_out_edges_keeps_declaration_order():
     g = CORPUS["spin"]
     assert [(i, e.label) for i, e in g.out_edges("A")] == [(0, 2), (2, 1)]
     assert [(i, e.label) for i, e in g.out_edges("B")] == [(1, 3)]
+
+
+def test_report_and_index_are_computed_once_and_stay_out_of_equality():
+    g = dataclasses.replace(CORPUS["spin"])
+    assert g.report is g.report
+    assert g.out_edges("A") is g.out_edges("A")
+    assert g.out_edges("missing") == ()
+    fresh = dataclasses.replace(g)
+    assert g == fresh and hash(g) == hash(fresh)
+
+
+def test_power_output_reads_back_at_any_label_size(int_digit_limit):
+    powered = germ_power(germ_from_edges("A", [("A", "A", 2**40)]), 2)
+    assert render_germ(powered) == POWER_2_40
+    assert parse_germ(POWER_2_40) == powered
+    assert validate_germ(parse_germ(POWER_2_40)).ok
+
+
+def test_label_past_the_int_digit_limit_is_a_parse_error(int_digit_limit):
+    with pytest.raises(ParseError) as exc:
+        parse_germ(LONG_LABEL)
+    assert exc.value.line == 2
+    assert "5000 digits" in exc.value.reason
+    assert parse_germ("root A\nedge A A " + "7" * 4300 + "\n").edges[0].label > 0
+
+
+def test_label_check_matches_the_int_digit_limit(int_digit_limit):
+    assert check_label(10**4300 - 1) == 10**4300 - 1
+    for label, digits in ((10**4300, 4301), (2**15000, 4516)):
+        with pytest.raises(SizeCeilingError) as exc:
+            check_label(label)
+        assert (exc.value.count, exc.value.ceiling) == (digits, 4300)
+
+
+TOKENS = st.one_of(
+    st.sampled_from(["root", "vertex", "edge", "A", "B", "#", "0", "2", "-1"]),
+    st.integers(min_value=0).map(str),
+    st.text(max_size=4),
+)
+GERM_LIKE = st.lists(st.lists(TOKENS, max_size=5).map(" ".join), max_size=6).map("\n".join)
+
+
+@settings(deadline=None)
+@given(st.one_of(st.text(), GERM_LIKE))
+@example(LONG_LABEL)
+@example(POWER_2_40)
+def test_parse_gives_a_germ_or_a_parse_error(text):
+    try:
+        g = parse_germ(text)
+    except ParseError:
+        return
+    assert isinstance(g, GermGraph)
