@@ -15,7 +15,7 @@ from enum import Enum
 from . import cw
 from .coset import frontier_count, lambda_plus
 from .errors import DomainError, SizeCeilingError, ValidationFailed
-from .germ import GermGraph, require_valid
+from .germ import GermGraph, check_label, require_valid, walk_counts
 from .proseq import (
     InverseLimitClass,
     MultSequence,
@@ -233,7 +233,8 @@ def pro_h1_fixed_end(g: GermGraph, depth: int) -> RankSequence:
     report = classify_ends(g)
     if report.fixed_end_count != 1:
         raise DomainError("rank tower needs exactly one fixed end")
-    return RankSequence(tuple(frontier_count(g, i) - 1 for i in range(depth + 1)))
+    counts = walk_counts(g, (g.root,), lambda e: e.label, depth)  # frontier_count, every tier
+    return RankSequence(tuple(check_label(n - 1, "rank") for n in counts))
 
 
 def power_ray(g: GermGraph, ray: RaySpec, m: int) -> RaySpec:

@@ -357,10 +357,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# Built once per process; parse_args keeps no state between calls.
+PARSER = build_parser()
+
+
 def run(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = PARSER.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -66,6 +66,7 @@ class CosetTree:
                 for residue in range(self.order_of[node.id]):
                     verts.append((node.id, residue))
         self.verts: tuple = tuple(verts)
+        self._tiers: tuple = tuple(base.node(bid).tier for bid, _ in verts)
         self.index: dict = {bv: i for i, bv in enumerate(self.verts)}
         self.parent_idx: list = []
         self.children: list = [[] for _ in self.verts]
@@ -89,8 +90,7 @@ class CosetTree:
         return self.base.depth
 
     def tier(self, vert_idx: int) -> int:
-        bid, _ = self.verts[vert_idx]
-        return self.base.node(bid).tier
+        return self._tiers[vert_idx]
 
     def tier_indices(self, tier: int) -> list:
         return [i for i in range(len(self.verts)) if self.tier(i) == tier]

@@ -34,38 +34,35 @@ class CW2Complex:
         edge_labels: list | None = None,
     ):
         self.num_vertices = num_vertices
-        self.edges = tuple((int(t), int(h)) for t, h in edges)
-        self.faces = tuple(tuple((int(e), int(s)) for e, s in word) for word in faces)
+        self.edges = edges = tuple([(int(t), int(h)) for t, h in edges])
+        self.faces = tuple(tuple([(int(e), int(s)) for e, s in word]) for word in faces)
         self.vertex_labels = tuple(vertex_labels) if vertex_labels else None
         self.edge_labels = tuple(edge_labels) if edge_labels else None
-        for t, h in self.edges:
+        for t, h in edges:
             if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                 raise DomainError(f"edge endpoint out of range: ({t}, {h})")
+        n_edges = len(edges)
         for fi, word in enumerate(self.faces):
             if not word:
                 raise DomainError(f"face {fi} has an empty attaching word")
-            at = None
-            start = None
+            # One walk checks the path, its closure and the boundary sum.
+            acc: dict = {}
+            at = start = None
             for e, s in word:
-                if not (0 <= e < len(self.edges)) or s not in (1, -1):
+                if not (0 <= e < n_edges) or s not in (1, -1):
                     raise DomainError(f"face {fi} has a bad step ({e}, {s})")
-                tail, head = self.edges[e]
-                src, dst = (tail, head) if s == 1 else (head, tail)
+                src, dst = edges[e] if s == 1 else edges[e][::-1]
                 if at is None:
                     start = src
                 elif at != src:
                     raise DomainError(f"face {fi} attaching word is not a path")
                 at = dst
+                acc[dst] = acc.get(dst, 0) + 1
+                acc[src] = acc.get(src, 0) - 1
             if at != start:
                 raise DomainError(f"face {fi} attaching word does not close up")
-        # The composite boundary must vanish; anything else is a builder bug.
-        for word in self.faces:
-            acc: dict = {}
-            for e, s in word:
-                tail, head = self.edges[e]
-                acc[head] = acc.get(head, 0) + s
-                acc[tail] = acc.get(tail, 0) - s
-            assert all(v == 0 for v in acc.values()), "face boundary does not vanish"
+            # The composite boundary must vanish; anything else is a builder bug.
+            assert not any(acc.values()), "face boundary does not vanish"
 
     def boundary1(self) -> Matrix:
         """Vertices x edges; column of edge e is head - tail."""
@@ -86,21 +83,22 @@ class CW2Complex:
     def components(self) -> list:
         """Connected components of the 1-skeleton, each a sorted vertex tuple."""
         parent = list(range(self.num_vertices))
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
         for t, h in self.edges:
-            rt, rh = find(t), find(h)
-            if rt != rh:
-                parent[max(rt, rh)] = min(rt, rh)
+            # path halving; the smaller root wins, so roots are least vertices
+            while parent[t] != t:
+                parent[t] = t = parent[parent[t]]
+            while parent[h] != h:
+                parent[h] = h = parent[parent[h]]
+            if t < h:
+                parent[h] = t
+            elif h < t:
+                parent[t] = h
+        # parent[v] <= v, so one ascending pass sends each vertex to its root
         groups: dict = {}
-        for v in range(self.num_vertices):
-            groups.setdefault(find(v), []).append(v)
-        return [tuple(groups[r]) for r in sorted(groups)]
+        for v in range(len(parent)):
+            parent[v] = root = parent[parent[v]]
+            groups.setdefault(root, []).append(v)
+        return [tuple(vs) for vs in groups.values()]
 
 
 @dataclass(frozen=True)
@@ -126,8 +124,7 @@ class H1Calculator:
 
     def __init__(self, k: CW2Complex):
         self.complex = k
-        self._parent, self._depth, tree_edges = _spanning_forest(k)
-        self._non_tree = [e for e in range(len(k.edges)) if e not in tree_edges]
+        self._parent, self._depth, self._non_tree = _spanning_forest(k)
         self.cycle_count = len(self._non_tree)
         pos = {e: r for r, e in enumerate(self._non_tree)}
         relations = []
@@ -533,7 +530,8 @@ def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
 
 def _spanning_forest(k: CW2Complex):
     """BFS forest: parent[v] = (up vertex, edge, sign) with sign +1 when the
-    edge is oriented up->v.  Returns (parent, depth, tree edge set)."""
+    edge is oriented up->v.  Returns (parent, depth, non-tree edges in
+    index order)."""
     adj: list = [[] for _ in range(k.num_vertices)]
     for idx, (t, h) in enumerate(k.edges):
         adj[t].append((h, idx, 1))
@@ -556,7 +554,7 @@ def _spanning_forest(k: CW2Complex):
                     parent[w] = (v, idx, sign)
                     tree_edges.add(idx)
                     queue.append(w)
-    return parent, depth, tree_edges
+    return parent, depth, [idx for idx in range(len(k.edges)) if idx not in tree_edges]
 
 
 def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
@@ -587,24 +585,21 @@ def _fundamental_cycle(k: CW2Complex, parent, depth, idx: int) -> dict:
 
 def fundamental_cycles(k: CW2Complex):
     """(non-tree edge indices, cycle chains): a basis of the cycle space."""
-    parent, depth, tree_edges = _spanning_forest(k)
-    non_tree = [idx for idx in range(len(k.edges)) if idx not in tree_edges]
+    parent, depth, non_tree = _spanning_forest(k)
     return non_tree, [_fundamental_cycle(k, parent, depth, idx) for idx in non_tree]
 
 
 @dataclass(frozen=True)
 class CollapseBond:
     """H1 matrix of the collapse from the radius-(i+1) frontier graph onto
-    the radius-i one, in fundamental-cycle coordinates."""
+    the radius-i one in fundamental-cycle coordinates, as sparse columns."""
 
-    matrix: tuple
+    columns: tuple
     rows: int
     cols: int
 
     def surjective(self) -> bool:
-        if self.rows == 0:
-            return True
-        return has_trivial_cokernel([list(r) for r in self.matrix])
+        return has_trivial_cokernel(self.rows, self.columns)
 
 
 def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
@@ -614,9 +609,6 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
         raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
     deep = build_frontier_graph(c, i + 1)
     shallow = build_frontier_graph(c, i)
-
-    def vert_anc(vi: int) -> int:
-        return vi if c.tier(vi) <= i else c.parent_idx[vi]
 
     def edge_image(key):
         kind = key[0]
@@ -629,25 +621,30 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
         lo, hi = max(h, -i), min(h + 1, i)
         if lo >= hi:
             return None  # clamped flat
-        return ("col", vert_anc(vi), lo)
+        return ("col", vi if c.tier(vi) <= i else c.parent_idx[vi], lo)
 
     non_tree_deep, cycles_deep = fundamental_cycles(deep.complex)
-    non_tree_shallow, _ = fundamental_cycles(shallow.complex)
-    deep_key_of = {idx: key for key, idx in deep.edge_index.items()}
+    non_tree_shallow = _spanning_forest(shallow.complex)[2]
     shallow_pos = {idx: r for r, idx in enumerate(non_tree_shallow)}
-
-    matrix = [[0] * len(non_tree_deep) for _ in range(len(non_tree_shallow))]
-    for col, chain in enumerate(cycles_deep):
-        for e_idx, coef in chain.items():
-            image_key = edge_image(deep_key_of[e_idx])
-            if image_key is None:
-                continue
-            image_idx = shallow.edge_index[image_key]
-            row = shallow_pos.get(image_idx)
+    # Each deep edge lands on at most one shallow coordinate row.
+    row_of = {}
+    for key, idx in deep.edge_index.items():
+        image_key = edge_image(key)
+        if image_key is not None:
+            row = shallow_pos.get(shallow.edge_index[image_key])
             if row is not None:
-                matrix[row][col] += coef
+                row_of[idx] = row
+
+    columns = []
+    for chain in cycles_deep:
+        col: dict = {}
+        for e_idx, coef in chain.items():
+            row = row_of.get(e_idx)
+            if row is not None:
+                col[row] = col.get(row, 0) + coef
+        columns.append({r: x for r, x in col.items() if x})
     return CollapseBond(
-        matrix=tuple(tuple(r) for r in matrix),
+        columns=tuple(columns),
         rows=len(non_tree_shallow),
         cols=len(non_tree_deep),
     )

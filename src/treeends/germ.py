@@ -263,15 +263,16 @@ def walk_counts(
     return totals
 
 
-def check_label(label: int) -> int:
+def check_label(label: int, what: str = "label") -> int:
     """Return ``label``, or raise SizeCeilingError when it has more decimal
     digits than Python converts (``sys.get_int_max_str_digits()``, 0 for no
     limit).  ``parse_germ`` reads labels under the same limit, so a label
-    that passes can be written out and read back."""
+    that passes can be written out and read back; ``what`` names other
+    printed integers, such as ranks, in the error."""
     limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
     if limit and label.bit_length() > 3 * limit and label >= 10**limit:
         digits = int(label.bit_length() * math.log10(2))  # the count, or one less
-        raise SizeCeilingError("label digits", digits + (label >= 10**digits), limit)
+        raise SizeCeilingError(f"{what} digits", digits + (label >= 10**digits), limit)
     return label
 
 

@@ -330,12 +330,9 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
     return Presentation(log=log, rows=rows, free=free, core=core)
 
 
-def has_trivial_cokernel(a: Matrix) -> bool:
-    """Whether Z^rows / (column span of A) is the zero group."""
-    m, n = dims(a)
-    p = unit_pivot_presentation(
-        m, [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)]
-    )
+def has_trivial_cokernel(m: int, columns: list) -> bool:
+    """Whether Z^m / (span of the sparse columns {row: coeff}) is zero."""
+    p = unit_pivot_presentation(m, columns)
     if p.free:
         return False
     if not p.rows:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from treeends import cli as cli_module
 from treeends.cli import run
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -235,6 +236,36 @@ class TestLabels:
         assert (code, out) == (3, "")
         assert err == "error: label digits exceeds the size ceiling (4516 > 4300)\n"
 
+    def test_rank_past_the_digit_limit_hits_the_ceiling(self, cli, int_digit_limit):
+        # bs2 ranks are 2**i - 1; tier 2127 is the first with 641 digits
+        sys.set_int_max_str_digits(640)
+        code, out, err = cli("classify", "--depth", 2200, "--format", "json", GERMS / "bs2.germ")
+        assert (code, out) == (3, "")
+        assert err == "error: rank digits exceeds the size ceiling (641 > 640)\n"
+
+
+class TestParser:
+    """One parser serves every ``run`` call in a process."""
+
+    def test_reused_across_calls(self, cli):
+        germ = GERMS / "two_loops.germ"
+        code, out, err = cli("classify", "--depth", 0, germ)
+        assert (code, out) == (2, "") and "must be at least 1" in err
+        code, out, _ = cli("--help")
+        assert code == 0 and out.startswith("usage: treeends")
+        code, out, err = cli("reduce", germ, "--power", 2, "--interval", 1, 2)
+        assert (code, out) == (2, "") and "not allowed with argument" in err
+        first = cli("classify", "--format", "json", germ)
+        assert first[0] == 0
+        assert cli("classify", "--format", "json", germ) == first
+
+    def test_run_does_not_rebuild_it(self, cli, monkeypatch):
+        def fail():
+            raise AssertionError("build_parser called")
+
+        monkeypatch.setattr(cli_module, "build_parser", fail)
+        assert cli("validate", GERMS / "bs2.germ") == (0, "ok\n", "")
+
 
 class TestProseq:
     def test_text_output(self, cli):
@@ -349,6 +380,15 @@ class TestInstalledEntryPoints:
             assert proc.returncode == 0, f"{name}: {proc.stderr}"
             assert "end_class: OneEnded" in proc.stdout, name
             assert "ranks: 0,1,3,7,15" in proc.stdout, name
+
+    def test_library_import_builds_no_parser(self):
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, treeends; print('treeends.cli' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+        )
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "False\n", "")
 
     def test_module_invocation(self):
         proc = subprocess.run(

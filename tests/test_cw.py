@@ -2,11 +2,13 @@
 
 from collections import deque
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus import CORPUS
+from treeends.classify import classify_ends
 from treeends.coset import CosetTree
 from treeends.cw import (
     CW2Complex,
@@ -27,8 +29,11 @@ from treeends.cw import (
     subcomplex,
 )
 from treeends.errors import DomainError, SizeCeilingError
+from treeends.germ import germ_from_edges, parse_germ, validate_germ
 from treeends.intmat import mat_mul, mat_vec, smith_normal_form
 from treeends.unfold import null_forest, positive_part, truncate
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 
 def rank_over_rationals(matrix) -> int:
@@ -56,6 +61,22 @@ def betti_by_rank(k: CW2Complex) -> int:
     d1, d2 = k.boundary1(), k.boundary2()
     cycles = len(k.edges) - rank_over_rationals(d1)
     return cycles - (rank_over_rationals(d2) if k.faces else 0)
+
+
+def _one_fixed_end_germs() -> dict:
+    """Every valid germ in germs/ and the corpus with exactly one fixed end,
+    plus one whose bonds are not onto (a positive edge into a null-only
+    vertex), so both answers are compared."""
+    germs = {f"corpus/{name}": g for name, g in CORPUS.items()}
+    germs["dead_end"] = germ_from_edges("A", [("A", "A", 2), ("A", "C", 2), ("C", "C", 0)])
+    for path in sorted(GERMS.glob("*.germ")):
+        g = parse_germ(path.read_text())
+        if validate_germ(g).ok:
+            germs[f"germs/{path.stem}"] = g
+    return {k: g for k, g in germs.items() if classify_ends(g).fixed_end_count == 1}
+
+
+ONE_FIXED_END_GERMS = _one_fixed_end_germs()
 
 
 def base_for(name: str, depth: int):
@@ -94,9 +115,63 @@ class TestCW2Complex:
         with pytest.raises(DomainError, match="bad step"):
             CW2Complex(1, [(0, 0)], [[(0, 2)]])
 
+    @pytest.mark.parametrize(
+        "num_vertices, edges, faces, message",
+        [
+            (2, [(0, 1), (0, 2)], [], "edge endpoint out of range: (0, 2)"),
+            (1, [(0, 0)], [[(0, 1)], []], "face 1 has an empty attaching word"),
+            (1, [(0, 0)], [[(0, 1)], [(0, 1), (0, 2)]], "face 1 has a bad step (0, 2)"),
+            (1, [(0, 0)], [[(1, 1)]], "face 0 has a bad step (1, 1)"),
+            (2, [(0, 0), (1, 1)], [[(0, 1), (1, 1)]], "face 0 attaching word is not a path"),
+            (2, [(0, 1)], [[(0, 1), (0, 1)]], "face 0 attaching word is not a path"),
+            (2, [(0, 1), (1, 1)], [[(0, 1), (1, -1)]], "face 0 attaching word does not close up"),
+        ],
+        ids=["endpoint", "empty", "step-sign", "step-edge", "path", "path-twice", "open"],
+    )
+    def test_malformed_complex_messages(self, num_vertices, edges, faces, message):
+        with pytest.raises(DomainError) as exc:
+            CW2Complex(num_vertices, edges, faces)
+        assert str(exc.value) == message
+
     def test_components_sorted(self):
         k = CW2Complex(5, [(1, 2), (4, 3)], [])
         assert k.components() == [(0,), (1, 2), (3, 4)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=0, max_value=12).flatmap(
+            lambda n: st.tuples(
+                st.just(n),
+                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+                if n
+                else st.just([]),
+            )
+        )
+    )
+    def test_components_match_breadth_first_search(self, graph):
+        # random multigraphs: loops, repeated edges and isolated vertices
+        n, edges = graph
+        adj: list = [[] for _ in range(n)]
+        for t, h in edges:
+            adj[t].append(h)
+            adj[h].append(t)
+        seen: set = set()
+        want = []
+        for start in range(n):
+            if start in seen:
+                continue
+            seen.add(start)
+            queue = deque([start])
+            comp = []
+            while queue:
+                v = queue.popleft()
+                comp.append(v)
+                for w in adj[v]:
+                    if w not in seen:
+                        seen.add(w)
+                        queue.append(w)
+            want.append(tuple(sorted(comp)))
+        assert CW2Complex(n, edges, []).components() == want
 
 
 class TestH1:
@@ -392,6 +467,10 @@ class TestCollapse:
         for i in range(4):
             bond = collapse_h1_matrix(c, i)
             got.append((bond.rows, bond.cols, bond.surjective()))
+            # each shallow cycle is the image of one deep cycle; the rest collapse
+            assert bond.columns == tuple({r: 1} for r in range(bond.rows)) + ({},) * (
+                bond.cols - bond.rows
+            )
         assert got == [
             (0, 1, True),
             (1, 3, True),
@@ -411,6 +490,19 @@ class TestCollapse:
         c = coset_for("bs2", 2)
         with pytest.raises(DomainError, match="depth"):
             collapse_h1_matrix(c, 2)
+
+    @pytest.mark.parametrize("name", ONE_FIXED_END_GERMS)
+    def test_onto_agrees_with_dense_smith(self, name):
+        g = ONE_FIXED_END_GERMS[name]
+        c = CosetTree(positive_part(truncate(g, 3)))
+        for i in range(3):
+            bond = collapse_h1_matrix(c, i)
+            assert len(bond.columns) == bond.cols
+            assert all(0 <= r < bond.rows and x for col in bond.columns for r, x in col.items())
+            dense = [[col.get(r, 0) for col in bond.columns] for r in range(bond.rows)]
+            s = smith_normal_form(dense)
+            want = bond.rows == 0 or (s.rank == bond.rows and all(x == 1 for x in s.d))
+            assert bond.surjective() == want, (name, i)
 
 
 class TestFormat:

@@ -111,14 +111,20 @@ def test_hermite_invariant_under_column_operations(a):
     assert hermite_column_basis(b) == base
 
 
+def onto(a):
+    """``has_trivial_cokernel`` on a dense matrix, passed as sparse columns."""
+    m, n = dims(a)
+    return has_trivial_cokernel(m, [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)])
+
+
 def test_cokernel_triviality():
-    assert has_trivial_cokernel(identity(3))
-    assert has_trivial_cokernel([[1, 0]])
-    assert has_trivial_cokernel([])  # zero rows: nothing to hit
-    assert not has_trivial_cokernel([[2]])
-    assert not has_trivial_cokernel([[1], [0]])
-    assert not has_trivial_cokernel([[], []])  # two rows, no columns
-    assert has_trivial_cokernel([[1, 0], [3, 1]])
+    assert onto(identity(3))
+    assert onto([[1, 0]])
+    assert onto([])  # zero rows: nothing to hit
+    assert not onto([[2]])
+    assert not onto([[1], [0]])
+    assert not onto([[], []])  # two rows, no columns
+    assert onto([[1, 0], [3, 1]])
 
 
 def bare_matrices(entries):
@@ -143,4 +149,4 @@ def test_cokernel_triviality_matches_dense_smith(a):
     m = len(a)
     s = smith_normal_form(a)
     want = m == 0 or (s.rank == m and all(x == 1 for x in s.d[:m]))
-    assert has_trivial_cokernel(a) == want
+    assert onto(a) == want
