@@ -308,12 +308,18 @@ def cross_checks(
     def skip(name: str, detail: str) -> None:
         results.append(CheckResult(name, "skip", detail))
 
-    fr_max = min(3, depth)
-    coset = lambda_plus(positive_part(truncate(g, fr_max + 1, ceiling)), ceiling)
+    # One window for every cell-complex check.  Each object below is built
+    # once, in the order the checks first need it, so a SizeCeilingError
+    # names the first stage that overflows.
+    d3 = min(3, depth)
+    t_deep = truncate(g, d3 + 1, ceiling)
+    coset = lambda_plus(positive_part(t_deep), ceiling)
 
     if report.fixed_end_count == 1:
-        ranks = pro_h1_fixed_end(g, fr_max)
-        betti = [cw.build_frontier_graph(coset, i).betti for i in range(fr_max + 1)]
+        ranks = pro_h1_fixed_end(g, d3)
+        bonds = [cw.collapse_h1_matrix(coset, i) for i in range(min(2, d3) + 1)]
+        # a bond's rows and cols are the Betti numbers of its two graphs
+        betti = ([b.rows for b in bonds] + [bonds[-1].cols])[: d3 + 1]
         add(
             "frontier-rank",
             list(ranks.ranks) == betti,
@@ -322,36 +328,33 @@ def cross_checks(
     else:
         skip("frontier-rank", "rank tower needs exactly one fixed end")
 
-    base_depth = min(depth, 3)
+    t = truncate(g, d3, ceiling)
+    base = cw.build_base(t, ceiling)
     ok = True
     details = []
-    for d in (base_depth, base_depth + 1):
-        t = truncate(g, d, ceiling)
-        base = cw.build_base(t, ceiling)
-        for i in range(1, min(3, d) + 1):
-            sel = cw.infinity_neighborhood_base(base, i)
-            sub, _, _ = cw.subcomplex(base.complex, sel)
+    for tree, telescope in ((t, base), (t_deep, cw.build_base(t_deep, ceiling))):
+        for i in range(1, min(3, tree.depth) + 1):
+            sel = cw.infinity_neighborhood_base(telescope, i)
+            sub, _, _ = cw.subcomplex(telescope.complex, sel)
             got = len(sub.components())
-            want = len(t.tier_nodes(i))
+            want = len(tree.tier_nodes(i))
             if got != want:
                 ok = False
-            details.append(f"d={d} i={i}: {got} vs {want}")
+            details.append(f"d={tree.depth} i={i}: {got} vs {want}")
     add("branch-components", ok, "; ".join(details))
 
     if report.fixed_end_count == 1 and ray is not None:
-        t3 = truncate(g, base_depth, ceiling)
-        base3 = cw.build_base(t3, ceiling)
         ok = True
         details = []
-        node_id = t3.root.id
+        node_id = t.root.id
         prod = 1
-        for i in range(1, min(2, base_depth) + 1):
+        for i in range(1, min(2, d3) + 1):
             e_idx = ray.prefix[i - 1] if i - 1 < len(ray.prefix) else ray.cycle[
                 (i - 1 - len(ray.prefix)) % len(ray.cycle)
             ]
             prod *= g.edges[e_idx].label
-            node_id = _tree_child_along(g, t3, node_id, e_idx)
-            mat = cw.induced_h1(base3.complex, cw.branch_selection(base3, node_id))
+            node_id = _tree_child_along(g, t, node_id, e_idx)
+            mat = cw.induced_h1(base.complex, cw.branch_selection(base, node_id))
             entries = [abs(x) for row in mat for x in row if x != 0]
             mult = math.gcd(*entries) if entries else 0
             if len(mat) != 1 or mult != prod:
@@ -361,26 +364,23 @@ def cross_checks(
     else:
         skip("ray-multiplier", "needs one fixed end and a ray")
 
-    cov_depth = min(depth, 3)
-    tc = truncate(g, cov_depth, ceiling)
-    nf = null_forest(tc)
-    cov_coset = lambda_plus(positive_part(tc), ceiling)
+    nf = null_forest(t)
+    cov_coset = lambda_plus(positive_part(t), ceiling)
     hc = min(height, 3)
+    covers = [cw.build_cover(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)]
     ok = True
     details = []
-    for h in (hc, hc + 1):
-        cover = cw.build_cover(cov_coset, nf, h, ceiling)
+    for cover in covers:
         n = len(cover.complex.components())
         if n != 1:
             ok = False
-        details.append(f"height {h}: {n} component(s)")
+        details.append(f"height {cover.height}: {n} component(s)")
     add("cover-connected", ok, "; ".join(details))
 
     if g.is_trivial:
         ok = True
         details = []
-        for h in (hc, hc + 1):
-            cover = cw.build_cover(cov_coset, nf, h, ceiling)
+        for cover in covers:
             mid = cover.middle_vertex
             verts = tuple(
                 v for v in range(cover.complex.num_vertices) if v != mid
@@ -397,7 +397,7 @@ def cross_checks(
             n = len(sub.components())
             if n != 2:
                 ok = False
-            details.append(f"height {h}: middle vertex splits into {n}")
+            details.append(f"height {cover.height}: middle vertex splits into {n}")
         add("two-ended-split", ok, "; ".join(details))
     else:
         skip("two-ended-split", "only meaningful for the one-vertex germ")
@@ -439,8 +439,8 @@ def cross_checks(
     if report.fixed_end_count == 1:
         ok = True
         details = []
-        for i in range(min(2, fr_max) + 1):
-            onto = cw.collapse_h1_matrix(coset, i).surjective()
+        for i, bond in enumerate(bonds):
+            onto = bond.surjective()
             if not onto:
                 ok = False
             details.append(f"i={i}: {'onto' if onto else 'not onto'}")
@@ -483,7 +483,6 @@ def full_report(
     depth: int = 4,
     height: int = 4,
     ceiling: int = DEFAULT_CEILING,
-    run_checks: bool = True,
 ) -> Report:
     ends = classify_ends(g)
     ranks = pro_h1_fixed_end(g, depth) if ends.fixed_end_count == 1 else None
@@ -497,7 +496,7 @@ def full_report(
         ray_sequence=seq,
         flags=classify_mult(seq) if seq is not None else None,
         limit=inverse_limit_mult(seq) if seq is not None else None,
-        checks=tuple(cross_checks(g, depth, height, ceiling)) if run_checks else (),
+        checks=tuple(cross_checks(g, depth, height, ceiling)),
     )
 
 

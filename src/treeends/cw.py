@@ -25,19 +25,10 @@ from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
 
 
 class CW2Complex:
-    def __init__(
-        self,
-        num_vertices: int,
-        edges: list,
-        faces: list,
-        vertex_labels: list | None = None,
-        edge_labels: list | None = None,
-    ):
+    def __init__(self, num_vertices: int, edges: list, faces: list):
         self.num_vertices = num_vertices
         self.edges = edges = tuple([(int(t), int(h)) for t, h in edges])
         self.faces = tuple(tuple([(int(e), int(s)) for e, s in word]) for word in faces)
-        self.vertex_labels = tuple(vertex_labels) if vertex_labels else None
-        self.edge_labels = tuple(edge_labels) if edge_labels else None
         for t, h in edges:
             if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                 raise DomainError(f"edge endpoint out of range: ({t}, {h})")
@@ -295,19 +286,16 @@ class BaseComplex:
 def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
     vertex_of = {node.id: i for i, node in enumerate(t.nodes)}
     edges: list = []
-    edge_labels: list = []
     tree_edge_of: dict = {}
     loop_of: dict = {}
     for node in t.nodes:
         if node.parent is not None:
             tree_edge_of[node.id] = len(edges)
             edges.append((vertex_of[node.id], vertex_of[node.parent]))
-            edge_labels.append(f"climb_{node.id}")
     for node in t.nodes:
         if node.positive:
             loop_of[node.id] = len(edges)
             edges.append((vertex_of[node.id], vertex_of[node.id]))
-            edge_labels.append(f"loop_{node.id}")
     faces: list = []
     face_of: dict = {}
     for node in t.nodes:
@@ -320,7 +308,7 @@ def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
     total = len(t.nodes) + len(edges) + len(faces)
     if total > ceiling:
         raise SizeCeilingError("telescope cells", total, ceiling)
-    k = CW2Complex(len(t.nodes), edges, faces, edge_labels=edge_labels)
+    k = CW2Complex(len(t.nodes), edges, faces)
     return BaseComplex(
         complex=k,
         tree=t,

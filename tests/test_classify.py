@@ -19,7 +19,7 @@ from treeends.classify import (
     render_text,
     to_json_dict,
 )
-from treeends import germ
+from treeends import classify, cw, germ
 from treeends.errors import DomainError
 from treeends.germ import germ_from_edges
 from treeends.proseq import block_compress
@@ -258,6 +258,34 @@ class TestReports:
         seen = list(calls)
         assert seen == [g, germ_power(g, 2), germ_power(g, 3)]  # the input and its two powers
 
+    def test_each_battery_object_is_built_once(self, monkeypatch):
+        calls = {}
+
+        def counted(module, name):
+            inner = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] = calls.get(name, 0) + 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, wrapper)
+
+        counted(classify, "truncate")
+        for name in ("build_base", "build_frontier_graph", "build_cover"):
+            counted(cw, name)
+        full_report(CORPUS["two_loops"])
+        # truncations and telescopes at depths 3 and 4, both graphs of each
+        # of the three collapse bonds, covers at heights 3 and 4
+        assert calls == {
+            "truncate": 2,
+            "build_base": 2,
+            "build_frontier_graph": 6,
+            "build_cover": 2,
+        }
+        calls.clear()
+        full_report(CORPUS["trivial"])
+        assert calls["build_cover"] == 2
+
     def test_json_schema_fields(self):
         d = to_json_dict(full_report(CORPUS["bs2"]))
         assert sorted(d) == [
@@ -316,6 +344,3 @@ class TestReports:
         second = to_json_dict(full_report(CORPUS[name]))
         assert first == second
 
-    def test_checks_can_be_turned_off(self):
-        report = full_report(CORPUS["bs2"], run_checks=False)
-        assert report.checks == ()

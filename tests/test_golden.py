@@ -2,9 +2,10 @@
 
 Every germ file in ``germs/`` is run through each subcommand that reads a
 germ, in every output format, and the sha256 of ``repr((exit code, stdout))``
-is compared with the table below.  Format rejections (exit 2) and invalid
-germs (exit 1) are frozen like any other run.  A refactor that keeps the
-program's answers keeps every digest.
+is compared with the table below.  ``oracle`` also runs at the smaller
+depth and height windows, whose clamps the default flags never reach.
+Format rejections (exit 2) and invalid germs (exit 1) are frozen like any
+other run.  A refactor that keeps the program's answers keeps every digest.
 
 Regenerate the table, only for an intended change of output, with
 ``PYTHONPATH=src python tests/test_golden.py``.
@@ -29,6 +30,9 @@ COMMANDS = {
     "power2": ["reduce", "--power", "2"],
     "interval13": ["reduce", "--interval", "1", "3"],
     "oracle": ["oracle"],
+    "oracle_depth1": ["oracle", "--depth", "1"],
+    "oracle_depth2": ["oracle", "--depth", "2"],
+    "oracle_height1": ["oracle", "--height", "1"],
 }
 FORMATS = ("text", "json", "dot")
 
@@ -54,6 +58,15 @@ GOLDEN = {
     "bad_nullclosure.germ oracle text": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
     "bad_nullclosure.germ oracle json": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
     "bad_nullclosure.germ oracle dot": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth1 text": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth1 json": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth1 dot": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth2 text": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth2 json": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_depth2 dot": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_height1 text": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_height1 json": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
+    "bad_nullclosure.germ oracle_height1 dot": "e02c779593524e3015f230baaa42010cfa2aad3f7b527b25409bc7d0d831066a",
     "bs2.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "bs2.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "bs2.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -75,6 +88,15 @@ GOLDEN = {
     "bs2.germ oracle text": "3a70b1d3f45f2776be0f15b07843508d35f538f167c1c1ef089fce2579bfa4ab",
     "bs2.germ oracle json": "534dfac211d71962339296f550887ea23439b7ff26a7479fc9f6b53c54ddc06e",
     "bs2.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "bs2.germ oracle_depth1 text": "acced0daaeb73bba1b5feb1840ce8090b8d5ea9da67e512b1ae75e2e6123774a",
+    "bs2.germ oracle_depth1 json": "cddf99d1f55d77893f75168106553ebbef3ba67ac12464bda622325144314008",
+    "bs2.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "bs2.germ oracle_depth2 text": "7ada59cfac77b4a5239317670c118ba6a065020d87ca7da174344fe8f7b38958",
+    "bs2.germ oracle_depth2 json": "31e3e70a0b1c0231833f1eeb9c4516b75ad5810d75d0702647b4b2c14e43e4fe",
+    "bs2.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "bs2.germ oracle_height1 text": "c818907b1fb1756577beb399c197e39b6981a3b383b9dc4aa09543cd63598d6e",
+    "bs2.germ oracle_height1 json": "f8189e9afe607d01ef409899ab3d389b408f5a2cd4cb20309042fe980d234b11",
+    "bs2.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "mixed.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "mixed.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "mixed.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -96,6 +118,15 @@ GOLDEN = {
     "mixed.germ oracle text": "f081dd816cbd2f74d4e615582f5b6b19fac5108a3e09e5e7e512033e822228a3",
     "mixed.germ oracle json": "dfd3bd45bc084f8e02b055787115a33af13a79e4e91c92215199c403e6d3c168",
     "mixed.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "mixed.germ oracle_depth1 text": "8a00371b488d5fd3c03185a0b24a0ba76ee60d47dbe621169e258a0281bbb7f0",
+    "mixed.germ oracle_depth1 json": "72d5af7e9342fa2521e70a1b6276e9646161d4fbdc1e926051a532d2359056a8",
+    "mixed.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "mixed.germ oracle_depth2 text": "61d288684bb97861a7a932efbb09ba2a29ea91fda046ac39a4214a0a14372331",
+    "mixed.germ oracle_depth2 json": "466dbf6fba12859ed9f6fad23be9dd964884f208505a3353a1ac791fdc7ab89b",
+    "mixed.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "mixed.germ oracle_height1 text": "e3d99a6781d0cdff74f173b73074d12aac91e540eb21849665e6048983a3de7a",
+    "mixed.germ oracle_height1 json": "efa6b4a2882486e5412e5d305b4ecb86407ae5068d1026b35e3e81abb2fa80c5",
+    "mixed.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "null_binary.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "null_binary.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "null_binary.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -117,6 +148,15 @@ GOLDEN = {
     "null_binary.germ oracle text": "3a8c02f4f9791fa444058c344bf603d6e2388bb5c37bfdc4da67771dcf702569",
     "null_binary.germ oracle json": "25c62907e3eda06b60adbad9688a3b23a1cd04aa98bb3b18f3c73c851fb67b88",
     "null_binary.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_binary.germ oracle_depth1 text": "dd1c65071b8a7b6407444461f910687503192dea680efeed84d4a69ef8723012",
+    "null_binary.germ oracle_depth1 json": "74546e561411264491dca1529d6728f7732a54cbe67eccc556d3186bd6046288",
+    "null_binary.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_binary.germ oracle_depth2 text": "e296ba4230b6f9fc95b9dcea98e250368d5726ad3af37473d149fdb7bef11bc7",
+    "null_binary.germ oracle_depth2 json": "b25a10cd37dc449c41238d3524f12327f67bcca5cab8076a5359d6325b538a3a",
+    "null_binary.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_binary.germ oracle_height1 text": "7cec5a05a2eb8933ddecadd2f6a6039cb533a9efee6b1df69c2b140159e1d575",
+    "null_binary.germ oracle_height1 json": "50bdbd33e442bc56bee25d09d7d4f2af8ad14500655e50dccf938e5b05d665e9",
+    "null_binary.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "null_ray.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "null_ray.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "null_ray.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -138,6 +178,15 @@ GOLDEN = {
     "null_ray.germ oracle text": "bf95b5769d39fe53913faf7d9819616daf3e78496c4c7c7df6f201fc6fd92f49",
     "null_ray.germ oracle json": "25f8624c409c506888e0e6b3be317fcf6f9671be328338d4d6c0b2823ca096cf",
     "null_ray.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_ray.germ oracle_depth1 text": "532b862772c664d658f900d426fce4ab7be3921be1c201cdc3237937f34a1611",
+    "null_ray.germ oracle_depth1 json": "76a259d389aa77204527e813489b0a12c1aec82790583e0c8c2f19a92e6d8f19",
+    "null_ray.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_ray.germ oracle_depth2 text": "44e30a5b66d752f819c2ee823b8a3982320d080386b7dedb1306f96e60dbdafb",
+    "null_ray.germ oracle_depth2 json": "dd9c9691d98934d37f5ed7ef151e41b515aec84fde99ee3cd560a6d6b14cb754",
+    "null_ray.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "null_ray.germ oracle_height1 text": "1e0ea45331c2ed60a232c18a42f36a77793b850a466a469564d86f10f566877e",
+    "null_ray.germ oracle_height1 json": "3467400c40f24ad5d9d6f818b7152dcb535fe5ee4a43721d00b1bac2513fa17f",
+    "null_ray.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "spin.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "spin.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "spin.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -159,6 +208,15 @@ GOLDEN = {
     "spin.germ oracle text": "772bba5e41ba51c36cb33e54d5c32b9c6587f43456a6c1610aa0b204559bcd8e",
     "spin.germ oracle json": "2cbc1020113428a928751f95f1b31f6c1bc1676ecc52cbf2072c82b9d2361ef9",
     "spin.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "spin.germ oracle_depth1 text": "404c1e7ca582a63bfc965551357f8781377612f8c112356160d9dd8953a3e34b",
+    "spin.germ oracle_depth1 json": "269eed2394849eb68751d62c9ad0fa31af48c9a9b529990bc23b74b33c709bfc",
+    "spin.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "spin.germ oracle_depth2 text": "dcd4bfac9432fd4c0cebe1f6a54f6e04ce248a641aa1dcf8d6a6a64436f82c25",
+    "spin.germ oracle_depth2 json": "37982ee0342a33bb5213443c0660dcf485356adfc12cc5a2592d5a18d2f81d8c",
+    "spin.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "spin.germ oracle_height1 text": "474ce3ffe74c2cb2400ac91d7029a08c62d64fb6c95a3d3629336aa6a0bf080a",
+    "spin.germ oracle_height1 json": "3dca368221b7f58085887e079a59a208309b36fe1be73a22901593ce30e46619",
+    "spin.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "trivial.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "trivial.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "trivial.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -180,6 +238,15 @@ GOLDEN = {
     "trivial.germ oracle text": "03d18acfcf20c4af71fe92c767d15d23777fcbd754cc631ff7b4bef0b51b732a",
     "trivial.germ oracle json": "24c7aab018a0e2bb349c471d09771bdbb5f7e8e30772077bf7950755aa799a48",
     "trivial.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "trivial.germ oracle_depth1 text": "29e891831c7f2bfbafecaf0246c0378044da9a6afd0846745201840ed6a93d2d",
+    "trivial.germ oracle_depth1 json": "fe658a7b057e4097eb71efb4705c8bff26be4aa54d7ace2babb05687f7ddff9f",
+    "trivial.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "trivial.germ oracle_depth2 text": "ca01bcf6ac097afd62d7dc1ba957d5f2a1fa300a4f7f06e1522c82e7fcf3e92c",
+    "trivial.germ oracle_depth2 json": "a63b4bddab219d316849a99d79fffbf3ba7ca5d057a681599c55de41f15764d9",
+    "trivial.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "trivial.germ oracle_height1 text": "199bf51f7d5abd79d1e6bcb655a808f83e667114e5c2661456f330c79a0c65ee",
+    "trivial.germ oracle_height1 json": "17c38cd8d3500ef0037ade8ce8cb4f9bcff1a1775b899d7f8fec111162c4130b",
+    "trivial.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "two_loops.germ validate text": "d7a96bec14967de84378702023cc9a6b95f3e14f834fc25589ae75c65c16d6fe",
     "two_loops.germ validate json": "6f1a0e6ed0b40cd53192e57a7ed94e468216456b9eb442f9a8d26a5638f060f3",
     "two_loops.germ validate dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
@@ -201,6 +268,15 @@ GOLDEN = {
     "two_loops.germ oracle text": "4a34ae830492074383764498c1dd39ce2de851b2c6efc3f1ceb59a6ded874b57",
     "two_loops.germ oracle json": "9cf6c01f764a719ee189721fc17097ec47fa704fd3db89b25b4f3727fa6a4ebf",
     "two_loops.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "two_loops.germ oracle_depth1 text": "bf4f556a7d6c0470db94d2af34438e8e34f8363fb7f998da771b3cfb75dd64a5",
+    "two_loops.germ oracle_depth1 json": "d370457b630e05daad7c4bf3e2289c63c8cbe47b27fb34cfd022cdec91f22d60",
+    "two_loops.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "two_loops.germ oracle_depth2 text": "aeaa1ddb47a249a3fa0fd38487a52cd83718457f8e5f27171f020d33308a9eca",
+    "two_loops.germ oracle_depth2 json": "c2461221e838d82baaee84dbab5a95ad6753f9b6e2b958de19ca9dfb387c1121",
+    "two_loops.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
+    "two_loops.germ oracle_height1 text": "4ddf944d3b756efc600cb3d9f180f723bdcdbd6b5799baf31c7c25b4e8d46112",
+    "two_loops.germ oracle_height1 json": "2db4f4ddeb49c6c59b09adae9141ed1484d49f7a632adcbc52562f00008eb2cf",
+    "two_loops.germ oracle_height1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
 }
 
 
