@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import cw
-from .coset import frontier_count, lambda_plus
+from .coset import lambda_plus
 from .errors import DomainError, SizeCeilingError, ValidationFailed
 from .germ import GermGraph, check_label, require_valid, walk_counts
 from .proseq import (
@@ -416,6 +416,8 @@ def cross_checks(
         want = "polynomial"
     add("null-growth", ok, f"counts {counts[:6]}, class {gc.value}, expected {want}")
 
+    # clone counts over each tier (frontier_count), one walk per germ
+    clones = walk_counts(g, (g.root,), lambda e: e.label, depth)
     for m in (2, 3):
         name = f"power-invariance-{m}"
         try:
@@ -430,10 +432,9 @@ def cross_checks(
             and rep_m.null_ends == report.null_ends
             and rep_m.gamma_plus_finite == report.gamma_plus_finite
         )
-        tele = all(
-            frontier_count(powered, i) == frontier_count(g, m * i)
-            for i in range(depth // m + 1)
-        )
+        n = depth // m
+        powered_clones = walk_counts(powered, (powered.root,), lambda e: e.label, n)
+        tele = powered_clones == clones[: m * n + 1 : m]
         add(name, same and tele, f"class match {same}, frontier telescoping {tele}")
 
     if report.fixed_end_count == 1:
@@ -468,10 +469,8 @@ def cross_checks(
 
 @dataclass
 class Report:
-    germ: GermGraph
     ends: EndReport
     ranks: RankSequence | None
-    ray: RaySpec | None
     ray_sequence: MultSequence | None
     flags: SequenceClass | None
     limit: InverseLimitClass | None
@@ -489,10 +488,8 @@ def full_report(
     ray = default_ray(g, ceiling)
     seq = pro_pi1_ray(g, ray) if ray is not None else None
     return Report(
-        germ=g,
         ends=ends,
         ranks=ranks,
-        ray=ray,
         ray_sequence=seq,
         flags=classify_mult(seq) if seq is not None else None,
         limit=inverse_limit_mult(seq) if seq is not None else None,

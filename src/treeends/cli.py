@@ -22,7 +22,7 @@ import sys
 
 from .classify import cross_checks, full_report, render_text, to_json_dict
 from .coset import DASHED, lambda_of_coset, lambda_plus
-from .errors import SizeCeilingError, TreeEndsError
+from .errors import ParseError, SizeCeilingError, TreeEndsError
 from .germ import GermGraph, parse_germ, render_germ, require_valid, validate_germ
 from .proseq import classify_mult, format_sequence, inverse_limit_mult, parse_sequence
 from .reduce import elementary_reduction, germ_power
@@ -41,10 +41,16 @@ def _at_least(minimum: int):
 
 def _load_germ(path: str, validate: bool = True) -> GermGraph:
     if path == "-":
-        text = sys.stdin.read()
+        data = sys.stdin.buffer.read()
     else:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
+        with open(path, "rb") as fh:
+            data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        # the bytes before the bad one decode; count lines as parse_germ does
+        line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
+        raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
     g = parse_germ(text)
     if validate:
         require_valid(g)

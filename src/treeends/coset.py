@@ -28,18 +28,6 @@ GRAY = "gray"
 DASHED = "dashed"
 
 
-def vertex_order(tree: TruncatedTree, node_id: int) -> int:
-    """Product of the edge labels on the root path of a positive node."""
-    node = tree.node(node_id)
-    if not node.positive:
-        raise DomainError(f"node {node_id} has a zero label on its root path")
-    prod = 1
-    while node.parent is not None:
-        prod *= node.label
-        node = tree.node(node.parent)
-    return prod
-
-
 class CosetTree:
     """Clone tree in residue coordinates over a positive truncation."""
 
@@ -69,15 +57,14 @@ class CosetTree:
         self._tiers: tuple = tuple(base.node(bid).tier for bid, _ in verts)
         self.index: dict = {bv: i for i, bv in enumerate(self.verts)}
         self.parent_idx: list = []
-        self.children: list = [[] for _ in self.verts]
-        for i, (bid, residue) in enumerate(self.verts):
+        for bid, residue in self.verts:
             node = base.node(bid)
             if node.parent is None:
                 self.parent_idx.append(None)
             else:
-                p = self.index[(node.parent, residue % self.order_of[node.parent])]
-                self.parent_idx.append(p)
-                self.children[p].append(i)
+                self.parent_idx.append(
+                    self.index[(node.parent, residue % self.order_of[node.parent])]
+                )
 
     def _base_tiers(self) -> list:
         tiers: list = [[] for _ in range(self.base.depth + 1)]
@@ -91,9 +78,6 @@ class CosetTree:
 
     def tier(self, vert_idx: int) -> int:
         return self._tiers[vert_idx]
-
-    def tier_indices(self, tier: int) -> list:
-        return [i for i in range(len(self.verts)) if self.tier(i) == tier]
 
     @property
     def root_index(self) -> int:
@@ -114,9 +98,6 @@ class OdometerMap:
         bid, residue = self.coset.verts[vert_idx]
         n = self.coset.order_of[bid]
         return self.coset.index[(bid, (residue + power) % n)]
-
-    def permutation(self, power: int = 1) -> tuple:
-        return tuple(self.image_index(i, power) for i in range(len(self.coset.verts)))
 
 
 def frontier_count(germ: GermGraph, tier: int) -> int:
@@ -156,9 +137,6 @@ class ColoredTree:
         node = self.nodes[node_id]
         kids = sorted(self.canonical_key(c) for c in self.children[node_id])
         return (node.color, node.original, node.germ_vertex, node.label, tuple(kids))
-
-    def count_color(self, color: str | None) -> int:
-        return sum(1 for n in self.nodes if n.color == color)
 
 
 def colored_trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:

@@ -14,13 +14,7 @@ from dataclasses import dataclass
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
-from .intmat import (
-    Matrix,
-    has_trivial_cokernel,
-    smith_normal_form,
-    unit_pivot_presentation,
-    zeros,
-)
+from .intmat import Matrix, unit_pivot_presentation
 from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
 
 
@@ -54,22 +48,6 @@ class CW2Complex:
                 raise DomainError(f"face {fi} attaching word does not close up")
             # The composite boundary must vanish; anything else is a builder bug.
             assert not any(acc.values()), "face boundary does not vanish"
-
-    def boundary1(self) -> Matrix:
-        """Vertices x edges; column of edge e is head - tail."""
-        d1 = zeros(self.num_vertices, len(self.edges))
-        for j, (t, h) in enumerate(self.edges):
-            d1[h][j] += 1
-            d1[t][j] -= 1
-        return d1
-
-    def boundary2(self) -> Matrix:
-        """Edges x faces; entries are signed occurrence counts."""
-        d2 = zeros(len(self.edges), len(self.faces))
-        for j, word in enumerate(self.faces):
-            for e, s in word:
-                d2[e][j] += s
-        return d2
 
     def components(self) -> list:
         """Connected components of the 1-skeleton, each a sorted vertex tuple."""
@@ -108,15 +86,14 @@ class H1Calculator:
 
     A cycle is coordinatized by its non-tree edges over a BFS spanning
     forest (the fundamental-cycle basis).  Faces become sparse relations on
-    those coordinates; every +-1 pivot is eliminated sparsely and dense
-    Smith runs only on the residual core, so inclusion-induced maps still
-    come out as honest integer matrices.
+    those coordinates, and ``presentation`` (see ``unit_pivot_presentation``)
+    turns them into invariant factors and generators, so inclusion-induced
+    maps still come out as honest integer matrices.
     """
 
     def __init__(self, k: CW2Complex):
         self.complex = k
         self._parent, self._depth, self._non_tree = _spanning_forest(k)
-        self.cycle_count = len(self._non_tree)
         pos = {e: r for r, e in enumerate(self._non_tree)}
         relations = []
         for word in k.faces:
@@ -126,25 +103,13 @@ class H1Calculator:
                 if r is not None:
                     col[r] = col.get(r, 0) + s
             relations.append(col)
-        self._pres = unit_pivot_presentation(self.cycle_count, relations)
-        core_rank = len(self._pres.rows)
-        if core_rank:
-            s = smith_normal_form(self._pres.core)
-            diag = s.d + [0] * (core_rank - len(s.d))
-            self._u, self._u_inv = s.u, s.u_inv
-        else:
-            diag = []
-        # Slots: one unit per elimination, the core's invariant factors,
-        # then one free summand per untouched surviving row.
-        self._core_start = len(self._pres.log)
-        self._free_start = self._core_start + core_rank
-        self.factors = [1] * self._core_start + diag + [0] * len(self._pres.free)
-        self.generator_slots = [i for i, f in enumerate(self.factors) if f != 1]
+        self.presentation = unit_pivot_presentation(len(self._non_tree), relations)
 
     def summary(self) -> H1Summary:
+        factors = self.presentation.factors
         return H1Summary(
-            betti=sum(1 for f in self.factors if f == 0),
-            torsion=tuple(f for f in self.factors if f > 1),
+            betti=sum(1 for f in factors if f == 0),
+            torsion=tuple(f for f in factors if f > 1),
         )
 
     def cycle_coords(self, edge_vector: list) -> list:
@@ -166,36 +131,18 @@ class H1Calculator:
 
     def h1_coords(self, edge_vector: list) -> list:
         """Class of a cycle on the nontrivial summands, torsion reduced."""
-        y = {r: c for r, c in enumerate(self.cycle_coords(edge_vector)) if c}
-        self._pres.reduce(y)
-        rows, free = self._pres.rows, self._pres.free
-        out = []
-        for slot in self.generator_slots:
-            f = self.factors[slot]
-            if slot >= self._free_start:
-                out.append(y.get(free[slot - self._free_start], 0))
-                continue
-            u_row = self._u[slot - self._core_start]
-            x = sum(u_row[j] * y.get(r, 0) for j, r in enumerate(rows))
-            out.append(x % f if f > 1 else x)
-        return out
+        coords = self.cycle_coords(edge_vector)
+        return self.presentation.coords({r: c for r, c in enumerate(coords) if c})
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
-        slot = self.generator_slots[which]
-        if slot >= self._free_start:
-            coords = {self._pres.free[slot - self._free_start]: 1}
-        else:
-            i = slot - self._core_start
-            coords = {r: self._u_inv[j][i] for j, r in enumerate(self._pres.rows)}
         vec = [0] * len(self.complex.edges)
-        for r, c in coords.items():
-            if c:
-                cycle = _fundamental_cycle(
-                    self.complex, self._parent, self._depth, self._non_tree[r]
-                )
-                for idx, x in cycle.items():
-                    vec[idx] += c * x
+        for r, c in self.presentation.generator(which).items():
+            cycle = _fundamental_cycle(
+                self.complex, self._parent, self._depth, self._non_tree[r]
+            )
+            for idx, x in cycle.items():
+                vec[idx] += c * x
         return vec
 
 
@@ -234,14 +181,6 @@ def subcomplex(k: CW2Complex, sel: CellSelection):
     return CW2Complex(len(vmap), edges, faces), vmap, emap
 
 
-def full_selection(k: CW2Complex) -> CellSelection:
-    return CellSelection(
-        vertices=tuple(range(k.num_vertices)),
-        edges=tuple(range(len(k.edges))),
-        faces=tuple(range(len(k.faces))),
-    )
-
-
 def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
     """Matrix of H1(selection) -> H1(k) on Smith-basis generators.
 
@@ -253,14 +192,14 @@ def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
     big_calc = H1Calculator(k)
     emap_back = {new: old for old, new in emap.items()}
     cols = []
-    for which in range(len(sub_calc.generator_slots)):
+    for which in range(len(sub_calc.presentation.slots)):
         sub_vec = sub_calc.generator_edge_vector(which)
         big_vec = [0] * len(k.edges)
         for new_idx, coef in enumerate(sub_vec):
             if coef:
                 big_vec[emap_back[new_idx]] = coef
         cols.append(big_calc.h1_coords(big_vec))
-    rows = len(big_calc.generator_slots)
+    rows = len(big_calc.presentation.slots)
     return [[col[r] for col in cols] for r in range(rows)]
 
 
@@ -370,8 +309,6 @@ class CoverComplex:
     coset: CosetTree
     height: int
     product_vertex: dict  # (coset vert index, h) -> vertex
-    horizontal_edge: dict  # (coset vert index, h) -> edge to parent copy
-    vertical_edge: dict  # (coset vert index, h) -> edge (v,h)-(v,h+1)
     null_vertex: dict  # (component index, h, node id) -> vertex
 
     @property
@@ -462,8 +399,6 @@ def build_cover(
         coset=c,
         height=height,
         product_vertex=product_vertex,
-        horizontal_edge=horizontal_edge,
-        vertical_edge=vertical_edge,
         null_vertex=null_vertex,
     )
 
@@ -474,23 +409,23 @@ class FrontierGraph:
     length-2i vertical column over every distance-exactly-i vertex."""
 
     complex: CW2Complex
-    coset: CosetTree
-    radius: int
-    vertex_index: dict  # (coset vert, h) -> vertex
     edge_index: dict  # ('tree', child vert, h) or ('col', vert, h) -> edge
-    betti: int
+
+    @property
+    def betti(self) -> int:
+        """First Betti number: edges - vertices + components."""
+        k = self.complex
+        return len(k.edges) - k.num_vertices + len(k.components())
 
 
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
+    if i == 0:
+        return FrontierGraph(CW2Complex(1, [], []), {})
     ball = [vi for vi in range(len(c.verts)) if c.tier(vi) <= i]
     frontier = [vi for vi in ball if c.tier(vi) == i]
-    vertex_index: dict = {}
-    if i == 0:
-        vertex_index[(c.root_index, 0)] = 0
-        k = CW2Complex(1, [], [])
-        return FrontierGraph(k, c, 0, vertex_index, {}, 0)
+    vertex_index: dict = {}  # (coset vert, h) -> vertex
     for vi in ball:
         vertex_index[(vi, i)] = len(vertex_index)
     for vi in ball:
@@ -511,9 +446,7 @@ def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
         for h in range(-i, i):
             edge_index[("col", vi, h)] = len(edges)
             edges.append((vertex_index[(vi, h)], vertex_index[(vi, h + 1)]))
-    k = CW2Complex(len(vertex_index), edges, [])
-    betti = len(edges) - len(vertex_index) + len(k.components())
-    return FrontierGraph(k, c, i, vertex_index, edge_index, betti)
+    return FrontierGraph(CW2Complex(len(vertex_index), edges, []), edge_index)
 
 
 def _spanning_forest(k: CW2Complex):
@@ -587,7 +520,8 @@ class CollapseBond:
     cols: int
 
     def surjective(self) -> bool:
-        return has_trivial_cokernel(self.rows, self.columns)
+        """Whether the bond is onto: its cokernel has only unit factors."""
+        return all(f == 1 for f in unit_pivot_presentation(self.rows, self.columns).factors)
 
 
 def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
@@ -636,14 +570,3 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
         rows=len(non_tree_shallow),
         cols=len(non_tree_deep),
     )
-
-
-def format_complex(k: CW2Complex) -> str:
-    """Plain cell-list text: one line per cell, faces as signed edge refs."""
-    lines = [f"vertices {k.num_vertices}"]
-    for t, h in k.edges:
-        lines.append(f"edge {t} {h}")
-    for word in k.faces:
-        steps = " ".join(f"{e}{'+' if s > 0 else '-'}" for e, s in word)
-        lines.append(f"face {steps}")
-    return "\n".join(lines) + "\n"

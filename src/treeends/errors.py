@@ -8,7 +8,7 @@ class TreeEndsError(Exception):
 
 
 class ParseError(TreeEndsError):
-    """Malformed input text (germ file, sequence literal, matrix literal)."""
+    """Malformed input text (germ file, sequence literal)."""
 
     def __init__(self, line: int, reason: str) -> None:
         super().__init__(f"line {line}: {reason}")

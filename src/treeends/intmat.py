@@ -45,50 +45,15 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return out
 
 
-def mat_vec(a: Matrix, v: list) -> list:
-    m, n = dims(a)
-    if len(v) != n:
-        raise ValueError("shape mismatch")
-    return [sum(a[i][j] * v[j] for j in range(n)) for i in range(m)]
-
-
-def det(a: Matrix) -> int:
-    """Bareiss fraction-free determinant (square matrices)."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("det needs a square matrix")
-    if n == 0:
-        return 1
-    w = copy_matrix(a)
-    sign = 1
-    prev = 1
-    for t in range(n - 1):
-        if w[t][t] == 0:
-            pivot_row = next((r for r in range(t + 1, n) if w[r][t] != 0), None)
-            if pivot_row is None:
-                return 0
-            w[t], w[pivot_row] = w[pivot_row], w[t]
-            sign = -sign
-        for i in range(t + 1, n):
-            for j in range(t + 1, n):
-                w[i][j] = (w[i][j] * w[t][t] - w[i][t] * w[t][j]) // prev
-            w[i][t] = 0
-        prev = w[t][t]
-    return sign * w[n - 1][n - 1]
-
-
 @dataclass
 class SmithDecomposition:
     """U @ A @ V == D with U, V unimodular; ``d`` is the diagonal of D,
-    nonnegative, each entry dividing the next."""
+    nonnegative, each entry dividing the next.  Only the row transform U
+    and its inverse are kept: no caller reads V."""
 
     d: list
     u: Matrix
-    v: Matrix
     u_inv: Matrix
-    v_inv: Matrix
-    rows: int
-    cols: int
 
     @property
     def rank(self) -> int:
@@ -104,7 +69,6 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     m, n = dims(a)
     w = copy_matrix(a)
     u, u_inv = identity(m), identity(m)
-    v, v_inv = identity(n), identity(n)
 
     def row_add(i: int, k: int, c: int) -> None:  # R_i += c * R_k
         for j in range(n):
@@ -131,17 +95,10 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
     def col_add(i: int, k: int, c: int) -> None:  # C_i += c * C_k
         for r in range(m):
             w[r][i] += c * w[r][k]
-        for r in range(n):
-            v[r][i] += c * v[r][k]
-        for j in range(n):
-            v_inv[k][j] -= c * v_inv[i][j]
 
     def col_swap(i: int, k: int) -> None:
         for r in range(m):
             w[r][i], w[r][k] = w[r][k], w[r][i]
-        for r in range(n):
-            v[r][i], v[r][k] = v[r][k], v[r][i]
-        v_inv[i], v_inv[k] = v_inv[k], v_inv[i]
 
     def find_pivot(t: int) -> tuple[int, int] | None:
         best = None
@@ -193,7 +150,7 @@ def smith_normal_form(a: Matrix) -> SmithDecomposition:
         t += 1
 
     diag = [w[i][i] for i in range(limit)]
-    return SmithDecomposition(d=diag, u=u, v=v, u_inv=u_inv, v_inv=v_inv, rows=m, cols=n)
+    return SmithDecomposition(d=diag, u=u, u_inv=u_inv)
 
 
 def hermite_column_basis(a: Matrix) -> Matrix:
@@ -245,37 +202,69 @@ def hermite_column_basis(a: Matrix) -> Matrix:
 
 @dataclass
 class Presentation:
-    """Z^n / <relations> with every +-1 pivot eliminated.
+    """Z^n / <relations> with every +-1 pivot eliminated, then Smith-reduced.
 
     ``log`` lists the eliminations in order as (row, {row: coeff}): in the
     quotient, e_row equals the sum, which only names rows still live at
-    that point.  What survives is Z^(rows + free) / column span of ``core``:
-    ``core`` is dense, len(rows) x (relations left), and ``free`` are the
-    surviving rows no relation touches.  Both row lists are ascending.
+    that point.  What survives is Z^(rows + free) / column span of a dense
+    core, len(rows) x (relations left); ``free`` are the surviving rows no
+    relation touches.  Both row lists are ascending.
+
+    ``factors`` has one slot per row of Z^n: a 1 for each elimination, then
+    the core's invariant factors (U @ core @ V diagonal, zero-padded to
+    len(rows)), then a 0 for each free row.  ``slots`` are the indices of
+    the factors other than 1, one per generator of the quotient.
     """
 
     log: list
     rows: list
     free: list
-    core: Matrix
+    factors: list
+    slots: list
+    u: Matrix  # the core's Smith row transform, and its inverse
+    u_inv: Matrix
 
-    def reduce(self, vec: dict) -> None:
-        """Replay the log on a sparse vector {row: coeff}, in place, so that
-        only surviving rows remain."""
+    def coords(self, vec: dict) -> list:
+        """Class of a sparse vector {row: coeff} on the generators, each
+        torsion coordinate reduced modulo its factor."""
+        y = dict(vec)
         for p, sub in self.log:
-            a = vec.pop(p, 0)
+            a = y.pop(p, 0)
             if a:
                 for q, x in sub.items():
-                    y = vec.get(q, 0) + a * x
-                    if y:
-                        vec[q] = y
+                    z = y.get(q, 0) + a * x
+                    if z:
+                        y[q] = z
                     else:
-                        del vec[q]
+                        del y[q]
+        core_start = len(self.log)
+        free_start = core_start + len(self.rows)
+        out = []
+        for slot in self.slots:
+            f = self.factors[slot]
+            if slot >= free_start:
+                out.append(y.get(self.free[slot - free_start], 0))
+                continue
+            u_row = self.u[slot - core_start]
+            x = sum(u_row[j] * y.get(r, 0) for j, r in enumerate(self.rows))
+            out.append(x % f if f > 1 else x)
+        return out
+
+    def generator(self, i: int) -> dict:
+        """The ``i``-th generator as a sparse vector {row: coeff} of Z^n."""
+        slot = self.slots[i]
+        core_start = len(self.log)
+        free_start = core_start + len(self.rows)
+        if slot >= free_start:
+            return {self.free[slot - free_start]: 1}
+        col = slot - core_start
+        return {r: self.u_inv[j][col] for j, r in enumerate(self.rows) if self.u_inv[j][col]}
 
 
 def unit_pivot_presentation(n: int, relations: list) -> Presentation:
-    """Eliminate +-1 pivots from Z^n / <relations>, relations given as
-    sparse columns {row: coeff}.
+    """Present Z^n / <relations>, relations given as sparse columns
+    {row: coeff}: eliminate every +-1 pivot sparsely, then run Smith on the
+    residual core only.
 
     Relations are visited from the last one backwards, repeating until none
     has a +-1 entry.  The row eliminated is the +-1 entry that occurs in the
@@ -321,21 +310,24 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
     eliminated = {p for p, _ in log}
     rows = [r for r in range(n) if occ[r]]
     free = [r for r in range(n) if not occ[r] and r not in eliminated]
-    pos = {r: i for i, r in enumerate(rows)}
-    left = [col for col in cols if col]
-    core = zeros(len(rows), len(left))
-    for j, col in enumerate(left):
-        for r, x in col.items():
-            core[pos[r]][j] = x
-    return Presentation(log=log, rows=rows, free=free, core=core)
-
-
-def has_trivial_cokernel(m: int, columns: list) -> bool:
-    """Whether Z^m / (span of the sparse columns {row: coeff}) is zero."""
-    p = unit_pivot_presentation(m, columns)
-    if p.free:
-        return False
-    if not p.rows:
-        return True
-    s = smith_normal_form(p.core)
-    return s.rank == len(p.rows) and all(x == 1 for x in s.d)
+    u = u_inv = diag = []
+    if rows:
+        pos = {r: i for i, r in enumerate(rows)}
+        left = [col for col in cols if col]
+        core = zeros(len(rows), len(left))
+        for j, col in enumerate(left):
+            for r, x in col.items():
+                core[pos[r]][j] = x
+        s = smith_normal_form(core)
+        u, u_inv = s.u, s.u_inv
+        diag = s.d + [0] * (len(rows) - len(s.d))
+    factors = [1] * len(log) + diag + [0] * len(free)
+    return Presentation(
+        log=log,
+        rows=rows,
+        free=free,
+        factors=factors,
+        slots=[i for i, f in enumerate(factors) if f != 1],
+        u=u,
+        u_inv=u_inv,
+    )

@@ -13,7 +13,8 @@ every triangle matching the tower bonds exactly.
 
 from __future__ import annotations
 
-import json
+import re
+import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
@@ -437,9 +438,9 @@ def images_stabilize(a: AbelianSequence, i: int, horizon: int) -> StabilizationR
 
 
 def parse_sequence(text: str) -> MultSequence:
-    """Parse a sequence literal like "prefix:3,0;cycle:2,1" (prefix optional)."""
-    prefix: tuple = ()
-    cycle = None
+    """Parse a sequence literal like "prefix:3,0;cycle:2,1" (prefix optional,
+    each section at most once)."""
+    sections: dict = {}
     for part in text.strip().split(";"):
         part = part.strip()
         if not part:
@@ -448,19 +449,28 @@ def parse_sequence(text: str) -> MultSequence:
         name = name.strip()
         if not sep:
             raise ParseError(1, f"expected 'name:labels', got {part!r}")
-        try:
-            labels = tuple(int(x) for x in rest.split(",") if x.strip())
-        except ValueError:
-            raise ParseError(1, f"labels must be integers: {rest!r}") from None
-        if name == "prefix":
-            prefix = labels
-        elif name == "cycle":
-            cycle = labels
-        else:
+        labels = tuple(_parse_label(x.strip(), rest) for x in rest.split(",") if x.strip())
+        if name not in ("prefix", "cycle"):
             raise ParseError(1, f"unknown section {name!r}")
-    if not cycle:
+        if name in sections:
+            raise ParseError(1, f"duplicate section {name!r}")
+        sections[name] = labels
+    if not sections.get("cycle"):
         raise ParseError(1, "a nonempty cycle section is required")
-    return MultSequence(prefix, cycle)
+    return MultSequence(sections.get("prefix", ()), sections["cycle"])
+
+
+def _parse_label(token: str, section: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        if re.fullmatch(r"[+-]?\d+", token):  # longer than sys.get_int_max_str_digits()
+            raise ParseError(
+                1,
+                f"label of {len(token.lstrip('+-'))} digits exceeds the "
+                f"{sys.get_int_max_str_digits()}-digit limit",
+            ) from None
+        raise ParseError(1, f"labels must be integers: {section!r}") from None
 
 
 def format_sequence(s: MultSequence) -> str:
@@ -468,27 +478,3 @@ def format_sequence(s: MultSequence) -> str:
     if not s.prefix:
         return cycle
     return "prefix:" + ",".join(str(x) for x in s.prefix) + ";" + cycle
-
-
-def parse_matrix(text: str) -> list:
-    """Row-major bracketed integer matrix, e.g. "[[1,0],[2,4]]"."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(1, f"bad matrix literal: {exc}") from None
-    if not isinstance(data, list) or not all(isinstance(r, list) for r in data):
-        raise ParseError(1, "matrix literal must be a list of rows")
-    width = None
-    for row in data:
-        if width is None:
-            width = len(row)
-        if len(row) != width:
-            raise ParseError(1, "matrix rows must have equal length")
-        for x in row:
-            if not isinstance(x, int) or isinstance(x, bool):
-                raise ParseError(1, f"matrix entries must be integers, got {x!r}")
-    return [list(row) for row in data]
-
-
-def format_matrix(mat) -> str:
-    return json.dumps([list(row) for row in mat], separators=(",", ":"))

@@ -97,10 +97,6 @@ class NullComponent:
     root_id: int  # a non-positive node whose parent is positive
     nodes: tuple[TreeNode, ...]  # the whole non-positive subtree, in id order
 
-    @property
-    def node_ids(self) -> tuple[int, ...]:
-        return tuple(n.id for n in self.nodes)
-
 
 @dataclass(frozen=True)
 class NullForest:
@@ -274,16 +270,17 @@ def null_path_counts(g: GermGraph, n_max: int) -> list[int]:
     return walk_counts(g, zone, lambda e: int(e.label == 0), n_max)[1:]
 
 
-def growth_class(counts: list[int], max_degree: int = 8) -> GrowthClass:
+def growth_class(counts: list[int]) -> GrowthClass:
     """Classify a count sequence on a finite window.
 
-    Polynomial when some finite-difference order vanishes on the tail;
-    exponential when the tail ratios stay at or above 5/4.  Desk-scale oracle:
-    germs whose growth has not separated by the window end come back UNKNOWN.
+    Polynomial when a finite difference of order at most 8 vanishes on the
+    tail; exponential when the tail ratios stay at or above 5/4.  Desk-scale
+    oracle: germs whose growth has not separated by the window end come back
+    UNKNOWN.
     """
     tail = counts[len(counts) // 3 :]
     diffs = list(tail)
-    for _ in range(max_degree + 1):
+    for _ in range(9):  # difference orders 0..8
         if all(x == 0 for x in diffs):
             return GrowthClass.POLYNOMIAL
         if len(diffs) < 2:

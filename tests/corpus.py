@@ -4,7 +4,7 @@ Each germ is closed under edge powering (labels stay within the declared
 vertex set), so the reduction invariance tests can run on all of them.
 """
 
-from treeends import germ_from_edges
+from treeends.germ import germ_from_edges
 
 CORPUS = {
     "trivial": germ_from_edges("A", []),

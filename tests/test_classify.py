@@ -19,7 +19,7 @@ from treeends.classify import (
     render_text,
     to_json_dict,
 )
-from treeends import classify, cw, germ
+from treeends import classify, coset, cw, germ, unfold
 from treeends.errors import DomainError
 from treeends.germ import germ_from_edges
 from treeends.proseq import block_compress
@@ -285,6 +285,21 @@ class TestReports:
         calls.clear()
         full_report(CORPUS["trivial"])
         assert calls["build_cover"] == 2
+
+    def test_power_telescoping_walks_each_germ_once(self, monkeypatch):
+        # Each walk covers every tier, so the number of walks does not grow
+        # with the depth: the rank tower, the germ's clone counts, one per
+        # power germ, and the null path counts.
+        calls = []
+        walk = germ.walk_counts
+        for module in (classify, coset, unfold):
+            monkeypatch.setattr(module, "walk_counts", lambda *a: calls.append(a) or walk(*a))
+        per_depth = []
+        for depth in (4, 40):
+            calls.clear()
+            cross_checks(CORPUS["bs2"], depth=depth)
+            per_depth.append(len(calls))
+        assert per_depth == [5, 5]
 
     def test_json_schema_fields(self):
         d = to_json_dict(full_report(CORPUS["bs2"]))

@@ -21,7 +21,8 @@ GERMS = ROOT / "germs"
 def cli(capsys):
     def invoke(*argv, stdin=None, monkey=None):
         if stdin is not None:
-            monkey.setattr(sys, "stdin", io.StringIO(stdin))
+            data = stdin if isinstance(stdin, bytes) else stdin.encode()
+            monkey.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
         code = run([str(a) for a in argv])
         captured = capsys.readouterr()
         return code, captured.out, captured.err
@@ -60,6 +61,18 @@ class TestValidate:
         text = "root A\nedge A A 2\n"
         code, out, _ = cli("validate", "-", stdin=text, monkey=monkeypatch)
         assert (code, out) == (0, "ok\n")
+
+    def test_non_utf8_file_is_a_parse_error(self, cli, tmp_path):
+        path = tmp_path / "latin1.germ"
+        path.write_bytes(b"root A\n# caf\xe9\nedge A A 2\n")
+        code, out, err = cli("validate", path)
+        assert (code, out) == (1, "")
+        assert err == "error: line 2: byte 0xe9 is not valid UTF-8\n"
+
+    def test_non_utf8_stdin_is_a_parse_error(self, cli, monkeypatch):
+        code, out, err = cli("classify", "-", stdin=b"root A\r\nedge A A 2\r\n\xff\n", monkey=monkeypatch)
+        assert (code, out) == (1, "")
+        assert err == "error: line 3: byte 0xff is not valid UTF-8\n"
 
     def test_dot_not_available(self, cli):
         code, _, err = cli("validate", GERMS / "bs2.germ", "--format", "dot")

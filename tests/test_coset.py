@@ -1,24 +1,21 @@
 import pytest
 
-from treeends import (
+from treeends.coset import (
     BLACK,
     DASHED,
-    DomainError,
     GRAY,
-    SizeCeilingError,
+    CosetTree,
+    OdometerMap,
     clone_tree_models,
     colored_trees_isomorphic,
     frontier_count,
-    germ_from_edges,
     lambda_of_coset,
     lambda_plus,
-    null_forest,
-    positive_part,
-    truncate,
-    vertex_order,
     wedge_expansion,
 )
-from treeends.coset import CosetTree, OdometerMap
+from treeends.errors import DomainError, SizeCeilingError
+from treeends.germ import germ_from_edges
+from treeends.unfold import null_forest, positive_part, truncate
 from corpus import CORPUS
 
 
@@ -52,30 +49,32 @@ def test_frontier_count_frozen_values():
 
 
 def test_vertex_order_products():
+    # a vertex's order is the product of the labels on its root path
     t = truncate(CORPUS["bs2"], 3)
     tier3 = t.tier_nodes(3)
-    assert [vertex_order(t, n.id) for n in tier3] == [8]
+    assert [CosetTree(t).order_of[n.id] for n in tier3] == [8]
     t = truncate(CORPUS["spin"], 2)
     # path A -> B (2) -> A (3)
     b = t.tier_nodes(1)[0]
     assert b.germ_vertex == "B"
     deep = [t.node(c) for c in t.children(b.id)]
-    assert [vertex_order(t, n.id) for n in deep] == [6]
+    assert [CosetTree(t).order_of[n.id] for n in deep] == [6]
 
 
 def test_vertex_order_rejects_null_nodes():
+    # a null node has no order: the coset tree refuses a base containing one
     t = truncate(CORPUS["null_ray"], 2)
     null_node = t.tier_nodes(1)[0]
-    with pytest.raises(DomainError):
-        vertex_order(t, null_node.id)
+    with pytest.raises(DomainError, match=f"node {null_node.id} is not"):
+        CosetTree(t)
 
 
 def test_coset_tree_vertex_counts():
     c = lambda_plus(positive_part(truncate(CORPUS["bs2"], 2)))
     assert len(c.verts) == 7
-    assert [len(c.tier_indices(i)) for i in range(3)] == [1, 2, 4]
+    assert [sum(c.tier(v) == i for v in range(len(c.verts))) for i in range(3)] == [1, 2, 4]
     c3 = lambda_plus(positive_part(truncate(CORPUS["two_loops"], 2)))
-    assert [len(c3.tier_indices(i)) for i in range(3)] == [1, 5, 25]
+    assert [sum(c3.tier(v) == i for v in range(len(c3.verts))) for i in range(3)] == [1, 5, 25]
 
 
 def test_coset_rejects_null_base():
@@ -105,7 +104,7 @@ def test_odometer_commutes_with_parent(name):
 def test_odometer_orbits_have_full_length(name):
     c = lambda_plus(positive_part(truncate(CORPUS[name], 3)))
     od = OdometerMap(c)
-    perm = od.permutation()
+    perm = [od.image_index(i) for i in range(len(c.verts))]
     seen = set()
     for start in range(len(perm)):
         if start in seen:
@@ -133,11 +132,10 @@ def test_odometer_power_wraps():
 def test_wedge_frozen_counts():
     w = wedge_expansion(truncate(CORPUS["bs2"], 2))
     assert len(w) == 7
-    assert w.count_color(BLACK) == 2
-    assert w.count_color(GRAY) == 4
-    assert w.count_color(None) == 1
+    colors = [n.color for n in w.nodes]
+    assert (colors.count(BLACK), colors.count(GRAY), colors.count(None)) == (2, 4, 1)
     m = wedge_expansion(truncate(CORPUS["mixed"], 2))
-    assert m.count_color(DASHED) == 3
+    assert [n.color for n in m.nodes].count(DASHED) == 3
 
 
 def test_lambda_of_coset_marks_residue_zero_original():

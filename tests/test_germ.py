@@ -3,20 +3,18 @@ import dataclasses
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from treeends import (
+from treeends.errors import ParseError, SizeCeilingError, ValidationFailed
+from treeends.germ import (
     GermEdge,
     GermGraph,
-    ParseError,
-    SizeCeilingError,
-    ValidationFailed,
+    check_label,
     germ_from_edges,
-    germ_power,
     parse_germ,
     render_germ,
     require_valid,
     validate_germ,
 )
-from treeends.germ import check_label
+from treeends.reduce import germ_power
 from corpus import CORPUS
 
 # What ``treeends reduce --power 2`` prints for the germ ``edge A A 2**40``.

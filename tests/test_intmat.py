@@ -3,15 +3,14 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
+from dense import det
 from treeends.intmat import (
-    det,
     dims,
-    has_trivial_cokernel,
     hermite_column_basis,
     identity,
     mat_mul,
     smith_normal_form,
-    zeros,
+    unit_pivot_presentation,
 )
 
 
@@ -52,16 +51,17 @@ def test_det_examples():
 @given(matrices())
 def test_smith_decomposition_properties(a):
     s = smith_normal_form(a)
-    m, n = dims(a)
-    left = mat_mul(mat_mul(s.u, a), s.v)
-    want = zeros(m, n)
-    for i, x in enumerate(s.d):
-        want[i][i] = x
-    assert left == want
+    m = len(a)
+    # U @ A = D @ V^-1 for some unimodular V: rows past the rank vanish, and
+    # row i is d_i times a row of V^-1.  Rows of a unimodular matrix have
+    # coprime maximal minors, and such rows always extend to one.
+    ua = mat_mul(s.u, a)
+    r = s.rank
+    assert all(x == 0 for row in ua[r:] for x in row)
+    assert all(x % s.d[i] == 0 for i in range(r) for x in ua[i])
+    assert minor_gcd([[x // s.d[i] for x in ua[i]] for i in range(r)], r) == 1
     assert abs(det(s.u)) == 1
-    assert abs(det(s.v)) == 1
     assert mat_mul(s.u, s.u_inv) == identity(m)
-    assert mat_mul(s.v, s.v_inv) == identity(n)
     for x in s.d:
         assert x >= 0
     for x, y in zip(s.d, s.d[1:]):
@@ -111,10 +111,15 @@ def test_hermite_invariant_under_column_operations(a):
     assert hermite_column_basis(b) == base
 
 
-def onto(a):
-    """``has_trivial_cokernel`` on a dense matrix, passed as sparse columns."""
+def presentation(a):
+    """``unit_pivot_presentation`` of a dense matrix, passed as sparse columns."""
     m, n = dims(a)
-    return has_trivial_cokernel(m, [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)])
+    return unit_pivot_presentation(m, [{i: a[i][j] for i in range(m) if a[i][j]} for j in range(n)])
+
+
+def onto(a):
+    """Whether the cokernel is trivial: every factor of the presentation is 1."""
+    return all(f == 1 for f in presentation(a).factors)
 
 
 def test_cokernel_triviality():
@@ -150,3 +155,10 @@ def test_cokernel_triviality_matches_dense_smith(a):
     s = smith_normal_form(a)
     want = m == 0 or (s.rank == m and all(x == 1 for x in s.d[:m]))
     assert onto(a) == want
+    # One factor per row: past the units, the invariant factors of dense
+    # Smith and a 0 for each row past its diagonal.
+    factors = presentation(a).factors
+    assert len(factors) == m
+    want_factors = [x for x in s.d if x != 1] + [0] * (m - len(s.d))
+    assert sorted(f for f in factors if f != 1) == sorted(want_factors)
+

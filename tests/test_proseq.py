@@ -17,12 +17,10 @@ from treeends.proseq import (
     bond_compose,
     classify_mult,
     epi_normal_form,
-    format_matrix,
     format_sequence,
     images_stabilize,
     inverse_limit_mult,
     ladder_search,
-    parse_matrix,
     parse_sequence,
     stage_bond,
     verify_ladder,
@@ -342,20 +340,17 @@ class TestSequenceText:
             ("bogus:1;cycle:2", "unknown section"),
             ("cycle", "expected"),
             ("cycle:1,a", "integers"),
+            ("prefix:1;prefix:2;cycle:3", "duplicate section 'prefix'"),
+            ("cycle:2;cycle:3", "duplicate section 'cycle'"),
+            ("cycle:" + "7" * 5000, "label of 5000 digits exceeds the 4300-digit limit"),
+            ("prefix:-" + "7" * 5000 + ";cycle:1", "label of 5000 digits exceeds"),
         ],
+        ids=lambda v: v if len(v) < 40 else f"{v[:12]}...",
     )
-    def test_parse_errors(self, text, fragment):
-        with pytest.raises(ParseError, match=fragment):
+    def test_parse_errors(self, text, fragment, int_digit_limit):
+        with pytest.raises(ParseError, match=fragment) as exc:
             parse_sequence(text)
-
-    def test_matrix_round_trip(self):
-        assert parse_matrix("[[1, 2], [3, 4]]") == [[1, 2], [3, 4]]
-        assert format_matrix([[1, 2], [3, 4]]) == "[[1,2],[3,4]]"
-
-    @pytest.mark.parametrize("text", ["[[1,2],[3]]", "[1,2]", "[[true]]", "nonsense"])
-    def test_matrix_rejects_malformed_input(self, text):
-        with pytest.raises(ParseError):
-            parse_matrix(text)
+        assert len(str(exc.value)) < 80  # a long label is not echoed back
 
 
 class TestAbelianSequence:

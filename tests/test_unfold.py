@@ -1,13 +1,12 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeends import (
+from treeends.errors import DomainError, SizeCeilingError
+from treeends.germ import germ_from_edges
+from treeends.unfold import (
     Cardinality,
-    DomainError,
     GrowthClass,
-    SizeCeilingError,
     gamma_plus_is_finite,
-    germ_from_edges,
     growth_class,
     null_end_class,
     null_forest,
@@ -135,7 +134,7 @@ def test_null_forest_partitions_null_nodes(name):
     null_ids = {n.id for n in t.nodes if not n.positive}
     covered: set = set()
     for comp in nf.components:
-        ids = set(comp.node_ids)
+        ids = {n.id for n in comp.nodes}
         assert not (ids & covered)
         covered |= ids
         root = t.node(comp.root_id)
