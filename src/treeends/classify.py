@@ -8,7 +8,6 @@ report is backed by at least one independent route.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 
@@ -173,28 +172,45 @@ def check_ray(g: GermGraph, ray: RaySpec) -> None:
         raise DomainError("ray cycle part does not close up")
 
 
-def default_ray(g: GermGraph, ceiling: int = DEFAULT_CEILING) -> RaySpec | None:
+def _positive_paths(g: GermGraph, src: str) -> dict:
+    """Shortest, then lexicographically first, positive path from ``src`` to
+    each vertex it reaches: breadth-first, out-edges in declaration order."""
+    paths = {src: ()}
+    queue = [src]
+    for at in queue:
+        for idx, edge in g.out_edges(at):
+            if edge.label > 0 and edge.dst not in paths:
+                paths[edge.dst] = paths[at] + (idx,)
+                queue.append(edge.dst)
+    return paths
+
+
+def default_ray(g: GermGraph) -> RaySpec | None:
     """Shortest, then lexicographically first, root path through positive
     edges that revisits one of its own vertices; closed at that revisit.
     When no positive cycle is reachable, fall back to the greedy walk along
-    first-declared edges, null ones included."""
+    first-declared edges, null ones included.
+
+    The shortest such lasso is a shortest root path to its loop vertex v,
+    then an edge v -> w and a shortest path from w back to v: any other
+    shape contains a shorter lasso.  So breadth-first paths from the root
+    and from each reached vertex find it in O(V*E), with no path
+    enumeration."""
     require_valid(g)
     if g.is_trivial:
         return None
-    queue = deque([((), g.root, (g.root,))])
-    explored = 0
-    while queue:
-        trail, at, seen = queue.popleft()
-        for idx, edge in g.out_edges(at):
-            if edge.label <= 0:
-                continue
-            if edge.dst in seen:
-                k = seen.index(edge.dst)
-                return RaySpec(trail[:k], trail[k:] + (idx,))
-            explored += 1
-            if explored > ceiling:
-                raise SizeCeilingError("ray search paths", explored, ceiling)
-            queue.append((trail + (idx,), edge.dst, seen + (edge.dst,)))
+    reach = _positive_paths(g, g.root)
+    paths = {v: _positive_paths(g, v) for v in reach}
+    lassos = []
+    for v, prefix in reach.items():
+        for idx, edge in g.out_edges(v):
+            back = paths[edge.dst].get(v) if edge.label > 0 else None
+            if back is not None:
+                trail = prefix + (idx,) + back
+                lassos.append((len(trail), trail, len(prefix)))
+    if lassos:
+        _, trail, k = min(lassos)
+        return RaySpec(trail[:k], trail[k:])
     trail_list: list = []
     at = g.root
     seen_list = [g.root]
@@ -299,7 +315,7 @@ def cross_checks(
     if depth < 1 or height < 1:
         raise DomainError("depth and height must be at least 1")
     report = classify_ends(g)
-    ray = default_ray(g, ceiling)
+    ray = default_ray(g)
     results: list = []
 
     def add(name: str, ok: bool, detail: str) -> None:
@@ -485,7 +501,7 @@ def full_report(
 ) -> Report:
     ends = classify_ends(g)
     ranks = pro_h1_fixed_end(g, depth) if ends.fixed_end_count == 1 else None
-    ray = default_ray(g, ceiling)
+    ray = default_ray(g)
     seq = pro_pi1_ray(g, ray) if ray is not None else None
     return Report(
         ends=ends,

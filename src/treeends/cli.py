@@ -43,8 +43,11 @@ def _load_germ(path: str, validate: bool = True) -> GermGraph:
     if path == "-":
         data = sys.stdin.buffer.read()
     else:
-        with open(path, "rb") as fh:
-            data = fh.read()
+        try:
+            with open(path, "rb") as fh:
+                data = fh.read()
+        except ValueError as exc:  # a NUL byte or lone surrogate in the path
+            raise OSError(f"cannot open {path!r}: {exc}") from None
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
@@ -312,54 +315,42 @@ def build_parser() -> argparse.ArgumentParser:
         prog="treeends",
         description="Classify end structure of edge-labeled germ graphs.",
     )
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
-        "--depth", type=_at_least(1), default=4, help="truncation depth (default 4)"
-    )
-    common.add_argument(
-        "--height", type=_at_least(1), default=4, help="cover height bound (default 4)"
-    )
-    common.add_argument(
-        "--ceiling",
-        type=_at_least(1000),
-        default=DEFAULT_CEILING,
-        help="hard cap on constructed cells or vertices",
-    )
-    common.add_argument(
-        "--format", choices=("text", "json", "dot"), default="text"
-    )
+    options = {
+        "depth": dict(type=_at_least(1), default=4, help="truncation depth (default 4)"),
+        "height": dict(type=_at_least(1), default=4, help="cover height bound (default 4)"),
+        "ceiling": dict(
+            type=_at_least(1000),
+            default=DEFAULT_CEILING,
+            help="hard cap on constructed cells or vertices",
+        ),
+        "format": dict(choices=("text", "json", "dot"), default="text"),
+    }
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("validate", parents=[common], help="check a germ file")
-    p.add_argument("germ", help="germ file path, or - for stdin")
-    p.set_defaults(func=_cmd_validate)
+    def command(name, help_text, func, *reads, target=("germ", "germ file path, or - for stdin")):
+        """A subcommand with ``--format`` and the options its handler reads."""
+        p = sub.add_parser(name, help=help_text)
+        for option in (*reads, "format"):
+            p.add_argument(f"--{option}", **options[option])
+        p.add_argument(target[0], help=target[1])
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("classify", parents=[common], help="full end-structure report")
-    p.add_argument("germ", help="germ file path, or - for stdin")
-    p.set_defaults(func=_cmd_classify)
-
-    p = sub.add_parser("unfold", parents=[common], help="truncated unfolding tree")
-    p.add_argument("germ", help="germ file path, or - for stdin")
-    p.set_defaults(func=_cmd_unfold)
-
-    p = sub.add_parser("lambda", parents=[common], help="truncated clone tree")
-    p.add_argument("germ", help="germ file path, or - for stdin")
-    p.set_defaults(func=_cmd_lambda)
-
-    p = sub.add_parser("reduce", parents=[common], help="power or interval reduction")
-    p.add_argument("germ", help="germ file path, or - for stdin")
+    command("validate", "check a germ file", _cmd_validate)
+    command("classify", "full end-structure report", _cmd_classify, "depth", "height", "ceiling")
+    command("unfold", "truncated unfolding tree", _cmd_unfold, "depth", "ceiling")
+    command("lambda", "truncated clone tree", _cmd_lambda, "depth", "ceiling")
+    p = command("reduce", "power or interval reduction", _cmd_reduce, "depth", "ceiling")
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--power", type=_at_least(1), metavar="M")
     group.add_argument("--interval", nargs=2, type=int, metavar=("I", "J"))
-    p.set_defaults(func=_cmd_reduce)
-
-    p = sub.add_parser("proseq", parents=[common], help="classify a sequence literal")
-    p.add_argument("sequence", help='for example "prefix:3,0;cycle:2,1"')
-    p.set_defaults(func=_cmd_proseq)
-
-    p = sub.add_parser("oracle", parents=[common], help="run the cross-check battery")
-    p.add_argument("germ", help="germ file path, or - for stdin")
-    p.set_defaults(func=_cmd_oracle)
+    command(
+        "proseq",
+        "classify a sequence literal",
+        _cmd_proseq,
+        target=("sequence", 'for example "prefix:3,0;cycle:2,1"'),
+    )
+    command("oracle", "run the cross-check battery", _cmd_oracle, "depth", "height", "ceiling")
     return parser
 
 

@@ -125,17 +125,7 @@ def parse_germ(text: str) -> GermGraph:
                 raise ParseError(lineno, "edge takes source, target and label")
             _check_name(lineno, tokens[1])
             _check_name(lineno, tokens[2])
-            if not re.fullmatch(r"\d+", tokens[3]):
-                raise ParseError(lineno, f"label {tokens[3]!r} is not a nonnegative integer")
-            try:
-                label = int(tokens[3])
-            except ValueError:  # longer than sys.get_int_max_str_digits()
-                raise ParseError(
-                    lineno,
-                    f"label of {len(tokens[3])} digits exceeds the "
-                    f"{sys.get_int_max_str_digits()}-digit limit",
-                ) from None
-            edge_rows.append((lineno, tokens[1], tokens[2], label))
+            edge_rows.append((lineno, tokens[1], tokens[2], parse_label(tokens[3], lineno)))
         else:
             raise ParseError(lineno, f"unknown directive {kind!r}")
 
@@ -159,6 +149,19 @@ def parse_germ(text: str) -> GermGraph:
 def _check_name(lineno: int, name: str) -> None:
     if not NAME_RE.fullmatch(name):
         raise ParseError(lineno, f"bad name {name!r}")
+
+
+def parse_label(token: str, line: int) -> int:
+    """Read a label written in ASCII digits, for germ files and sequence
+    literals alike.  A label longer than Python converts is a ParseError
+    naming the digit limit; a long bad token is not echoed in full."""
+    if not (token.isascii() and token.isdigit()):
+        shown = token if len(token) <= 20 else token[:12] + "..."
+        raise ParseError(line, f"label {shown!r} is not a nonnegative integer")
+    limit = _digit_limit()
+    if limit and len(token) > limit:
+        raise ParseError(line, f"label of {len(token)} digits exceeds the {limit}-digit limit")
+    return int(token)
 
 
 def render_germ(g: GermGraph) -> str:
@@ -263,13 +266,18 @@ def walk_counts(
     return totals
 
 
+def _digit_limit() -> int:
+    """Python's int/str conversion limit in digits, 0 for none."""
+    return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+
+
 def check_label(label: int, what: str = "label") -> int:
     """Return ``label``, or raise SizeCeilingError when it has more decimal
     digits than Python converts (``sys.get_int_max_str_digits()``, 0 for no
-    limit).  ``parse_germ`` reads labels under the same limit, so a label
+    limit).  ``parse_label`` reads labels under the same limit, so a label
     that passes can be written out and read back; ``what`` names other
     printed integers, such as ranks, in the error."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
+    limit = _digit_limit()
     if limit and label.bit_length() > 3 * limit and label >= 10**limit:
         digits = int(label.bit_length() * math.log10(2))  # the count, or one less
         raise SizeCeilingError(f"{what} digits", digits + (label >= 10**digits), limit)

@@ -13,13 +13,12 @@ every triangle matching the tower bonds exactly.
 
 from __future__ import annotations
 
-import re
-import sys
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm
 
 from .errors import DomainError, ParseError
+from .germ import parse_label
 from .intmat import dims, hermite_column_basis, identity, mat_mul
 
 
@@ -449,7 +448,7 @@ def parse_sequence(text: str) -> MultSequence:
         name = name.strip()
         if not sep:
             raise ParseError(1, f"expected 'name:labels', got {part!r}")
-        labels = tuple(_parse_label(x.strip(), rest) for x in rest.split(",") if x.strip())
+        labels = tuple(parse_label(x.strip(), 1) for x in rest.split(",") if x.strip())
         if name not in ("prefix", "cycle"):
             raise ParseError(1, f"unknown section {name!r}")
         if name in sections:
@@ -458,19 +457,6 @@ def parse_sequence(text: str) -> MultSequence:
     if not sections.get("cycle"):
         raise ParseError(1, "a nonempty cycle section is required")
     return MultSequence(sections.get("prefix", ()), sections["cycle"])
-
-
-def _parse_label(token: str, section: str) -> int:
-    try:
-        return int(token)
-    except ValueError:
-        if re.fullmatch(r"[+-]?\d+", token):  # longer than sys.get_int_max_str_digits()
-            raise ParseError(
-                1,
-                f"label of {len(token.lstrip('+-'))} digits exceeds the "
-                f"{sys.get_int_max_str_digits()}-digit limit",
-            ) from None
-        raise ParseError(1, f"labels must be integers: {section!r}") from None
 
 
 def format_sequence(s: MultSequence) -> str:

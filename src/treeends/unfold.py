@@ -127,13 +127,11 @@ class Cardinality(Enum):
     EMPTY = "Empty"
     COUNTABLY_INFINITE = "CountablyInfinite"
     UNCOUNTABLE = "Uncountable"
-    FINITE = "Finite"
 
 
 @dataclass(frozen=True)
 class CardinalityClass:
     kind: Cardinality
-    count: int | None = None  # only for FINITE
 
     @staticmethod
     def empty() -> "CardinalityClass":
@@ -147,13 +145,7 @@ class CardinalityClass:
     def uncountable() -> "CardinalityClass":
         return CardinalityClass(Cardinality.UNCOUNTABLE)
 
-    @staticmethod
-    def finite(count: int) -> "CardinalityClass":
-        return CardinalityClass(Cardinality.FINITE, count)
-
     def __str__(self) -> str:
-        if self.kind is Cardinality.FINITE:
-            return f"Finite({self.count})"
         return self.kind.value
 
 

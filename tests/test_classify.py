@@ -1,10 +1,13 @@
 """Tests for end classification, rays, rank towers, and the oracle battery."""
 
 import dataclasses
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, ONE_FIXED_END
+from ray_search import simple_path_ray
 from treeends.classify import (
     EndClass,
     RaySpec,
@@ -21,9 +24,11 @@ from treeends.classify import (
 )
 from treeends import classify, coset, cw, germ, unfold
 from treeends.errors import DomainError
-from treeends.germ import germ_from_edges
+from treeends.germ import germ_from_edges, parse_germ
 from treeends.proseq import block_compress
 from treeends.reduce import germ_power
+
+GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 # name -> (end class, fixed ends, positive part finite, null end cardinality)
 END_TABLE = {
@@ -128,6 +133,52 @@ class TestRays:
     def test_ray_label_sequences(self, name, seq):
         g = CORPUS[name]
         assert str(pro_pi1_ray(g, default_ray(g))) == seq
+
+
+@st.composite
+def valid_germs(draw, max_vertices=7):
+    """Random valid germs of 1 to ``max_vertices`` vertices: every vertex
+    gets out-edges, 0-labels are pushed forward until null-closure holds,
+    and the part reachable from the root is kept."""
+    names = [f"V{i}" for i in range(draw(st.integers(1, max_vertices)))]
+    edges = [
+        (v, draw(st.sampled_from(names)), draw(st.integers(0, 3)))
+        for v in names
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    for _ in names:
+        null_targets = {d for _, d, k in edges if k == 0}
+        edges = [(s, d, 0 if s in null_targets else k) for s, d, k in edges]
+    reach = {names[0]}
+    for _ in names:
+        reach |= {d for s, d, _ in edges if s in reach}
+    return germ_from_edges(names[0], [e for e in edges if e[0] in reach])
+
+
+class TestRaySearch:
+    """The breadth-first lasso search against the simple-path reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_germs())
+    def test_matches_the_simple_path_search(self, g):
+        assert g.report.ok
+        assert default_ray(g) == simple_path_ray(g)
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_corpus_rays_match(self, name):
+        assert default_ray(CORPUS[name]) == simple_path_ray(CORPUS[name])
+
+    @pytest.mark.parametrize(
+        "path", sorted(p.name for p in GERMS.glob("*.germ") if not p.name.startswith("bad_"))
+    )
+    def test_sample_germ_rays_match(self, path):
+        g = parse_germ((GERMS / path).read_text())
+        assert default_ray(g) == simple_path_ray(g)
+
+    def test_prefix_and_cycle_split_at_the_loop_vertex(self):
+        # the shortest loop at B is B->C->B, reached through A->B
+        g = germ_from_edges("A", [("A", "B", 1), ("B", "C", 2), ("C", "B", 3)])
+        assert default_ray(g) == RaySpec((0,), (1, 2))
 
 
 class TestRankTower:

@@ -1,14 +1,17 @@
 """End-to-end tests for the command line interface."""
 
+import contextlib
 import io
 import json
 import os
 import shutil
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from treeends import cli as cli_module
 from treeends.cli import run
@@ -79,6 +82,11 @@ class TestValidate:
         assert code == 2
         assert "format dot is not available for validate" in err
 
+    def test_path_with_a_nul_byte_is_an_error(self, cli):
+        code, out, err = cli("validate", "a\x00b")
+        assert (code, out) == (1, "")
+        assert err == "error: cannot open 'a\\x00b': embedded null byte\n"
+
 
 class TestClassify:
     def test_text_output(self, cli):
@@ -108,6 +116,24 @@ class TestClassify:
         first = cli("classify", GERMS / "two_loops.germ")
         second = cli("classify", GERMS / "two_loops.germ")
         assert first == second
+
+    def test_layered_germ_needs_no_path_enumeration(self, cli, tmp_path):
+        # A root, 14 layers of 3 vertices joined by label-1 edges, and
+        # label-2 loops on the last layer: 43 vertices and 3**14 simple root
+        # paths, while the ray comes from breadth-first paths.
+        layers = [[f"L{i}_{j}" for j in range(3)] for i in range(1, 15)]
+        lines = ["root R"] + [f"vertex {v}" for layer in layers for v in layer]
+        for upper, lower in zip([["R"]] + layers, layers):
+            lines += [f"edge {a} {b} 1" for a in upper for b in lower]
+        lines += [f"edge {v} {v} 2" for v in layers[-1]]
+        path = tmp_path / "layered.germ"
+        path.write_text("\n".join(lines) + "\n")
+        start = time.perf_counter()
+        code, out, err = cli("classify", path)
+        elapsed = time.perf_counter() - start
+        assert (code, err) == (0, "")
+        assert "ray_sequence: prefix:" + ",".join(["1"] * 14) + ";cycle:2\n" in out
+        assert elapsed < 1.0
 
 
 class TestUnfold:
@@ -279,6 +305,22 @@ class TestParser:
         monkeypatch.setattr(cli_module, "build_parser", fail)
         assert cli("validate", GERMS / "bs2.germ") == (0, "ok\n", "")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["validate", "--depth", 3],
+            ["validate", "--ceiling", 5000],
+            ["unfold", "--height", 2],
+            ["lambda", "--height", 2],
+            ["reduce", "--power", 2, "--height", 2],
+            ["proseq", "--depth", 3, "cycle:2"],
+        ],
+    )
+    def test_an_option_the_command_does_not_read_is_a_usage_error(self, cli, argv):
+        code, out, err = cli(*argv, GERMS / "bs2.germ")
+        assert (code, out) == (2, "")
+        assert "unrecognized arguments" in err
+
 
 class TestProseq:
     def test_text_output(self, cli):
@@ -334,6 +376,61 @@ class TestOracle:
     def test_dot_rejected(self, cli):
         code, _, _ = cli("oracle", GERMS / "bs2.germ", "--format", "dot")
         assert code == 2
+
+
+COMMANDS = ["validate", "classify", "unfold", "lambda", "reduce", "proseq", "oracle"]
+SMALL = st.integers(-1, 6).map(str)  # keeps every tree the fuzz builds small
+
+
+def _small_or_not_an_int(text: str) -> bool:
+    try:
+        return int(text) <= 6
+    except ValueError:
+        return True
+
+
+FUZZ_TARGET = st.one_of(
+    st.sampled_from(
+        [str(GERMS / name) for name in ("bs2.germ", "spin.germ", "null_binary.germ", "bad_nullclosure.germ")]
+        + ["-", "a\x00b", "\ud800", "cycle:2", "prefix:1_0;cycle:+2", "cycle: \u0663"]
+    ),
+    st.text(max_size=8).filter(_small_or_not_an_int),
+)
+FUZZ_ITEMS = st.one_of(
+    st.tuples(st.sampled_from(["--depth", "--height", "--power"]), SMALL),
+    st.tuples(st.just("--interval"), SMALL, SMALL),
+    st.tuples(st.just("--ceiling"), st.sampled_from(["999", "1000", "100000"])),
+    st.tuples(st.just("--format"), st.sampled_from(["text", "json", "dot", "xml"])),
+    st.sampled_from(
+        ["--depth", "--height", "--ceiling", "--format", "--power", "--interval", "--help"]
+    ).map(lambda flag: (flag,)),
+    FUZZ_TARGET.map(lambda token: (token,)),
+)
+# a command (or not), its germ path or literal (or not), then flags and tokens
+FUZZ_ARGV = st.tuples(
+    st.sampled_from(COMMANDS + ["", "--help", "bogus"]),
+    FUZZ_TARGET,
+    st.lists(FUZZ_ITEMS, max_size=4),
+).map(lambda parts: [parts[0], parts[1]] + [token for item in parts[2] for token in item])
+FUZZ_STDIN = st.one_of(
+    st.binary(max_size=40),
+    st.sampled_from(["root A\nedge A A 2\n", "root A\nvertex B\nedge A B 0\nedge B B 0\n"]).map(
+        str.encode
+    ),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(FUZZ_ARGV, FUZZ_STDIN)
+def test_any_argv_and_stdin_end_in_an_exit_code(argv, stdin):
+    saved = sys.stdin
+    sys.stdin = io.TextIOWrapper(io.BytesIO(stdin))
+    try:
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)
+    finally:
+        sys.stdin = saved
+    assert code in (0, 1, 2, 3)
 
 
 def _child_env():

@@ -1,6 +1,8 @@
-"""The README's library tour names each public function by its module; these
-tests fail when the tour and the code drift apart."""
+"""The README's library tour names each public function by its module, and
+its command table lists each subcommand's options; these tests fail when the
+README and the code drift apart."""
 
+import argparse
 import builtins
 import importlib
 import inspect
@@ -8,6 +10,7 @@ import re
 from pathlib import Path
 
 import treeends
+from treeends import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 PLAIN_NAME = re.compile(r"([A-Za-z_]\w*)(\(.*\))?")
@@ -44,3 +47,24 @@ def test_package_root_binds_no_function_or_class():
         if inspect.isfunction(value) or inspect.isclass(value)
     ]
     assert bound == []
+
+
+def test_command_table_lists_the_options_of_each_subcommand():
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
+    table = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            command, _, options, _ = line.strip("|").split(" | ")
+            table[command.strip("` ")] = set(re.findall(r"`(--[\w-]+)`", options))
+    sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
+    declared = {
+        name: {
+            option
+            for action in parser._actions
+            for option in action.option_strings
+            if option.startswith("--") and option != "--help"
+        }
+        for name, parser in sub.choices.items()
+    }
+    assert table == declared

@@ -56,6 +56,9 @@ def test_parse_root_anywhere():
         ("root A\nedge B A 1\nvertex B\n", 2),  # declared too late
         ("root A\nedge A A -1\n", 2),
         ("root A\nedge A A x\n", 2),
+        ("root A\nedge A A +2\n", 2),
+        ("root A\nedge A A 1_0\n", 2),
+        ("root A\nedge A A \u0663\n", 2),  # ARABIC-INDIC DIGIT THREE
         ("root A\nedge A A\n", 2),
         ("root A\nloop A\n", 2),
         ("root 9bad\n", 1),
@@ -164,6 +167,16 @@ def test_label_past_the_int_digit_limit_is_a_parse_error(int_digit_limit):
     assert exc.value.line == 2
     assert "5000 digits" in exc.value.reason
     assert parse_germ("root A\nedge A A " + "7" * 4300 + "\n").edges[0].label > 0
+
+
+@pytest.mark.parametrize(
+    "token", ["\u0663", "+2", "1_0", "7" + "x" * 200], ids=["arabic-indic", "signed", "underscore", "long"]
+)
+def test_labels_are_ascii_digits_and_long_ones_are_not_echoed(token):
+    with pytest.raises(ParseError) as exc:
+        parse_germ(f"root A\nedge A A {token}\n")
+    assert exc.value.reason.endswith("is not a nonnegative integer")
+    assert len(str(exc.value)) < 80
 
 
 def test_label_check_matches_the_int_digit_limit(int_digit_limit):

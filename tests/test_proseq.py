@@ -339,11 +339,16 @@ class TestSequenceText:
             ("prefix:3", "nonempty cycle"),
             ("bogus:1;cycle:2", "unknown section"),
             ("cycle", "expected"),
-            ("cycle:1,a", "integers"),
+            ("cycle:1,a", "not a nonnegative integer"),
             ("prefix:1;prefix:2;cycle:3", "duplicate section 'prefix'"),
             ("cycle:2;cycle:3", "duplicate section 'cycle'"),
             ("cycle:" + "7" * 5000, "label of 5000 digits exceeds the 4300-digit limit"),
-            ("prefix:-" + "7" * 5000 + ";cycle:1", "label of 5000 digits exceeds"),
+            ("prefix:-" + "7" * 5000 + ";cycle:1", "not a nonnegative integer"),
+            # labels are ASCII digits, as in germ files
+            ("cycle:1_0", "label '1_0' is not"),
+            ("prefix:+2;cycle:3", r"label '\+2' is not"),
+            ("cycle: \u0663", "label '\u0663' is not"),
+            ("cycle:" + "x" * 200, "label 'xxxxxxxxxxxx...' is not"),
         ],
         ids=lambda v: v if len(v) < 40 else f"{v[:12]}...",
     )
