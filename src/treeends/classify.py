@@ -28,7 +28,6 @@ from .reduce import germ_power, germ_power_detailed
 from .unfold import (
     DEFAULT_CEILING,
     Cardinality,
-    CardinalityClass,
     GrowthClass,
     TruncatedTree,
     gamma_plus_is_finite,
@@ -53,7 +52,7 @@ class EndReport:
     end_class: EndClass
     fixed_end_count: int
     gamma_plus_finite: bool
-    null_ends: CardinalityClass
+    null_ends: Cardinality
     rationale: tuple  # (claim, rule name) pairs
 
 
@@ -64,7 +63,7 @@ def classify_ends(g: GermGraph) -> EndReport:
             end_class=EndClass.TWO_ENDED,
             fixed_end_count=2,
             gamma_plus_finite=True,
-            null_ends=CardinalityClass.empty(),
+            null_ends=Cardinality.EMPTY,
             rationale=(
                 (
                     "a single vertex with no edges unfolds to a point, "
@@ -75,7 +74,7 @@ def classify_ends(g: GermGraph) -> EndReport:
         )
     nulls = null_end_class(g)
     finite_plus, _ = gamma_plus_is_finite(g)
-    if nulls.kind is Cardinality.EMPTY:
+    if nulls is Cardinality.EMPTY:
         assert not finite_plus, "leafless and null-free forces a positive cycle"
         return EndReport(
             end_class=EndClass.ONE_ENDED,
@@ -99,7 +98,7 @@ def classify_ends(g: GermGraph) -> EndReport:
             "null-rays-exist",
         )
     ]
-    if nulls.kind is Cardinality.UNCOUNTABLE:
+    if nulls is Cardinality.UNCOUNTABLE:
         end_class = EndClass.INFINITE_UNCOUNTABLE
         rationale.append(
             (
@@ -291,6 +290,12 @@ class CheckResult:
     status: str  # pass, fail, or skip
     detail: str
 
+    def __str__(self) -> str:
+        return f"check {self.name}: {self.status} ({self.detail})"
+
+    def as_dict(self) -> dict:
+        return {"name": self.name, "status": self.status, "detail": self.detail}
+
 
 def _tree_child_along(g: GermGraph, t: TruncatedTree, node_id: int, edge_idx: int) -> int:
     """Child of a tree node reached by one germ edge, matched by position."""
@@ -397,20 +402,10 @@ def cross_checks(
         ok = True
         details = []
         for cover in covers:
-            mid = cover.middle_vertex
-            verts = tuple(
-                v for v in range(cover.complex.num_vertices) if v != mid
-            )
-            vset = set(verts)
-            edges = tuple(
-                i
-                for i, (a, b) in enumerate(cover.complex.edges)
-                if a in vset and b in vset
-            )
-            sub, _, _ = cw.subcomplex(
-                cover.complex, cw.CellSelection(verts, edges, ())
-            )
-            n = len(sub.components())
+            # drop the middle vertex's edges; it is then one component alone
+            k, mid = cover.complex, cover.middle_vertex
+            rest = [e for e in k.edges if mid not in e]
+            n = len(cw.CW2Complex(k.num_vertices, rest, []).components()) - 1
             if n != 2:
                 ok = False
             details.append(f"height {cover.height}: middle vertex splits into {n}")
@@ -420,11 +415,10 @@ def cross_checks(
 
     counts = null_path_counts(g, 12)
     gc = growth_class(counts)
-    kind = report.null_ends.kind
-    if kind is Cardinality.EMPTY:
+    if report.null_ends is Cardinality.EMPTY:
         ok = all(c == 0 for c in counts)
         want = "all-zero counts"
-    elif kind is Cardinality.UNCOUNTABLE:
+    elif report.null_ends is Cardinality.UNCOUNTABLE:
         ok = gc is GrowthClass.EXPONENTIAL
         want = "exponential"
     else:
@@ -531,10 +525,7 @@ def to_json_dict(report: Report) -> dict:
             else None
         ),
         "flags": flags,
-        "oracle_checks": [
-            {"name": c.name, "status": c.status, "detail": c.detail}
-            for c in report.checks
-        ],
+        "oracle_checks": [c.as_dict() for c in report.checks],
     }
 
 
@@ -564,6 +555,5 @@ def render_text(report: Report) -> str:
                 ]
             )
         )
-    for c in report.checks:
-        lines.append(f"check {c.name}: {c.status} ({c.detail})")
+    lines.extend(str(c) for c in report.checks)
     return "\n".join(lines) + "\n"

@@ -113,8 +113,8 @@ def emit_dot(t: TruncatedTree, name: str = "unfold") -> str:
     return "\n".join(lines) + "\n"
 
 
-def emit_dot_colored(ct, name: str = "clone_tree") -> str:
-    lines = [f"digraph {name} {{"]
+def emit_dot_colored(ct) -> str:
+    lines = ["digraph clone_tree {"]
     for node in ct.nodes:
         color = "gray" if node.color in ("gray", "dashed") else "black"
         lines.append(f'  n{node.id} [label="{node.germ_vertex}", color={color}];')
@@ -293,16 +293,13 @@ def _cmd_oracle(args) -> int:
         _print_json(
             {
                 "schema": 1,
-                "checks": [
-                    {"name": c.name, "status": c.status, "detail": c.detail}
-                    for c in checks
-                ],
+                "checks": [c.as_dict() for c in checks],
                 "summary": counts,
             }
         )
     else:
         for c in checks:
-            print(f"check {c.name}: {c.status} ({c.detail})")
+            print(c)
         print(
             f"oracle: {counts['pass']} pass, {counts['fail']} fail, "
             f"{counts['skip']} skip"

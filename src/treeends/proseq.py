@@ -52,7 +52,7 @@ class MultSequence:
 
 class TrivialSequence:
     """The tower of zero groups.  Every map into or out of it is zero, and
-    triangles through it are satisfied automatically."""
+    so is each of its bonds."""
 
     _instance = None
 
@@ -86,6 +86,8 @@ def stage_bond(s: MultSequence, p: int, q: int) -> int:
     """Bond from stage q back to stage p (0-based stages, p <= q)."""
     if p > q:
         raise DomainError("stage bond needs p <= q")
+    if isinstance(s, TrivialSequence):
+        return 0
     if p == q:
         return 1
     return bond_compose(s, p + 1, q)
@@ -183,23 +185,20 @@ def verify_ladder(a, b, cert: LadderCertificate) -> bool:
         raise DomainError("top indices must increase strictly")
     if any(x >= y for x, y in zip(cert.bottom_indices, cert.bottom_indices[1:])):
         raise DomainError("bottom indices must increase strictly")
-    a_triv = isinstance(a, TrivialSequence)
-    b_triv = isinstance(b, TrivialSequence)
-    if (a_triv or b_triv) and any(m != 0 for m in cert.up_maps + cert.down_maps):
+    trivial = isinstance(a, TrivialSequence) or isinstance(b, TrivialSequence)
+    if trivial and any(m != 0 for m in cert.up_maps + cert.down_maps):
         return False
     tops, bots = cert.top_indices, cert.bottom_indices
     for t in range(t_count):
         # upper triangle at t: through b[j_t], compare with the a-bond
-        if not a_triv:
-            lhs = cert.up_maps[t] * cert.down_maps[t]  # u_t * d_{t+1}
-            if lhs != stage_bond(a, tops[t], tops[t + 1]):
-                return False
+        lhs = cert.up_maps[t] * cert.down_maps[t]  # u_t * d_{t+1}
+        if lhs != stage_bond(a, tops[t], tops[t + 1]):
+            return False
     for t in range(1, t_count):
         # lower triangle at t: through a[i_t], compare with the b-bond
-        if not b_triv:
-            lhs = cert.down_maps[t - 1] * cert.up_maps[t]  # d_t * u_t
-            if lhs != stage_bond(b, bots[t - 1], bots[t]):
-                return False
+        lhs = cert.down_maps[t - 1] * cert.up_maps[t]  # d_t * u_t
+        if lhs != stage_bond(b, bots[t - 1], bots[t]):
+            return False
     return True
 
 
@@ -228,30 +227,23 @@ def ladder_search(a, b, depth: int = 4, bound: int = 8):
     if depth < 2:
         raise DomainError("ladder depth must be at least 2")
     t_count = depth
-    a_triv = isinstance(a, TrivialSequence)
-    b_triv = isinstance(b, TrivialSequence)
     start_a, gap_a, win_a = _side_params(a, depth)
     start_b, gap_b, win_b = _side_params(b, depth)
-    coeffs = tuple(range(-bound, bound + 1))
+    if isinstance(a, TrivialSequence) or isinstance(b, TrivialSequence):
+        coeffs = (0,)  # every map into or out of a zero group is zero
+    else:
+        coeffs = tuple(range(-bound, bound + 1))
 
-    def down_candidates(u_prev: int, a_bond) -> tuple:
+    def down_candidates(u_prev: int, a_bond: int) -> tuple:
         # d_t as a map a[i_t] -> b[j_{t-1}], constrained by the upper triangle.
-        if a_triv:
-            return (0,)
-        if b_triv:
-            return (0,) if a_bond == 0 else ()
         if u_prev != 0:
             if a_bond % u_prev == 0 and abs(a_bond // u_prev) <= bound:
                 return (a_bond // u_prev,)
             return ()
         return coeffs if a_bond == 0 else ()
 
-    def up_candidates(d_cur: int, b_bond) -> tuple:
+    def up_candidates(d_cur: int, b_bond: int) -> tuple:
         # u_t as a map b[j_t] -> a[i_t], constrained by the lower triangle.
-        if b_triv:
-            return (0,)
-        if a_triv:
-            return (0,) if b_bond == 0 else ()
         if d_cur != 0:
             if b_bond % d_cur == 0 and abs(b_bond // d_cur) <= bound:
                 return (b_bond // d_cur,)
@@ -262,8 +254,7 @@ def ladder_search(a, b, depth: int = 4, bound: int = 8):
         # choose i_t, then d_t; t runs 1..t_count
         hi = min(tops[-1] + gap_a, win_a - (t_count - t))
         for i_t in range(tops[-1] + 1, hi + 1):
-            a_bond = None if a_triv else stage_bond(a, tops[-1], i_t)
-            for d in down_candidates(ups[-1], a_bond):
+            for d in down_candidates(ups[-1], stage_bond(a, tops[-1], i_t)):
                 if t == t_count:
                     return LadderCertificate(
                         tuple(tops) + (i_t,), tuple(bots), tuple(ups), tuple(downs) + (d,)
@@ -277,17 +268,15 @@ def ladder_search(a, b, depth: int = 4, bound: int = 8):
         # choose j_t, then u_t; t runs 1..t_count-1
         hi = min(bots[-1] + gap_b, win_b - (t_count - 1 - t))
         for j_t in range(bots[-1] + 1, hi + 1):
-            b_bond = None if b_triv else stage_bond(b, bots[-1], j_t)
-            for u in up_candidates(downs[-1], b_bond):
+            for u in up_candidates(downs[-1], stage_bond(b, bots[-1], j_t)):
                 found = search_top(t + 1, tops, bots + [j_t], ups + [u], downs)
                 if found is not None:
                     return found
         return None
 
-    first_ups = (0,) if (a_triv or b_triv) else coeffs
     for i_0 in range(0, min(start_a, win_a - t_count) + 1):
         for j_0 in range(0, min(start_b, win_b - (t_count - 1)) + 1):
-            for u_0 in first_ups:
+            for u_0 in coeffs:
                 found = search_top(1, [i_0], [j_0], [u_0], [])
                 if found is not None:
                     return found

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, reachable, require_valid, walk_counts
@@ -128,25 +129,8 @@ class Cardinality(Enum):
     COUNTABLY_INFINITE = "CountablyInfinite"
     UNCOUNTABLE = "Uncountable"
 
-
-@dataclass(frozen=True)
-class CardinalityClass:
-    kind: Cardinality
-
-    @staticmethod
-    def empty() -> "CardinalityClass":
-        return CardinalityClass(Cardinality.EMPTY)
-
-    @staticmethod
-    def countable() -> "CardinalityClass":
-        return CardinalityClass(Cardinality.COUNTABLY_INFINITE)
-
-    @staticmethod
-    def uncountable() -> "CardinalityClass":
-        return CardinalityClass(Cardinality.UNCOUNTABLE)
-
     def __str__(self) -> str:
-        return self.kind.value
+        return self.value
 
 
 def gamma_plus_is_finite(g: GermGraph) -> tuple[bool, int | None]:
@@ -154,97 +138,56 @@ def gamma_plus_is_finite(g: GermGraph) -> tuple[bool, int | None]:
 
     Returns (True, bound) with bound the longest positive path length from the
     root, or (False, None) when a positive cycle is reachable positively.
+    The positively reachable vertices are peeled by in-degree (Kahn): a
+    cycle never peels, and the longest-path DP runs in peel order.
     """
     require_valid(g)
     reach = reachable(g, (g.root,), lambda e: e.label > 0)
-    edges = [(e.src, e.dst) for e in g.edges if e.label > 0 and e.src in reach]
-    sccs = _strongly_connected(reach, edges)
-    # A positive cycle is a strongly connected piece of two or more vertices,
-    # or a self-loop.
-    if any(len(comp) > 1 for comp in sccs) or any(s == d for s, d in edges):
-        return (False, None)
-    # Acyclic: Tarjan emits the one-vertex pieces in reverse topological
-    # order, so the longest-path DP from the root runs over them reversed.
+    indegree = dict.fromkeys(reach, 0)
+    for e in g.edges:
+        if e.label > 0 and e.src in reach:
+            indegree[e.dst] += 1
+    # every other reached vertex has an in-edge, so only the root can start
+    peeled = [g.root] if indegree[g.root] == 0 else []
     longest = {g.root: 0}
-    for (v,) in reversed(sccs):
+    for v in peeled:
         for _, e in g.out_edges(v):
             if e.label > 0:
                 longest[e.dst] = max(longest.get(e.dst, 0), longest[v] + 1)
+                indegree[e.dst] -= 1
+                if indegree[e.dst] == 0:
+                    peeled.append(e.dst)
+    if len(peeled) < len(reach):
+        return (False, None)
     return (True, max(longest.values()))
 
 
-def _null_context(g: GermGraph) -> tuple[set[str], list[tuple[str, str]]]:
-    """The null zone of a valid germ (the targets of 0-labeled edges) and
-    the edges out of it.  On a valid germ every vertex is reachable and
-    null-closure makes every edge out of the zone 0-labeled, so these are
-    the zone's 0-labeled edges and they end inside it."""
-    zone = {e.dst for e in g.edges if e.label == 0}
-    null_edges = [(e.src, e.dst) for e in g.edges if e.src in zone]
-    return zone, null_edges
+def _null_zone(g: GermGraph) -> set[str]:
+    """The null zone of a valid germ: the targets of 0-labeled edges.  On a
+    valid germ every vertex is reachable and null-closure makes every edge
+    out of the zone 0-labeled, so the zone is closed under out-edges."""
+    return {e.dst for e in g.edges if e.label == 0}
 
 
-def null_end_class(g: GermGraph) -> CardinalityClass:
+def null_end_class(g: GermGraph) -> Cardinality:
     """How many ends the null subtrees of the unfolding contribute.
 
-    Empty when no 0-labeled edge is reachable.  Uncountable when some strongly
-    connected piece of the null subgraph carries two distinct cycles through a
-    shared vertex (more internal edges than vertices); countably infinite
-    otherwise.
+    Empty when no 0-labeled edge is reachable.  Uncountable when some null
+    vertex has two out-edges that both lead back to it: two distinct cycles
+    through a shared vertex, the same as a strongly connected piece with more
+    internal edges than vertices.  Countably infinite otherwise.  At most
+    one search per vertex, so O(V*E).
     """
     require_valid(g)
-    zone, null_edges = _null_context(g)
+    zone = _null_zone(g)
     if not zone:
-        return CardinalityClass.empty()
-    for comp in _strongly_connected(zone, null_edges):
-        comp_set = set(comp)
-        internal = sum(1 for s, d in null_edges if s in comp_set and d in comp_set)
-        if internal > len(comp):
-            return CardinalityClass.uncountable()
-    return CardinalityClass.countable()
-
-
-def _strongly_connected(vertices: set[str], edges: list[tuple[str, str]]) -> list[list[str]]:
-    """Tarjan, iterative.  Components come out in reverse topological order;
-    parallel edges collapse for the DFS itself."""
-    adj: dict[str, list[str]] = {v: [] for v in vertices}
-    for s, d in edges:
-        adj[s].append(d)
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    stack: list[str] = []
-    on_stack: set[str] = set()
-    work: list = []  # (vertex, iterator over its successors)
-    sccs: list[list[str]] = []
-
-    def push(v: str) -> None:
-        index[v] = low[v] = len(index)
-        stack.append(v)
-        on_stack.add(v)
-        work.append((v, iter(adj[v])))
-
-    for start in sorted(vertices):
-        if start in index:
-            continue
-        push(start)
-        while work:
-            v, it = work[-1]
-            for w in it:
-                if w not in index:
-                    push(w)
-                    break
-                if w in on_stack:
-                    low[v] = min(low[v], index[w])
-            else:
-                work.pop()
-                if work:
-                    pv = work[-1][0]
-                    low[pv] = min(low[pv], low[v])
-                if low[v] == index[v]:
-                    k = stack.index(v)
-                    sccs.append(stack[k:][::-1])
-                    on_stack.difference_update(stack[k:])
-                    del stack[k:]
-    return sccs
+        return Cardinality.EMPTY
+    reach_from = cache(lambda w: reachable(g, (w,)))
+    for v in zone:
+        out = g.out_edges(v)
+        if len(out) > 1 and sum(v in reach_from(e.dst) for _, e in out) > 1:
+            return Cardinality.UNCOUNTABLE
+    return Cardinality.COUNTABLY_INFINITE
 
 
 class GrowthClass(Enum):
@@ -258,8 +201,7 @@ def null_path_counts(g: GermGraph, n_max: int) -> list[int]:
     subgraph that start at an entry vertex.  The growth class of this count
     separates countably many null ends from uncountably many."""
     require_valid(g)
-    zone, _ = _null_context(g)
-    return walk_counts(g, zone, lambda e: int(e.label == 0), n_max)[1:]
+    return walk_counts(g, _null_zone(g), lambda e: int(e.label == 0), n_max)[1:]
 
 
 def growth_class(counts: list[int]) -> GrowthClass:

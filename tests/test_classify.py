@@ -1,6 +1,7 @@
 """Tests for end classification, rays, rank towers, and the oracle battery."""
 
 import dataclasses
+import time
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS, ONE_FIXED_END
 from ray_search import simple_path_ray
+from scc_reference import scc_gamma_plus_is_finite, scc_null_end_class
 from treeends.classify import (
     EndClass,
     RaySpec,
@@ -27,6 +29,7 @@ from treeends.errors import DomainError
 from treeends.germ import germ_from_edges, parse_germ
 from treeends.proseq import block_compress
 from treeends.reduce import germ_power
+from treeends.unfold import Cardinality, gamma_plus_is_finite, null_end_class
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -179,6 +182,71 @@ class TestRaySearch:
         # the shortest loop at B is B->C->B, reached through A->B
         g = germ_from_edges("A", [("A", "B", 1), ("B", "C", 2), ("C", "B", 3)])
         assert default_ray(g) == RaySpec((0,), (1, 2))
+
+
+class TestCycleQuestions:
+    """In-degree peeling and the search back to each branching null vertex
+    against the strongly-connected-component reference."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_germs())
+    def test_match_the_scc_reference(self, g):
+        assert gamma_plus_is_finite(g) == scc_gamma_plus_is_finite(g)
+        assert null_end_class(g) is scc_null_end_class(g)
+
+    @pytest.mark.parametrize(
+        "edges,want",
+        [
+            # two null self-loops at one vertex
+            ([("A", "B", 1), ("B", "B", 0), ("B", "B", 0)], Cardinality.UNCOUNTABLE),
+            # one null self-loop at each of two vertices
+            (
+                [("A", "B", 0), ("B", "B", 0), ("B", "C", 0), ("C", "C", 0)],
+                Cardinality.COUNTABLY_INFINITE,
+            ),
+            # a null 2-cycle with a chord parallel to one of its edges
+            ([("A", "B", 0), ("B", "C", 0), ("C", "B", 0), ("B", "C", 0)], Cardinality.UNCOUNTABLE),
+            # a null 2-cycle alone
+            ([("A", "B", 0), ("B", "C", 0), ("C", "B", 0)], Cardinality.COUNTABLY_INFINITE),
+        ],
+    )
+    def test_null_cycles(self, edges, want):
+        g = germ_from_edges("A", edges)
+        assert null_end_class(g) is want
+        assert scc_null_end_class(g) is want
+
+    def test_positive_dag_with_parallel_edges(self):
+        g = germ_from_edges(
+            "A",
+            [("A", "B", 2), ("A", "B", 3), ("A", "C", 1), ("B", "C", 1), ("B", "C", 1),
+             ("C", "D", 0), ("D", "D", 0)],
+        )
+        assert gamma_plus_is_finite(g) == (True, 2)
+        assert scc_gamma_plus_is_finite(g) == (True, 2)
+
+    def test_large_germs_are_classified_fast(self):
+        # a 300-vertex null cycle A with an edge from each vertex into a
+        # 300-vertex null cycle B: every A vertex branches, none twice back
+        n = 300
+        edges = [("R", "a0", 0)]
+        for i in range(n):
+            a, b = f"a{i}", f"b{i}"
+            edges += [(a, f"a{(i + 1) % n}", 0), (a, b, 0), (b, f"b{(i + 1) % n}", 0)]
+        nulls = germ_from_edges("R", edges)
+        # 333 positive diamonds in a chain, 1,000 vertices
+        edges = []
+        for i in range(333):
+            v, w = f"v{i}", f"v{i + 1}"
+            edges += [(v, f"x{i}", 1), (v, f"y{i}", 2), (f"x{i}", w, 1), (f"y{i}", w, 3)]
+        edges.append(("v333", "v333", 0))
+        diamonds = germ_from_edges("v0", edges)
+        for g in (nulls, diamonds):
+            assert g.report.ok
+            start = time.perf_counter()
+            report = classify_ends(g)
+            assert time.perf_counter() - start < 1.0
+            assert report.end_class is EndClass.INFINITE_COUNTABLE
+        assert gamma_plus_is_finite(diamonds) == (True, 666)
 
 
 class TestRankTower:
