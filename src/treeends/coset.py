@@ -11,6 +11,7 @@ checks they agree as colored rooted trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, walk_counts
@@ -108,7 +109,7 @@ def frontier_count(germ: GermGraph, tier: int) -> int:
     """
     if tier < 0:
         raise DomainError("tier must be nonnegative")
-    return walk_counts(germ, (germ.root,), lambda e: e.label, tier)[tier]
+    return next(islice(walk_counts(germ, (germ.root,), lambda e: e.label, tier), tier, None))
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ import re
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SizeCeilingError, ValidationFailed
 
@@ -248,12 +248,13 @@ def reachable(
 
 def walk_counts(
     g: GermGraph, starts: Iterable[str], weight: Callable[[GermEdge], int], steps: int
-) -> list[int]:
-    """Entry n, for n = 0..steps, is the total weight of the length-n walks
-    from ``starts``; a walk weighs the product of ``weight`` over its edges,
-    and edges of weight 0 are never taken."""
+) -> Iterator[int]:
+    """Yield, for n = 0..steps, the total weight of the length-n walks from
+    ``starts``; a walk weighs the product of ``weight`` over its edges, and
+    edges of weight 0 are never taken.  Lazily: one step's weights are held
+    at a time, and a caller that stops early computes no further."""
     weights = dict.fromkeys(starts, 1)
-    totals = [sum(weights.values())]
+    yield sum(weights.values())
     for _ in range(steps):
         nxt: dict[str, int] = {}
         for v, w in weights.items():
@@ -262,8 +263,7 @@ def walk_counts(
                 if k:
                     nxt[e.dst] = nxt.get(e.dst, 0) + w * k
         weights = nxt
-        totals.append(sum(weights.values()))
-    return totals
+        yield sum(weights.values())
 
 
 def _digit_limit() -> int:

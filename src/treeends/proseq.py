@@ -19,7 +19,6 @@ from math import lcm
 
 from .errors import DomainError, ParseError
 from .germ import parse_label
-from .intmat import dims, hermite_column_basis, identity, mat_mul
 
 
 @dataclass(frozen=True)
@@ -311,118 +310,6 @@ def block_compress(s: MultSequence, m: int) -> MultSequence:
         for t in range(prefix_blocks + 1, prefix_blocks + cycle_blocks + 1)
     )
     return MultSequence(new_prefix, new_cycle)
-
-
-def _freeze(mat) -> tuple:
-    return tuple(tuple(row) for row in mat)
-
-
-def _thaw(mat) -> list:
-    return [list(row) for row in mat]
-
-
-@dataclass(frozen=True)
-class AbelianSequence:
-    """Tower of free abelian groups with integer bond matrices.
-
-    ``ranks`` = (n_0..n_m); ``bonds[t-1]`` is the n_{t-1} x n_t matrix of the
-    map from stage t to stage t-1.  ``tail``, when present, is a block of
-    matrices repeated forever past stage m; its dimensions must chain and
-    close up periodically.
-    """
-
-    ranks: tuple
-    bonds: tuple
-    tail: tuple | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "ranks", tuple(self.ranks))
-        object.__setattr__(self, "bonds", tuple(_freeze(b) for b in self.bonds))
-        if self.tail is not None:
-            object.__setattr__(self, "tail", tuple(_freeze(b) for b in self.tail))
-        if not self.ranks:
-            raise DomainError("at least one stage is required")
-        if any(n < 0 for n in self.ranks):
-            raise DomainError("ranks must be nonnegative")
-        if len(self.bonds) != len(self.ranks) - 1:
-            raise DomainError("need exactly one bond per adjacent stage pair")
-        for t, bond in enumerate(self.bonds, start=1):
-            if dims(list(bond)) != (self.ranks[t - 1], self.ranks[t]):
-                raise DomainError(
-                    f"bond {t} must be {self.ranks[t - 1]}x{self.ranks[t]}"
-                )
-        if self.tail is not None:
-            if not self.tail:
-                raise DomainError("tail block must be nonempty when present")
-            if len(self.tail[0]) != self.ranks[-1]:
-                raise DomainError("tail must start at the last explicit rank")
-            for left, right in zip(self.tail, self.tail[1:]):
-                if dims(list(left))[1] != len(right):
-                    raise DomainError("tail matrix dimensions must chain")
-            if dims(list(self.tail[-1]))[1] != len(self.tail[0]):
-                raise DomainError("tail block must close up periodically")
-
-    @property
-    def last_stage(self) -> int:
-        return len(self.ranks) - 1
-
-    def bond_at(self, j: int) -> list:
-        """Matrix of the map from stage j to stage j-1 (j >= 1)."""
-        if j < 1:
-            raise DomainError("bonds start at stage 1")
-        if j <= self.last_stage:
-            return _thaw(self.bonds[j - 1])
-        if self.tail is None:
-            raise DomainError(f"stage {j} is beyond the explicit bonds")
-        return _thaw(self.tail[(j - self.last_stage - 1) % len(self.tail)])
-
-    def rank_at(self, j: int) -> int:
-        if j < 0:
-            raise DomainError("stages are numbered from 0")
-        if j <= self.last_stage:
-            return self.ranks[j]
-        return dims(self.bond_at(j))[1]
-
-
-@dataclass(frozen=True)
-class StabilizationResult:
-    stabilized: bool
-    at: int | None = None
-
-    def __str__(self) -> str:
-        if self.stabilized:
-            return f"Stabilized(at {self.at})"
-        return "NotWithinHorizon"
-
-
-def images_stabilize(a: AbelianSequence, i: int, horizon: int) -> StabilizationResult:
-    """Track the image lattices of the composed bonds into stage ``i``.
-
-    Computes Im(B_{i+1} ... B_j) in Z^{n_i} via canonical column bases and
-    reports the first j where the image matches the previous one; with a
-    periodic tail the match must also survive one more full period.
-    """
-    if i < 0 or i > a.last_stage:
-        raise DomainError(f"stage {i} is outside the sequence")
-    if horizon < i + 1:
-        raise DomainError("horizon must be at least i+1")
-    composite = identity(a.rank_at(i))
-    prev_basis = hermite_column_basis(composite)
-    for j in range(i + 1, horizon + 1):
-        composite = mat_mul(composite, a.bond_at(j))
-        basis = hermite_column_basis(composite)
-        if basis == prev_basis:
-            if a.tail is None:
-                return StabilizationResult(True, j)
-            # Period coherence: one more full period must leave the
-            # lattice unchanged before we call it stable.
-            ahead = composite
-            for k in range(j + 1, j + len(a.tail) + 1):
-                ahead = mat_mul(ahead, a.bond_at(k))
-            if hermite_column_basis(ahead) == basis:
-                return StabilizationResult(True, j)
-        prev_basis = basis
-    return StabilizationResult(False)
 
 
 def parse_sequence(text: str) -> MultSequence:

@@ -201,7 +201,7 @@ def null_path_counts(g: GermGraph, n_max: int) -> list[int]:
     subgraph that start at an entry vertex.  The growth class of this count
     separates countably many null ends from uncountably many."""
     require_valid(g)
-    return walk_counts(g, _null_zone(g), lambda e: int(e.label == 0), n_max)[1:]
+    return list(walk_counts(g, _null_zone(g), lambda e: int(e.label == 0), n_max))[1:]
 
 
 def growth_class(counts: list[int]) -> GrowthClass:

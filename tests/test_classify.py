@@ -2,6 +2,7 @@
 
 import dataclasses
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -247,6 +248,28 @@ class TestCycleQuestions:
             assert time.perf_counter() - start < 1.0
             assert report.end_class is EndClass.INFINITE_COUNTABLE
         assert gamma_plus_is_finite(diamonds) == (True, 666)
+
+    @staticmethod
+    def positive_cycle(n):
+        return germ_from_edges("v0", [(f"v{i}", f"v{(i + 1) % n}", 1) for i in range(n)])
+
+    def test_default_ray_on_a_long_cycle_is_fast(self):
+        g = self.positive_cycle(1000)
+        start = time.perf_counter()
+        assert default_ray(g) == RaySpec((), tuple(range(1000)))
+        assert time.perf_counter() - start < 2.0
+
+    def test_default_ray_keeps_no_path_per_vertex(self):
+        # one breadth-first tree per source, O(V) each; a path per vertex
+        # per source takes over 250 MB here
+        g = self.positive_cycle(400)
+        tracemalloc.start()
+        try:
+            assert default_ray(g) == RaySpec((), tuple(range(400)))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
 
 class TestRankTower:

@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,31 @@ class TestLabels:
         code, out, err = cli("classify", "--depth", 2200, "--format", "json", GERMS / "bs2.germ")
         assert (code, out) == (3, "")
         assert err == "error: rank digits exceeds the size ceiling (641 > 640)\n"
+
+    def test_rank_tower_stops_at_the_first_unprintable_rank(self, cli, int_digit_limit):
+        # tier 14286 has the first 4301-digit rank; the deeper tiers of the
+        # walk are never computed, so the ranks before it are all it holds
+        tracemalloc.start()
+        try:
+            code, out, err = cli("classify", "--depth", 40000, GERMS / "bs2.germ")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == "error: rank digits exceeds the size ceiling (4301 > 4300)\n"
+        assert peak < 32 * 2**20
+
+    def test_power_telescoping_holds_one_tier_at_a_time(self, cli):
+        tracemalloc.start()
+        try:
+            code, out, err = cli("oracle", "--depth", 20000, GERMS / "bs2.germ")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, err) == (0, "")
+        for m in (2, 3):
+            assert f"check power-invariance-{m}: pass (class match True, frontier telescoping True)\n" in out
+        assert peak < 4 * 2**20
 
 
 class TestParser:

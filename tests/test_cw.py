@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus import CORPUS
-from dense import boundary1, boundary2, full_selection, mat_vec
+from dense import boundary1, boundary2, full_selection, mat_mul, mat_vec
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree
 from treeends.cw import (
@@ -30,7 +30,7 @@ from treeends.cw import (
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, validate_germ
-from treeends.intmat import mat_mul, smith_normal_form
+from treeends.intmat import smith_normal_form
 from treeends.unfold import null_forest, positive_part, truncate
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"

@@ -12,7 +12,9 @@ from pathlib import Path
 import treeends
 from treeends import cli
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
+BS2 = ROOT / "germs" / "bs2.germ"
 PLAIN_NAME = re.compile(r"([A-Za-z_]\w*)(\(.*\))?")
 
 
@@ -49,14 +51,23 @@ def test_package_root_binds_no_function_or_class():
     assert bound == []
 
 
-def test_command_table_lists_the_options_of_each_subcommand():
+def command_table() -> dict:
+    """Subcommand -> (options, formats) as the README's table lists them."""
     text = README.read_text(encoding="utf-8")
     section = text.split("## Command line", 1)[1].split("\n## ", 1)[0]
     table = {}
     for line in section.splitlines():
         if line.startswith("| `"):
-            command, _, options, _ = line.strip("|").split(" | ")
-            table[command.strip("` ")] = set(re.findall(r"`(--[\w-]+)`", options))
+            command, _, options, formats = line.strip("|").split(" | ")
+            table[command.strip("` ")] = (
+                set(re.findall(r"`(--[\w-]+)`", options)),
+                {f.strip() for f in formats.split(",")},
+            )
+    return table
+
+
+def test_command_table_lists_the_options_of_each_subcommand():
+    table = {command: options for command, (options, _) in command_table().items()}
     sub = next(a for a in cli.PARSER._actions if isinstance(a, argparse._SubParsersAction))
     declared = {
         name: {
@@ -68,3 +79,17 @@ def test_command_table_lists_the_options_of_each_subcommand():
         for name, parser in sub.choices.items()
     }
     assert table == declared
+
+
+def test_command_table_lists_the_formats_of_each_subcommand(capsys):
+    target = {"proseq": ["prefix:3;cycle:2"], "reduce": [str(BS2), "--power", "2"]}
+    rejected = []
+    for command, (_, formats) in sorted(command_table().items()):
+        for fmt in ("text", "json", "dot"):
+            argv = [command, "--format", fmt, *target.get(command, [str(BS2)])]
+            code = cli.run(argv)
+            capsys.readouterr()
+            assert code in (0, 2), argv
+            if (code == 2) != (fmt not in formats):
+                rejected.append((command, fmt, code))
+    assert rejected == []

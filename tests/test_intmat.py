@@ -3,15 +3,8 @@ from itertools import combinations
 
 from hypothesis import given, settings, strategies as st
 
-from dense import det
-from treeends.intmat import (
-    dims,
-    hermite_column_basis,
-    identity,
-    mat_mul,
-    smith_normal_form,
-    unit_pivot_presentation,
-)
+from dense import det, hermite_column_basis, mat_mul
+from treeends.intmat import dims, identity, smith_normal_form, unit_pivot_presentation
 
 
 # Oracle: the product of the first k diagonal entries equals the gcd of all
@@ -162,3 +155,30 @@ def test_cokernel_triviality_matches_dense_smith(a):
     want_factors = [x for x in s.d if x != 1] + [0] * (m - len(s.d))
     assert sorted(f for f in factors if f != 1) == sorted(want_factors)
 
+
+def non_unit_factors(a):
+    return sorted(f for f in presentation(a).factors if f != 1)
+
+
+UNITISH = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3])
+
+
+@st.composite
+def nested_lattices(draw):
+    """A (n x r) and B (r x s): the column lattice of A @ B lies in A's."""
+    n, r, s = (draw(st.integers(min_value=lo, max_value=5)) for lo in (1, 0, 0))
+    a = [draw(st.lists(UNITISH, min_size=r, max_size=r)) for _ in range(n)]
+    b = [draw(st.lists(UNITISH, min_size=s, max_size=s)) for _ in range(r)]
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(nested_lattices())
+def test_nested_lattices_are_equal_iff_their_factors_are(pair):
+    # L' = L @ B lies in L, so Z^n/L' maps onto Z^n/L.  Finitely generated
+    # abelian groups are Hopfian: the map is an isomorphism, and L' = L,
+    # exactly when the two quotients have the same invariant factors.
+    a, b = pair
+    ab = mat_mul(a, b)
+    same = hermite_column_basis(a) == hermite_column_basis(ab)
+    assert same == (non_unit_factors(a) == non_unit_factors(ab))

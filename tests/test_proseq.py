@@ -1,4 +1,4 @@
-"""Tests for multiplication towers, ladders, and abelian stabilization."""
+"""Tests for multiplication towers and ladders."""
 
 import pytest
 from hypothesis import given, settings
@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from treeends.errors import DomainError, ParseError
 from treeends.proseq import (
     TRIVIAL,
-    AbelianSequence,
     InverseLimitClass,
     LadderCertificate,
     MultSequence,
@@ -18,7 +17,6 @@ from treeends.proseq import (
     classify_mult,
     epi_normal_form,
     format_sequence,
-    images_stabilize,
     inverse_limit_mult,
     ladder_search,
     parse_sequence,
@@ -356,71 +354,3 @@ class TestSequenceText:
         with pytest.raises(ParseError, match=fragment) as exc:
             parse_sequence(text)
         assert len(str(exc.value)) < 80  # a long label is not echoed back
-
-
-class TestAbelianSequence:
-    def test_bond_count_must_match_stages(self):
-        with pytest.raises(DomainError, match="one bond per adjacent stage"):
-            AbelianSequence(ranks=(1, 1), bonds=())
-
-    def test_bond_shape_checked(self):
-        with pytest.raises(DomainError, match="must be 1x2"):
-            AbelianSequence(ranks=(1, 2), bonds=([[1]],))
-
-    def test_tail_must_chain_and_close(self):
-        with pytest.raises(DomainError, match="close up periodically"):
-            AbelianSequence(ranks=(1,), bonds=(), tail=([[1, 2]],))
-
-    def test_bond_at_without_tail_is_bounded(self):
-        a = AbelianSequence(ranks=(1, 1), bonds=([[3]],))
-        assert a.bond_at(1) == [[3]]
-        with pytest.raises(DomainError, match="beyond the explicit bonds"):
-            a.bond_at(2)
-
-    def test_tail_repeats_periodically(self):
-        a = AbelianSequence(
-            ranks=(1, 2),
-            bonds=([[1, 0]],),
-            tail=([[2], [0]], [[1, 1]]),
-        )
-        assert a.bond_at(2) == [[2], [0]]
-        assert a.bond_at(3) == [[1, 1]]
-        assert a.bond_at(4) == [[2], [0]]
-        assert a.rank_at(1) == 2
-        assert a.rank_at(2) == 1
-        assert a.rank_at(3) == 2
-
-
-class TestImagesStabilize:
-    def test_identity_bonds_stabilize_immediately(self):
-        a = AbelianSequence(ranks=(1, 1, 1), bonds=([[1]], [[1]]), tail=([[1]],))
-        got = images_stabilize(a, 1, 10)
-        assert got.stabilized and got.at == 2
-
-    def test_doubling_never_stabilizes(self):
-        a = AbelianSequence(ranks=(1, 1), bonds=([[2]],), tail=([[2]],))
-        got = images_stabilize(a, 1, 10)
-        assert not got.stabilized and got.at is None
-
-    def test_identity_matrices_in_rank_two(self):
-        eye = [[1, 0], [0, 1]]
-        a = AbelianSequence(ranks=(2, 2), bonds=(eye,), tail=(eye,))
-        got = images_stabilize(a, 1, 10)
-        assert got.stabilized and got.at == 2
-
-    def test_zero_bond_stabilizes_at_the_zero_lattice(self):
-        a = AbelianSequence(ranks=(1, 1), bonds=([[0]],), tail=([[0]],))
-        got = images_stabilize(a, 0, 10)
-        assert got.stabilized and got.at == 2
-
-    def test_partial_shrinking_detected_across_the_period(self):
-        half = [[1, 0], [0, 2]]
-        a = AbelianSequence(ranks=(2, 2), bonds=(half,), tail=(half,))
-        assert not images_stabilize(a, 0, 12).stabilized
-
-    def test_stage_out_of_range(self):
-        a = AbelianSequence(ranks=(1, 1), bonds=([[1]],))
-        with pytest.raises(DomainError):
-            images_stabilize(a, 2, 10)
-        with pytest.raises(DomainError):
-            images_stabilize(a, 1, 1)
