@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import islice
+from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, walk_counts
@@ -112,8 +113,7 @@ def frontier_count(germ: GermGraph, tier: int) -> int:
     return next(islice(walk_counts(germ, (germ.root,), lambda e: e.label, tier), tier, None))
 
 
-@dataclass(frozen=True)
-class ColoredNode:
+class ColoredNode(NamedTuple):
     id: int
     parent: int | None
     color: str | None  # None at the root, else BLACK / GRAY / DASHED
@@ -154,17 +154,7 @@ def wedge_expansion(
     children contribute one dashed copy, and every copy under a gray vertex
     is gray with no dashed part."""
     root = tree.root
-    nodes = [
-        ColoredNode(
-            id=0,
-            parent=None,
-            color=None,
-            original=True,
-            germ_vertex=root.germ_vertex,
-            label=0,
-            residue=None,
-        )
-    ]
+    nodes = [ColoredNode(0, None, None, True, root.germ_vertex, 0, None)]
     queue = [(0, root.id)]
     head = 0
     while head < len(queue):
@@ -185,15 +175,7 @@ def wedge_expansion(
                     if nid >= ceiling:
                         raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
                     nodes.append(
-                        ColoredNode(
-                            id=nid,
-                            parent=colored_id,
-                            color=color,
-                            original=original,
-                            germ_vertex=child.germ_vertex,
-                            label=child.label,
-                            residue=None,
-                        )
+                        ColoredNode(nid, colored_id, color, original, child.germ_vertex, child.label, None)
                     )
                     queue.append((nid, child_id))
             else:
@@ -201,17 +183,7 @@ def wedge_expansion(
                     nid = len(nodes)
                     if nid >= ceiling:
                         raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
-                    nodes.append(
-                        ColoredNode(
-                            id=nid,
-                            parent=colored_id,
-                            color=DASHED,
-                            original=True,
-                            germ_vertex=child.germ_vertex,
-                            label=0,
-                            residue=None,
-                        )
-                    )
+                    nodes.append(ColoredNode(nid, colored_id, DASHED, True, child.germ_vertex, 0, None))
                     queue.append((nid, child_id))
     return ColoredTree(nodes)
 
@@ -233,16 +205,9 @@ def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
         base_node = coset.base.node(bid)
         nid = len(nodes)
         colored_of_vert[i] = nid
+        label = base_node.label if parent_vert is not None else 0
         nodes.append(
-            ColoredNode(
-                id=nid,
-                parent=parent_colored,
-                color=color,
-                original=residue == 0,
-                germ_vertex=base_node.germ_vertex,
-                label=base_node.label if parent_vert is not None else 0,
-                residue=residue,
-            )
+            ColoredNode(nid, parent_colored, color, residue == 0, base_node.germ_vertex, label, residue)
         )
     for comp in null_parts.components:
         colored_of_node: dict = {}
@@ -255,15 +220,7 @@ def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
             nid = len(nodes)
             colored_of_node[tnode.id] = nid
             nodes.append(
-                ColoredNode(
-                    id=nid,
-                    parent=parent_colored,
-                    color=DASHED,
-                    original=True,
-                    germ_vertex=tnode.germ_vertex,
-                    label=tnode.label,
-                    residue=None,
-                )
+                ColoredNode(nid, parent_colored, DASHED, True, tnode.germ_vertex, tnode.label, None)
             )
     return ColoredTree(nodes)
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from math import lcm
+from math import lcm, prod
 
 from .errors import DomainError, ParseError
 from .germ import parse_label
@@ -68,17 +68,24 @@ TRIVIAL = TrivialSequence()
 
 
 def bond_compose(s: MultSequence, i: int, j: int) -> int:
-    """Product of the labels at positions i..j inclusive (1-based)."""
+    """Product of the labels at positions i..j inclusive (1-based): the
+    prefix labels in range, times the cycle product to the number of whole
+    turns of the cycle in range, times the labels of the partial turn."""
     if i > j:
         raise DomainError(f"bond_compose needs i <= j, got {i} > {j}")
     if i < 1:
         raise DomainError("label positions are 1-based")
-    prod = 1
-    for t in range(i, j + 1):
-        prod *= s.term(t)
-        if prod == 0:
-            break
-    return prod
+    n, period = len(s.prefix), len(s.cycle)
+    value = prod(s.prefix[i - 1 : j])
+    if j <= n or value == 0:
+        return value
+    start = max(i - n - 1, 0)  # offset of the first cycle label in range
+    turns, rest = divmod(j - n - start, period)
+    first = start % period
+    value *= prod((s.cycle + s.cycle)[first : first + rest])
+    if value == 0:
+        return 0
+    return value * prod(s.cycle) ** turns
 
 
 def stage_bond(s: MultSequence, p: int, q: int) -> int:

@@ -9,6 +9,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache
+from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, reachable, require_valid, walk_counts
@@ -16,8 +17,7 @@ from .germ import GermGraph, reachable, require_valid, walk_counts
 DEFAULT_CEILING = 10**6
 
 
-@dataclass(frozen=True)
-class TreeNode:
+class TreeNode(NamedTuple):
     id: int
     tier: int
     parent: int | None

@@ -14,8 +14,14 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from json_reference import colored_tree_payload, tree_payload
+from test_classify import valid_germs
 from treeends import cli as cli_module
 from treeends.cli import run
+from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
+from treeends.germ import parse_germ, render_germ
+from treeends.reduce import elementary_reduction
+from treeends.unfold import TreeNode, TruncatedTree, null_forest, positive_part, truncate
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = ROOT / "germs"
@@ -268,8 +274,12 @@ class TestLabels:
 
     @pytest.mark.parametrize(
         "argv",
-        [["--power", 15000], ["--interval", 0, 15000, "--depth", 15000]],
-        ids=["power", "interval"],
+        [
+            [*mode, "--format", fmt]
+            for fmt in ("text", "json", "dot")
+            for mode in (["--power", 15000], ["--interval", 0, 15000, "--depth", 15000])
+        ],
+        ids=["power", "interval", "power-json", "interval-json", "power-dot", "interval-dot"],
     )
     def test_unprintable_label_hits_the_ceiling(self, cli, argv, int_digit_limit):
         code, out, err = cli("reduce", GERMS / "bs2.germ", *argv)
@@ -307,6 +317,89 @@ class TestLabels:
         for m in (2, 3):
             assert f"check power-invariance-{m}: pass (class match True, frontier telescoping True)\n" in out
         assert peak < 4 * 2**20
+
+
+def _stdout(argv) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run([str(a) for a in argv]) == 0
+    return out.getvalue()
+
+
+def _clone_tree(t):
+    return lambda_of_coset(lambda_plus(positive_part(t)), null_forest(t))
+
+
+def _dumps(payload) -> str:
+    return json.dumps(payload, indent=2) + "\n"
+
+
+class TestJsonWriters:
+    """``unfold``, ``lambda`` and ``reduce --interval`` write their JSON record
+    by record; the text must be ``json.dumps(payload, indent=2)``."""
+
+    def check(self, germ_file, depth, interval):
+        g = parse_germ(germ_file.read_text())
+        t = truncate(g, depth)
+        assert _stdout(["unfold", germ_file, "--depth", depth, "--format", "json"]) == _dumps(
+            tree_payload(t)
+        )
+        i, j = interval
+        argv = ["reduce", germ_file, "--interval", i, j, "--depth", depth, "--format", "json"]
+        assert _stdout(argv) == _dumps(tree_payload(elementary_reduction(t, i, j)))
+        return t
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_germs(), st.integers(1, 3), st.data())
+    def test_match_json_dumps_on_random_germs(self, tmp_path_factory, g, depth, data):
+        germ_file = tmp_path_factory.mktemp("writers") / "g.germ"
+        germ_file.write_text(render_germ(g))
+        i = data.draw(st.integers(0, depth - 1))
+        t = self.check(germ_file, depth, (i, data.draw(st.integers(i + 1, depth))))
+        argv = ["lambda", germ_file, "--depth", depth, "--format", "json"]
+        assert _stdout(argv) == _dumps(colored_tree_payload(_clone_tree(t)))
+
+    def test_labels_at_the_digit_limit(self, tmp_path, int_digit_limit):
+        label = "9" * sys.get_int_max_str_digits()
+        germ_file = tmp_path / "long.germ"
+        germ_file.write_text(f"root A\nvertex B\nedge A A {label}\nedge A B 0\nedge B B 0\n")
+        t = self.check(germ_file, 2, (0, 1))
+        assert max(n.label or 0 for n in t.nodes) == int(label)
+
+    def test_names_with_underscores_and_digits(self, tmp_path):
+        germ_file = tmp_path / "names.germ"
+        germ_file.write_text(
+            "root _v0\nvertex a_1\nvertex B_22_\n"
+            "edge _v0 a_1 2\nedge a_1 _v0 3\nedge a_1 B_22_ 0\nedge B_22_ B_22_ 0\n"
+        )
+        t = self.check(germ_file, 3, (1, 3))
+        assert _stdout(["lambda", germ_file, "--depth", 3, "--format", "json"]) == _dumps(
+            colored_tree_payload(_clone_tree(t))
+        )
+
+    def test_every_color(self, tmp_path):
+        germ_file = tmp_path / "colors.germ"
+        germ_file.write_text("root A\nvertex B\nedge A A 1\nedge A A 2\nedge A B 0\nedge B B 0\n")
+        ct = _clone_tree(truncate(parse_germ(germ_file.read_text()), 2))
+        assert {n.color for n in ct.nodes} == {None, BLACK, GRAY, DASHED}
+        argv = ["lambda", germ_file, "--depth", 2, "--format", "json"]
+        assert _stdout(argv) == _dumps(colored_tree_payload(ct))
+
+    def test_one_node_tree_and_no_nodes(self):
+        t = truncate(parse_germ("root A\nedge A A 2\n"), 0)
+        assert len(t.nodes) == 1
+        assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
+        ct = _clone_tree(t)
+        assert cli_module.colored_tree_json_dict(ct) == json.dumps(colored_tree_payload(ct), indent=2)
+        empty = ColoredTree([])
+        assert cli_module.colored_tree_json_dict(empty) == json.dumps(
+            colored_tree_payload(empty), indent=2
+        )
+
+    def test_names_that_need_escapes(self):
+        # germ files admit only identifiers; a tree built in code may hold any name
+        t = TruncatedTree(0, (TreeNode(0, 0, None, 'q"\\\n%s é', None, True),))
+        assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
 
 
 class TestParser:

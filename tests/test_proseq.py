@@ -44,6 +44,14 @@ def limit_by_thread_probe(s: MultSequence, window: int = 40) -> InverseLimitClas
     return InverseLimitClass.ZERO
 
 
+def per_position_product(s: MultSequence, i: int, j: int) -> int:
+    """Reference for ``bond_compose``: one ``term`` per position."""
+    value = 1
+    for t in range(i, j + 1):
+        value *= s.term(t)
+    return value
+
+
 sequences = st.builds(
     MultSequence,
     st.lists(st.integers(min_value=0, max_value=3), max_size=3).map(tuple),
@@ -78,8 +86,23 @@ class TestMultSequence:
         assert bond_compose(MultSequence((3,), (1,)), 1, 10) == 3
 
     def test_bond_compose_rejects_reversed_range(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match="bond_compose needs i <= j, got 4 > 1"):
             bond_compose(MultSequence((), (2,)), 4, 1)
+
+    def test_bond_compose_rejects_position_zero(self):
+        with pytest.raises(DomainError, match="label positions are 1-based"):
+            bond_compose(MultSequence((), (2,)), 0, 3)
+
+    @settings(max_examples=500, deadline=None)
+    @given(
+        st.lists(st.integers(0, 5), max_size=5),
+        st.lists(st.integers(0, 5), min_size=1, max_size=5),
+        st.integers(1, 20),
+        st.integers(0, 40),
+    )
+    def test_bond_compose_matches_the_per_position_product(self, prefix, cycle, i, span):
+        s = MultSequence(tuple(prefix), tuple(cycle))
+        assert bond_compose(s, i, i + span) == per_position_product(s, i, i + span)
 
     def test_stage_bond_identity_and_chaining(self):
         s = MultSequence((5,), (2, 3))
