@@ -398,27 +398,28 @@ def cross_checks(
     nf = null_forest(t)
     cov_coset = lambda_plus(positive_part(t), ceiling)
     hc = min(height, 3)
-    covers = [cw.build_cover(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)]
+    # Both cover checks read only the 1-skeleton.
+    covers = {h: cw.build_cover_graph(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)}
     ok = True
     details = []
-    for cover in covers:
-        n = len(cover.complex.components())
+    for h, k in covers.items():
+        n = len(k.components())
         if n != 1:
             ok = False
-        details.append(f"height {cover.height}: {n} component(s)")
+        details.append(f"height {h}: {n} component(s)")
     add("cover-connected", ok, "; ".join(details))
 
     if g.is_trivial:
         ok = True
         details = []
-        for cover in covers:
+        for h, k in covers.items():
             # drop the middle vertex's edges; it is then one component alone
-            k, mid = cover.complex, cover.middle_vertex
+            mid = cw.cover_vertex(cov_coset.root_index, 0, h)
             rest = [e for e in k.edges if mid not in e]
             n = len(cw.CW2Complex(k.num_vertices, rest, []).components()) - 1
             if n != 2:
                 ok = False
-            details.append(f"height {cover.height}: middle vertex splits into {n}")
+            details.append(f"height {h}: middle vertex splits into {n}")
         add("two-ended-split", ok, "; ".join(details))
     else:
         skip("two-ended-split", "only meaningful for the one-vertex germ")

@@ -11,6 +11,7 @@ sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -312,15 +313,27 @@ class CoverComplex:
         return self.product_vertex[(self.coset.root_index, 0)]
 
 
-def build_cover(
+def cover_vertex(vi: int, h: int, height: int) -> int:
+    """Index of product vertex (vi, h) in a cover of height bound ``height``."""
+    return vi * (2 * height + 1) + h + height
+
+
+def build_cover_graph(
     c: CosetTree,
     nf: NullForest,
     height: int,
     ceiling: int = DEFAULT_CEILING,
-) -> CoverComplex:
-    """Cell the strip over the clone tree with square faces, then hang a
-    copy of every truncated null subtree at each integer height, shifted by
-    the residue odometer."""
+) -> CW2Complex:
+    """The 1-skeleton of the cover, with no faces.
+
+    Product vertex (vi, h) is ``cover_vertex(vi, h, height)``, so each vi
+    owns a run of 2 * height + 1 indices; the null copies follow in
+    (component, h, node) order.  Edges come in three runs: horizontal
+    (vi, h) -> (parent, h) over every non-root vi, vertical
+    (vi, h) -> (vi, h + 1), then each null node to its parent's copy, where
+    a null root's parent copy is the product vertex that the residue
+    odometer picks at height h.  The ceiling counts the square faces of
+    ``build_cover`` too, so both refuse the same covers."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
@@ -337,59 +350,71 @@ def build_cover(
             "cover cells", est_vertices + est_edges + est_faces, ceiling
         )
 
-    product_vertex: dict = {}
-    for vi in range(len(c.verts)):
-        for h in range(-height, height + 1):
-            product_vertex[(vi, h)] = len(product_vertex)
-    vertex_count = len(product_vertex)
-    null_vertex: dict = {}
-    for ci, comp in enumerate(nf.components):
-        for h in range(-height, height + 1):
-            for tnode in comp.nodes:
-                null_vertex[(ci, h, tnode.id)] = vertex_count
-                vertex_count += 1
-
     edges: list = []
-    horizontal_edge: dict = {}
-    vertical_edge: dict = {}
+    for vi, parent in enumerate(c.parent_idx):
+        if parent is not None:
+            at, to = vi * n_heights, parent * n_heights
+            edges.extend(zip(range(at, at + n_heights), range(to, to + n_heights)))
     for vi in range(len(c.verts)):
-        parent = c.parent_idx[vi]
-        if parent is None:
-            continue
-        for h in range(-height, height + 1):
-            horizontal_edge[(vi, h)] = len(edges)
-            edges.append((product_vertex[(vi, h)], product_vertex[(parent, h)]))
-    for vi in range(len(c.verts)):
-        for h in range(-height, height):
-            vertical_edge[(vi, h)] = len(edges)
-            edges.append((product_vertex[(vi, h)], product_vertex[(vi, h + 1)]))
-    for ci, comp in enumerate(nf.components):
+        at = vi * n_heights
+        edges.extend(zip(range(at, at + n_heights - 1), range(at + 1, at + n_heights)))
+    vertex_count = len(c.verts) * n_heights
+    for comp in nf.components:
+        pos = {tnode.id: j for j, tnode in enumerate(comp.nodes)}
+        parent_pos = [None if t.id == comp.root_id else pos[t.parent] for t in comp.nodes]
         attach_base = comp.nodes[0].parent
         order = c.order_of[attach_base]
         for h in range(-height, height + 1):
-            shifted = c.index[(attach_base, h % order)]
-            for tnode in comp.nodes:
-                if tnode.id == comp.root_id:
-                    target = product_vertex[(shifted, h)]
-                else:
-                    target = null_vertex[(ci, h, tnode.parent)]
-                edges.append((null_vertex[(ci, h, tnode.id)], target))
+            shifted = cover_vertex(c.index[(attach_base, h % order)], h, height)
+            edges.extend(
+                (vertex_count + j, shifted if p is None else vertex_count + p)
+                for j, p in enumerate(parent_pos)
+            )
+            vertex_count += len(parent_pos)
+    return CW2Complex(vertex_count, edges, [])
 
+
+def build_cover(
+    c: CosetTree,
+    nf: NullForest,
+    height: int,
+    ceiling: int = DEFAULT_CEILING,
+) -> CoverComplex:
+    """Cell the strip over the clone tree with square faces, then hang a
+    copy of every truncated null subtree at each integer height, shifted by
+    the residue odometer: ``build_cover_graph`` with its squares filled."""
+    skeleton = build_cover_graph(c, nf, height, ceiling)
+    n_heights = 2 * height + 1
+    heights = range(-height, height + 1)
+    # the skeleton's numbering: (vi, h) pairs in order, then the null copies
+    product_vertex = {key: v for v, key in enumerate(product(range(len(c.verts)), heights))}
+    null_keys = (
+        (ci, h, tnode.id)
+        for ci, comp in enumerate(nf.components)
+        for h in heights
+        for tnode in comp.nodes
+    )
+    null_vertex = {key: v for v, key in enumerate(null_keys, len(product_vertex))}
+
+    # The skeleton's edge runs: horizontal edge (vi, h) is
+    # row * n_heights + h + height, row counting the non-root vertices
+    # before vi, and vertical edge (vi, h) is vi * (n_heights - 1) + h + height
+    # past all the horizontal ones.
+    vertical = n_heights * sum(p is not None for p in c.parent_idx) + height
     faces: list = []
-    for vi in range(len(c.verts)):
-        if c.parent_idx[vi] is None:
+    row = 0
+    for vi, parent in enumerate(c.parent_idx):
+        if parent is None:
             continue
-        parent = c.parent_idx[vi]
-        for h in range(-height, height):
-            word = [
-                (horizontal_edge[(vi, h)], 1),
-                (vertical_edge[(parent, h)], 1),
-                (horizontal_edge[(vi, h + 1)], -1),
-                (vertical_edge[(vi, h)], -1),
-            ]
-            faces.append(word)
+        hor = row * n_heights + height
+        row += 1
+        up, side = vertical + parent * (n_heights - 1), vertical + vi * (n_heights - 1)
+        faces.extend(
+            [(hor + h, 1), (up + h, 1), (hor + h + 1, -1), (side + h, -1)]
+            for h in range(-height, height)
+        )
 
-    k = CW2Complex(vertex_count, edges, faces)
+    k = CW2Complex(skeleton.num_vertices, skeleton.edges, faces)
     return CoverComplex(
         complex=k,
         coset=c,

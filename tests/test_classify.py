@@ -402,31 +402,48 @@ class TestReports:
 
     def test_each_battery_object_is_built_once(self, monkeypatch):
         calls = {}
+        in_cover = []  # one flag per open counted call: is it a cover builder?
+        cover_faces = []  # face counts of the complexes built inside one
 
         def counted(module, name):
             inner = getattr(module, name)
 
             def wrapper(*args, **kwargs):
                 calls[name] = calls.get(name, 0) + 1
-                return inner(*args, **kwargs)
+                in_cover.append(name.startswith("build_cover"))
+                try:
+                    return inner(*args, **kwargs)
+                finally:
+                    in_cover.pop()
 
             monkeypatch.setattr(module, name, wrapper)
 
         counted(classify, "truncate")
-        for name in ("build_base", "build_frontier_graph", "build_cover"):
+        for name in ("build_base", "build_frontier_graph", "build_cover_graph", "build_cover"):
             counted(cw, name)
+        init = cw.CW2Complex.__init__
+
+        def recording_init(self, *args):
+            init(self, *args)
+            if any(in_cover):
+                cover_faces.append(len(self.faces))
+
+        monkeypatch.setattr(cw.CW2Complex, "__init__", recording_init)
         full_report(CORPUS["two_loops"])
         # truncations and telescopes at depths 3 and 4, both graphs of each
-        # of the three collapse bonds, covers at heights 3 and 4
+        # of the three collapse bonds, face-free covers at heights 3 and 4
         assert calls == {
             "truncate": 2,
             "build_base": 2,
             "build_frontier_graph": 6,
-            "build_cover": 2,
+            "build_cover_graph": 2,
         }
+        assert cover_faces == [0, 0]
         calls.clear()
+        cover_faces.clear()
         full_report(CORPUS["trivial"])
-        assert calls["build_cover"] == 2
+        assert (calls["build_cover_graph"], calls.get("build_cover", 0)) == (2, 0)
+        assert cover_faces == [0, 0]
 
     def test_power_telescoping_walks_each_germ_once(self, monkeypatch):
         # Each walk covers every tier, so the number of walks does not grow

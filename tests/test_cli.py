@@ -143,6 +143,26 @@ class TestClassify:
         assert elapsed < 1.0
 
 
+class TestCoverCeiling:
+    """The battery's covers are built as 1-skeletons, but the ceiling still
+    counts the square faces of the cover they model: on two_loops at height
+    4 that is 5,287 cells, of which 1,240 are faces."""
+
+    @pytest.mark.parametrize("command", ["classify", "oracle"])
+    @pytest.mark.parametrize("ceiling", [5250, 5286])
+    def test_refused_at_the_cover_stage(self, cli, command, ceiling):
+        code, out, err = cli(command, "--ceiling", ceiling, GERMS / "two_loops.germ")
+        assert (code, out) == (3, "")
+        assert err == f"error: cover cells exceeds the size ceiling (5287 > {ceiling})\n"
+
+    @pytest.mark.parametrize("command", ["classify", "oracle"])
+    @pytest.mark.parametrize("ceiling", [5287, 5500])
+    def test_runs_once_the_faces_fit(self, cli, command, ceiling):
+        code, out, err = cli(command, "--ceiling", ceiling, GERMS / "two_loops.germ")
+        assert (code, err) == (0, "")
+        assert "check cover-connected: pass" in out
+
+
 class TestUnfold:
     def test_text_tree(self, cli):
         code, out, _ = cli("unfold", GERMS / "bs2.germ", "--depth", 2)

@@ -8,9 +8,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from corpus import CORPUS
+from cover_reference import keyed_cover
 from dense import boundary1, boundary2, full_selection, mat_mul, mat_vec
+from test_classify import valid_germs
 from treeends.classify import classify_ends
-from treeends.coset import CosetTree
+from treeends.coset import CosetTree, lambda_plus
 from treeends.cw import (
     CW2Complex,
     CellSelection,
@@ -20,8 +22,10 @@ from treeends.cw import (
     branch_selection,
     build_base,
     build_cover,
+    build_cover_graph,
     build_frontier_graph,
     collapse_h1_matrix,
+    cover_vertex,
     fundamental_cycles,
     h1,
     induced_h1,
@@ -31,7 +35,7 @@ from treeends.cw import (
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, validate_germ
 from treeends.intmat import smith_normal_form
-from treeends.unfold import null_forest, positive_part, truncate
+from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
@@ -408,13 +412,45 @@ class TestCover:
 
     def test_height_must_be_positive(self):
         t = truncate(CORPUS["bs2"], 1)
-        with pytest.raises(DomainError):
-            build_cover(CosetTree(t), null_forest(t), 0)
+        for build in (build_cover, build_cover_graph):
+            with pytest.raises(DomainError, match="height bound"):
+                build(CosetTree(t), null_forest(t), 0)
 
     def test_cover_ceiling(self):
         t = truncate(CORPUS["bs2"], 2)
         with pytest.raises(SizeCeilingError):
             build_cover(CosetTree(t), null_forest(t), 2, ceiling=50)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        valid_germs(),
+        st.integers(1, 3),
+        st.integers(1, 4),
+        st.one_of(st.just(DEFAULT_CEILING), st.integers(1, 3000)),
+    )
+    def test_index_arithmetic_matches_the_keyed_reference(self, g, depth, height, ceiling):
+        t = truncate(g, depth)
+        c, nf = lambda_plus(positive_part(t)), null_forest(t)
+        try:
+            ref = keyed_cover(c, nf, height, ceiling)
+        except SizeCeilingError as exc:
+            # the skeleton refuses where the faced cover does, faces counted
+            for build in (build_cover_graph, build_cover):
+                with pytest.raises(SizeCeilingError) as got:
+                    build(c, nf, height, ceiling)
+                assert str(got.value) == str(exc)
+            return
+        graph = build_cover_graph(c, nf, height, ceiling)
+        assert graph.num_vertices == ref.complex.num_vertices
+        assert graph.edges == ref.complex.edges
+        assert graph.faces == ()
+        assert cover_vertex(c.root_index, 0, height) == ref.middle_vertex
+        cov = build_cover(c, nf, height, ceiling)
+        assert cov.complex.num_vertices == ref.complex.num_vertices
+        assert cov.complex.edges == ref.complex.edges
+        assert cov.complex.faces == ref.complex.faces
+        assert cov.product_vertex == ref.product_vertex
+        assert list(cov.null_vertex.items()) == list(ref.null_vertex.items())
 
 
 class TestFrontier:
