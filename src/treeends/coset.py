@@ -11,7 +11,9 @@ checks they agree as colored rooted trees.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import islice
+from functools import cached_property
+from itertools import islice, repeat
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
@@ -31,7 +33,13 @@ DASHED = "dashed"
 
 
 class CosetTree:
-    """Clone tree in residue coordinates over a positive truncation."""
+    """Clone tree in residue coordinates over a positive truncation.
+
+    Each base node's residues form one run of consecutive vertices, and the
+    runs come in tier order: vertex (b, r) is ``start[b] + r`` and its parent
+    is ``start[parent] + r % order_of[parent]``.  ``runs`` lists each base
+    node with its start and order.
+    """
 
     def __init__(self, base: TruncatedTree, ceiling: int = DEFAULT_CEILING):
         for node in base.nodes:
@@ -40,39 +48,35 @@ class CosetTree:
                     f"coset model needs a positive base tree; node {node.id} is not"
                 )
         self.base = base
-        self.order_of: dict = {}
+        order_of = self.order_of = {}
         total = 0
         for node in base.nodes:  # BFS order, parents first
-            if node.parent is None:
-                self.order_of[node.id] = 1
-            else:
-                self.order_of[node.id] = self.order_of[node.parent] * node.label
-            total += self.order_of[node.id]
+            order = 1 if node.parent is None else order_of[node.parent] * node.label
+            order_of[node.id] = order
+            total += order
             if total > ceiling:
                 raise SizeCeilingError("coset tree vertices", total, ceiling)
-        verts = []
-        for depth_nodes in self._base_tiers():
-            for node in depth_nodes:
-                for residue in range(self.order_of[node.id]):
-                    verts.append((node.id, residue))
-        self.verts: tuple = tuple(verts)
-        self._tiers: tuple = tuple(base.node(bid).tier for bid, _ in verts)
-        self.index: dict = {bv: i for i, bv in enumerate(self.verts)}
-        self.parent_idx: list = []
-        for bid, residue in self.verts:
-            node = base.node(bid)
+        start: dict = {}
+        runs: list = []
+        verts: list = []
+        tiers: list = []
+        parent_idx: list = []
+        for node in sorted(base.nodes, key=attrgetter("tier")):  # parents first
+            order = order_of[node.id]
+            start[node.id] = len(verts)
+            runs.append((node, len(verts), order))
+            verts += zip(repeat(node.id, order), range(order))
+            tiers += repeat(node.tier, order)
             if node.parent is None:
-                self.parent_idx.append(None)
+                parent_idx += repeat(None, order)
             else:
-                self.parent_idx.append(
-                    self.index[(node.parent, residue % self.order_of[node.parent])]
-                )
-
-    def _base_tiers(self) -> list:
-        tiers: list = [[] for _ in range(self.base.depth + 1)]
-        for node in self.base.nodes:
-            tiers[node.tier].append(node)
-        return tiers
+                first = start[node.parent]
+                parent_idx += list(range(first, first + order_of[node.parent])) * node.label
+        self.runs: tuple = tuple(runs)
+        self.verts: tuple = tuple(verts)
+        self._tiers: tuple = tuple(tiers)
+        self.index: dict = dict(zip(self.verts, range(len(verts))))
+        self.parent_idx: list = parent_idx
 
     @property
     def depth(self) -> int:
@@ -124,12 +128,18 @@ class ColoredNode(NamedTuple):
 
 
 class ColoredTree:
+    """Colored nodes in id order; the child lists are built on first use."""
+
     def __init__(self, nodes: list):
         self.nodes: tuple = tuple(nodes)
-        self.children: list = [[] for _ in self.nodes]
+
+    @cached_property
+    def children(self) -> list:
+        children: list = [[] for _ in self.nodes]
         for node in self.nodes:
             if node.parent is not None:
-                self.children[node.parent].append(node.id)
+                children[node.parent].append(node.id)
+        return children
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -191,30 +201,27 @@ def wedge_expansion(
 def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
     """Color the coset model: residue-0 vertices are the original copy
     (black edges into them), other residues are gray, and each null
-    component hangs dashed off the residue-0 copy of its attach point."""
-    nodes = []
-    colored_of_vert: dict = {}
-    for i, (bid, residue) in enumerate(coset.verts):
-        parent_vert = coset.parent_idx[i]
-        if parent_vert is None:
-            parent_colored = None
-            color = None
-        else:
-            parent_colored = colored_of_vert[parent_vert]
-            color = BLACK if residue == 0 else GRAY
-        base_node = coset.base.node(bid)
-        nid = len(nodes)
-        colored_of_vert[i] = nid
-        label = base_node.label if parent_vert is not None else 0
-        nodes.append(
-            ColoredNode(nid, parent_colored, color, residue == 0, base_node.germ_vertex, label, residue)
-        )
+    component hangs dashed off the residue-0 copy of its attach point.
+    Colored node i is coset vertex i; the null components follow."""
+    new = tuple.__new__
+    parent_idx = coset.parent_idx
+    nodes: list = []
+    append = nodes.append
+    for node, first, order in coset.runs:
+        vertex = node.germ_vertex
+        if node.parent is None:
+            append(new(ColoredNode, (first, None, None, True, vertex, 0, 0)))
+            continue
+        label = node.label
+        append(new(ColoredNode, (first, parent_idx[first], BLACK, True, vertex, label, 0)))
+        for residue in range(1, order):
+            i = first + residue
+            append(new(ColoredNode, (i, parent_idx[i], GRAY, False, vertex, label, residue)))
     for comp in null_parts.components:
         colored_of_node: dict = {}
         for tnode in comp.nodes:
             if tnode.id == comp.root_id:
-                attach_vert = coset.index[(tnode.parent, 0)]
-                parent_colored = colored_of_vert[attach_vert]
+                parent_colored = coset.index[(tnode.parent, 0)]
             else:
                 parent_colored = colored_of_node[tnode.parent]
             nid = len(nodes)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache
+from functools import cache, cached_property
 from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
@@ -27,16 +27,25 @@ class TreeNode(NamedTuple):
 
 
 class TruncatedTree:
-    """A depth-``d`` truncation.  Node ids are stable under filtering."""
+    """A depth-``d`` truncation.  Node ids are stable under filtering.  The
+    id and child maps are built on first use: exporting a tree reads only
+    ``nodes``."""
 
     def __init__(self, depth: int, nodes: tuple[TreeNode, ...]) -> None:
         self.depth = depth
         self.nodes = nodes
-        self._by_id = {n.id: n for n in nodes}
-        self._children: dict[int, list[int]] = {n.id: [] for n in nodes}
-        for n in nodes:
+
+    @cached_property
+    def _by_id(self) -> dict[int, TreeNode]:
+        return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def _children(self) -> dict[int, list[int]]:
+        children: dict[int, list[int]] = {n.id: [] for n in self.nodes}
+        for n in self.nodes:
             if n.parent is not None:
-                self._children[n.parent].append(n.id)
+                children[n.parent].append(n.id)
+        return children
 
     def node(self, node_id: int) -> TreeNode:
         return self._by_id[node_id]
@@ -66,25 +75,30 @@ def truncate(g: GermGraph, depth: int, ceiling: int = DEFAULT_CEILING) -> Trunca
     """Unfold ``g`` to tiers 0..depth.
 
     Raises SizeCeilingError naming the first offending tier if the node count
-    would pass ``ceiling``.
+    would pass ``ceiling``; a tier is counted from its parents' out-degrees
+    before any of its nodes is made.
     """
     require_valid(g)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    nodes = [TreeNode(0, 0, None, g.root, None, True)]
-    tier_start = 0
+    # germ vertex -> (dst, label, label > 0) per out-edge, in declaration order
+    kids = {v: [(e.dst, e.label, e.label > 0) for _, e in g.out_edges(v)] for v in g.vertices}
+    new = tuple.__new__
+    nodes = [new(TreeNode, (0, 0, None, g.root, None, True))]
+    frontier = nodes
     for tier in range(1, depth + 1):
+        size = len(nodes) + sum(len(kids[parent.germ_vertex]) for parent in frontier)
+        if size > ceiling:
+            raise SizeCeilingError(f"truncation at tier {tier}", size, ceiling)
+        nid = len(nodes)
         next_nodes: list[TreeNode] = []
-        for parent in nodes[tier_start:]:
-            for _, e in g.out_edges(parent.germ_vertex):
-                positive = parent.positive and e.label > 0
-                next_nodes.append(
-                    TreeNode(len(nodes) + len(next_nodes), tier, parent.id, e.dst, e.label, positive)
-                )
-        if len(nodes) + len(next_nodes) > ceiling:
-            raise SizeCeilingError(f"truncation at tier {tier}", len(nodes) + len(next_nodes), ceiling)
-        tier_start = len(nodes)
-        nodes.extend(next_nodes)
+        append = next_nodes.append
+        for pid, _, _, vertex, _, positive in frontier:
+            for dst, label, label_positive in kids[vertex]:
+                append(new(TreeNode, (nid, tier, pid, dst, label, positive and label_positive)))
+                nid += 1
+        nodes += next_nodes
+        frontier = next_nodes
     return TruncatedTree(depth, tuple(nodes))
 
 

@@ -206,6 +206,26 @@ class TestUnfold:
         code, _, _ = cli("unfold", GERMS / "bs2.germ", "--ceiling", 500)
         assert code == 2
 
+    def test_oversized_tier_is_refused_before_it_is_built(self, cli, tmp_path):
+        # one vertex with 1,500 label-1 loops: tier 2 alone has 2.25 M nodes,
+        # and the ceiling is checked on the counted tier, not a built one
+        germ = tmp_path / "loops.germ"
+        germ.write_text("root v\n" + "edge v v 1\n" * 1500)
+        tracemalloc.start()
+        try:
+            start = time.perf_counter()
+            code, out, err = cli("unfold", "--depth", 2, germ)
+            elapsed = time.perf_counter() - start
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (3, "")
+        assert err == (
+            "error: truncation at tier 2 exceeds the size ceiling (2251501 > 1000000)\n"
+        )
+        assert elapsed < 1.0
+        assert peak < 16 * 2**20
+
     def test_missing_file(self, cli):
         code, _, err = cli("unfold", "no_such_file.germ")
         assert code == 1
@@ -238,6 +258,23 @@ class TestLambda:
         assert code == 0
         assert "digraph" in out
         assert "style=dashed" in out
+
+
+class TestCosetCeiling:
+    """two_loops at depth 5 has 3,906 coset vertices.  The coset tree counts
+    them base node by base node and refuses at the first running total past
+    the ceiling."""
+
+    @pytest.mark.parametrize("ceiling,total", [(3000, 3069), (3905, 3906)])
+    def test_refused_at_the_running_total(self, cli, ceiling, total):
+        code, out, err = cli("lambda", "--depth", 5, "--ceiling", ceiling, GERMS / "two_loops.germ")
+        assert (code, out) == (3, "")
+        assert err == f"error: coset tree vertices exceeds the size ceiling ({total} > {ceiling})\n"
+
+    def test_runs_once_the_vertices_fit(self, cli):
+        code, out, err = cli("lambda", "--depth", 5, "--ceiling", 3906, GERMS / "two_loops.germ")
+        assert (code, err) == (0, "")
+        assert out.splitlines()[0] == "nodes 3906"
 
 
 class TestReduce:

@@ -1,5 +1,8 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from test_classify import valid_germs
+from tree_reference import KeyedCosetTree, keyed_lambda_of_coset, keyed_truncate
 from treeends.coset import (
     BLACK,
     DASHED,
@@ -15,7 +18,7 @@ from treeends.coset import (
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges
-from treeends.unfold import null_forest, positive_part, truncate
+from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 from corpus import CORPUS
 
 
@@ -171,3 +174,45 @@ def test_wedge_null_gets_single_dashed_copy():
     for n in dashed:
         parent = w.nodes[n.parent]
         assert parent.original
+
+
+def _built_or_refused(build, *args):
+    try:
+        return build(*args), None
+    except SizeCeilingError as exc:
+        return None, str(exc)
+
+
+CEILINGS = st.one_of(st.integers(1, 3000), st.just(DEFAULT_CEILING))
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_germs(), st.integers(0, 5), CEILINGS, CEILINGS)
+def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling):
+    """Truncation, the coset layout and its coloring against the keyed
+    builders of tree_reference: same nodes in the same order, and the same
+    refusal wherever either side refuses.  The coset tree gets its own
+    ceiling, since one that admits the truncation seldom refuses it."""
+    t, refused = _built_or_refused(truncate, g, depth, ceiling)
+    ref, ref_refused = _built_or_refused(keyed_truncate, g, depth, ceiling)
+    assert refused == ref_refused
+    if refused:
+        return
+    assert t.nodes == ref.nodes
+    assert "_by_id" not in vars(t) and "_children" not in vars(t)
+    assert [t.node(n.id) for n in ref.nodes] == list(ref.nodes)
+    assert "_by_id" in vars(t) and "_children" not in vars(t)
+    assert [t.children(n.id) for n in ref.nodes] == [ref.children(n.id) for n in ref.nodes]
+
+    c, refused = _built_or_refused(CosetTree, positive_part(t), coset_ceiling)
+    ref_c, ref_refused = _built_or_refused(KeyedCosetTree, ref.positive_part(), coset_ceiling)
+    assert refused == ref_refused
+    if refused:
+        return
+    assert c.verts == ref_c.verts
+    assert list(c.index.items()) == list(ref_c.index.items())
+    assert c.parent_idx == ref_c.parent_idx
+    assert tuple(map(c.tier, range(len(c.verts)))) == ref_c.tiers
+    assert c.order_of == ref_c.order_of
+    nf = null_forest(t)
+    assert lambda_of_coset(c, nf).nodes == keyed_lambda_of_coset(ref_c, nf)
