@@ -367,7 +367,7 @@ def cross_checks(
         for i in range(1, min(3, tree.depth) + 1):
             sel = cw.infinity_neighborhood_base(telescope, i)
             sub, _, _ = cw.subcomplex(telescope.complex, sel)
-            got = len(sub.components())
+            got = sub.component_count()
             want = len(tree.tier_nodes(i))
             if got != want:
                 ok = False
@@ -403,7 +403,7 @@ def cross_checks(
     ok = True
     details = []
     for h, k in covers.items():
-        n = len(k.components())
+        n = k.component_count()
         if n != 1:
             ok = False
         details.append(f"height {h}: {n} component(s)")
@@ -416,7 +416,7 @@ def cross_checks(
             # drop the middle vertex's edges; it is then one component alone
             mid = cw.cover_vertex(cov_coset.root_index, 0, h)
             rest = [e for e in k.edges if mid not in e]
-            n = len(cw.CW2Complex(k.num_vertices, rest, []).components()) - 1
+            n = cw.CW2Complex(k.num_vertices, rest, []).component_count() - 1
             if n != 2:
                 ok = False
             details.append(f"height {h}: middle vertex splits into {n}")

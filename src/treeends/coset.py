@@ -10,8 +10,8 @@ checks they agree as colored rooted trees.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice, repeat
 from operator import attrgetter
 from typing import NamedTuple
@@ -38,7 +38,8 @@ class CosetTree:
     Each base node's residues form one run of consecutive vertices, and the
     runs come in tier order: vertex (b, r) is ``start[b] + r`` and its parent
     is ``start[parent] + r % order_of[parent]``.  ``runs`` lists each base
-    node with its start and order.
+    node with its start and order.  So vertex 0 is the root, and the
+    vertices at tier <= i are the prefix ``range(ball_size(i))``.
     """
 
     def __init__(self, base: TruncatedTree, ceiling: int = DEFAULT_CEILING):
@@ -85,6 +86,10 @@ class CosetTree:
     def tier(self, vert_idx: int) -> int:
         return self._tiers[vert_idx]
 
+    def ball_size(self, radius: int) -> int:
+        """Number of vertices at tier <= ``radius``."""
+        return bisect_right(self._tiers, radius)
+
     @property
     def root_index(self) -> int:
         return self.index[(self.base.root.id, 0)]
@@ -128,32 +133,43 @@ class ColoredNode(NamedTuple):
 
 
 class ColoredTree:
-    """Colored nodes in id order; the child lists are built on first use."""
+    """Colored nodes in id order; every child has a larger id than its
+    parent."""
 
     def __init__(self, nodes: list):
         self.nodes: tuple = tuple(nodes)
-
-    @cached_property
-    def children(self) -> list:
-        children: list = [[] for _ in self.nodes]
-        for node in self.nodes:
-            if node.parent is not None:
-                children[node.parent].append(node.id)
-        return children
 
     def __len__(self) -> int:
         return len(self.nodes)
 
     def canonical_key(self, node_id: int = 0):
-        node = self.nodes[node_id]
-        kids = sorted(self.canonical_key(c) for c in self.children[node_id])
-        return (node.color, node.original, node.germ_vertex, node.label, tuple(kids))
+        """(color, original, germ vertex, label, sorted child keys) of the
+        subtree at ``node_id``."""
+        return _canonical_key(self, node_id, {})
+
+
+def _canonical_key(tree: ColoredTree, node_id: int, interned: dict):
+    """Canonical key of a subtree, built bottom-up: children have larger
+    ids than their parent, so depth costs no recursion.  Keys made through
+    one ``interned`` table are one object whenever they are equal, so they
+    compare by identity however deep they nest."""
+    kids: list = [[] for _ in tree.nodes]
+    for node in reversed(tree.nodes[node_id:]):
+        children = kids[node.id]
+        children.sort()
+        fields = (node.color, node.original, node.germ_vertex, node.label)
+        key = fields + (tuple(children),)
+        key = interned.setdefault((fields, tuple(map(id, children))), key)
+        if node.id == node_id:
+            return key
+        kids[node.parent].append(key)
 
 
 def colored_trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
     if len(a) != len(b):
         return False
-    return a.canonical_key() == b.canonical_key()
+    interned: dict = {}
+    return _canonical_key(a, 0, interned) is _canonical_key(b, 0, interned)
 
 
 def wedge_expansion(

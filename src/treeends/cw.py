@@ -11,7 +11,7 @@ sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import chain, product
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -22,11 +22,15 @@ from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
 class CW2Complex:
     def __init__(self, num_vertices: int, edges: list, faces: list):
         self.num_vertices = num_vertices
-        self.edges = edges = tuple([(int(t), int(h)) for t, h in edges])
+        self.edges = edges = tuple(edges)
         self.faces = tuple(tuple([(int(e), int(s)) for e, s in word]) for word in faces)
-        for t, h in edges:
-            if not (0 <= t < num_vertices and 0 <= h < num_vertices):
-                raise DomainError(f"edge endpoint out of range: ({t}, {h})")
+        if edges and (
+            min(chain.from_iterable(edges)) < 0
+            or max(chain.from_iterable(edges)) >= num_vertices
+        ):
+            for t, h in edges:  # name the first bad edge
+                if not (0 <= t < num_vertices and 0 <= h < num_vertices):
+                    raise DomainError(f"edge endpoint out of range: ({t}, {h})")
         n_edges = len(edges)
         for fi, word in enumerate(self.faces):
             if not word:
@@ -46,25 +50,38 @@ class CW2Complex:
             if at != start:
                 raise DomainError(f"face {fi} attaching word does not close up")
 
-    def components(self) -> list:
-        """Connected components of the 1-skeleton, each a sorted vertex tuple."""
+    def _union_find(self) -> tuple:
+        """(root links, component count) of the 1-skeleton.  Each root is
+        the least vertex of its component, so parent[v] <= v."""
         parent = list(range(self.num_vertices))
+        count = self.num_vertices
         for t, h in self.edges:
-            # path halving; the smaller root wins, so roots are least vertices
+            # path halving; the smaller root wins
             while parent[t] != t:
                 parent[t] = t = parent[parent[t]]
             while parent[h] != h:
                 parent[h] = h = parent[parent[h]]
             if t < h:
                 parent[h] = t
+                count -= 1
             elif h < t:
                 parent[t] = h
+                count -= 1
+        return parent, count
+
+    def components(self) -> list:
+        """Connected components of the 1-skeleton, each a sorted vertex tuple."""
+        parent = self._union_find()[0]
         # parent[v] <= v, so one ascending pass sends each vertex to its root
         groups: dict = {}
         for v in range(len(parent)):
             parent[v] = root = parent[parent[v]]
             groups.setdefault(root, []).append(v)
         return [tuple(vs) for vs in groups.values()]
+
+    def component_count(self) -> int:
+        """Number of connected components of the 1-skeleton."""
+        return self._union_find()[1]
 
 
 @dataclass(frozen=True)
@@ -427,47 +444,41 @@ def build_cover(
 @dataclass
 class FrontierGraph:
     """Two sheets of the radius-``i`` clone ball at heights +-i, joined by a
-    length-2i vertical column over every distance-exactly-i vertex."""
+    length-2i vertical column over every distance-exactly-i vertex.
+
+    The ball is the coset prefix ``range(nb)`` and its frontier the suffix
+    ``range(f0, nb)`` (``nb = c.ball_size(i)``, ``f0 = c.ball_size(i - 1)``).
+    Vertex (vi, i) is vi, (vi, -i) is nb + vi, and the inner heights
+    -i+1..i-1 of each frontier column follow, column by column.  Edges come
+    as the tree edges vi -> parent of sheet +i (vi = 1..nb-1), then those of
+    sheet -i, then each column's 2i edges from height -i up."""
 
     complex: CW2Complex
-    edge_index: dict  # ('tree', child vert, h) or ('col', vert, h) -> edge
 
     @property
     def betti(self) -> int:
         """First Betti number: edges - vertices + components."""
         k = self.complex
-        return len(k.edges) - k.num_vertices + len(k.components())
+        return len(k.edges) - k.num_vertices + k.component_count()
 
 
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
     if i == 0:
-        return FrontierGraph(CW2Complex(1, [], []), {})
-    ball = [vi for vi in range(len(c.verts)) if c.tier(vi) <= i]
-    frontier = [vi for vi in ball if c.tier(vi) == i]
-    vertex_index: dict = {}  # (coset vert, h) -> vertex
-    for vi in ball:
-        vertex_index[(vi, i)] = len(vertex_index)
-    for vi in ball:
-        vertex_index[(vi, -i)] = len(vertex_index)
-    for vi in frontier:
-        for h in range(-i + 1, i):
-            vertex_index[(vi, h)] = len(vertex_index)
-    edges: list = []
-    edge_index: dict = {}
-    for h in (i, -i):
-        for vi in ball:
-            parent = c.parent_idx[vi]
-            if parent is None:
-                continue
-            edge_index[("tree", vi, h)] = len(edges)
-            edges.append((vertex_index[(vi, h)], vertex_index[(parent, h)]))
-    for vi in frontier:
-        for h in range(-i, i):
-            edge_index[("col", vi, h)] = len(edges)
-            edges.append((vertex_index[(vi, h)], vertex_index[(vi, h + 1)]))
-    return FrontierGraph(CW2Complex(len(vertex_index), edges, []), edge_index)
+        return FrontierGraph(CW2Complex(1, [], []))
+    nb, f0 = c.ball_size(i), c.ball_size(i - 1)
+    parents = c.parent_idx[1:nb]
+    edges = list(zip(range(1, nb), parents))
+    edges += zip(range(nb + 1, 2 * nb), [nb + p for p in parents])
+    inner = 2 * i - 1
+    at = 2 * nb  # the current column's first inner vertex
+    for vi in range(f0, nb):
+        edges.append((nb + vi, at))
+        edges += zip(range(at, at + inner - 1), range(at + 1, at + inner))
+        at += inner
+        edges.append((at - 1, vi))
+    return FrontierGraph(CW2Complex(at, edges, []))
 
 
 def _spanning_forest(k: CW2Complex):
@@ -552,37 +563,32 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
         raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
     deep = build_frontier_graph(c, i + 1)
     shallow = build_frontier_graph(c, i)
-
-    def edge_image(key):
-        kind = key[0]
-        if kind == "tree":
-            _, child, h = key
-            if c.tier(child) > i:
-                return None  # contracts into the ancestor vertex
-            return ("tree", child, i if h > 0 else -i)
-        _, vi, h = key
-        lo, hi = max(h, -i), min(h + 1, i)
-        if lo >= hi:
-            return None  # clamped flat
-        return ("col", vi if c.tier(vi) <= i else c.parent_idx[vi], lo)
-
     non_tree_deep, cycles_deep = fundamental_cycles(deep.complex)
     non_tree_shallow = _spanning_forest(shallow.complex)[2]
-    shallow_pos = {idx: r for r, idx in enumerate(non_tree_shallow)}
-    # Each deep edge lands on at most one shallow coordinate row.
-    row_of = {}
-    for key, idx in deep.edge_index.items():
-        image_key = edge_image(key)
-        if image_key is not None:
-            row = shallow_pos.get(shallow.edge_index[image_key])
-            if row is not None:
-                row_of[idx] = row
+    shallow_row = [None] * len(shallow.complex.edges)
+    for r, idx in enumerate(non_tree_shallow):
+        shallow_row[idx] = r
+
+    # Each deep edge lands on at most one shallow edge, read off the two
+    # layouts (see FrontierGraph).  A sheet edge over a vertex of the
+    # radius-i ball keeps its sheet.  The column over a deep frontier vertex
+    # lands, past its bottom edge and below its top one, on the column of
+    # its parent.  Everything else contracts.
+    nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
+    row_of = [None] * len(deep.complex.edges)
+    row_of[: nb - 1] = shallow_row[: nb - 1]
+    row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
+    at = 2 * (nb_deep - 1) + 1
+    for parent in c.parent_idx[nb:nb_deep]:
+        to = 2 * (nb - 1) + (parent - f0) * 2 * i
+        row_of[at : at + 2 * i] = shallow_row[to : to + 2 * i]
+        at += 2 * (i + 1)
 
     columns = []
-    for chain in cycles_deep:
+    for cycle in cycles_deep:
         col: dict = {}
-        for e_idx, coef in chain.items():
-            row = row_of.get(e_idx)
+        for e_idx, coef in cycle.items():
+            row = row_of[e_idx]
             if row is not None:
                 col[row] = col.get(row, 0) + coef
         columns.append({r: x for r, x in col.items() if x})

@@ -119,23 +119,25 @@ class NullForest:
 
 
 def null_forest(t: TruncatedTree) -> NullForest:
-    """Connected components of the non-positive part of ``t``."""
-    components = []
+    """Connected components of the non-positive part of ``t``.
+
+    One pass in id order, parents before children: a non-positive node
+    starts a component when its parent is positive and joins its parent's
+    component otherwise."""
+    roots: list = []
+    members: dict = {}  # non-positive node id -> its component's node list
     for n in t.nodes:
         if n.positive:
             continue
-        parent_positive = n.parent is not None and t.node(n.parent).positive
-        if not parent_positive:
-            continue
-        ids = []
-        stack = [n.id]
-        while stack:
-            cur = stack.pop()
-            ids.append(cur)
-            stack.extend(reversed(t.children(cur)))
-        component_nodes = tuple(t.node(i) for i in sorted(ids))
-        components.append(NullComponent(n.id, component_nodes))
-    return NullForest(tuple(components))
+        comp = members.get(n.parent)
+        if comp is None:
+            comp = []
+            roots.append(n.id)
+        comp.append(n)
+        members[n.id] = comp
+    return NullForest(
+        tuple(NullComponent(root, tuple(members[root])) for root in roots)
+    )
 
 
 class Cardinality(Enum):

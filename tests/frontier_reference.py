@@ -1,0 +1,92 @@
+"""Reference for ``cw.build_frontier_graph`` and ``cw.collapse_h1_matrix``:
+the key-indexed frontier graph and its collapse bond.
+
+It numbers every vertex through a dict keyed by (coset vertex, height),
+names every edge by a ('tree', child vertex, height) or ('col', vertex,
+height) key, and maps each deep edge to a shallow one by rewriting its key.
+The package reads both graphs' numberings off the coset tree's tier layout
+instead; the tests check on random germs that both give the same graphs,
+edge for edge and in the same order, and the same bonds.
+"""
+
+from treeends.cw import CollapseBond, CW2Complex, _spanning_forest, fundamental_cycles
+from treeends.errors import DomainError
+
+
+def keyed_frontier_graph(c, i):
+    """(complex, edge key -> edge index) of the radius-``i`` frontier graph."""
+    if i < 0 or i > c.depth:
+        raise DomainError(f"radius {i} outside 0..{c.depth}")
+    if i == 0:
+        return CW2Complex(1, [], []), {}
+    ball = [vi for vi in range(len(c.verts)) if c.tier(vi) <= i]
+    frontier = [vi for vi in ball if c.tier(vi) == i]
+    vertex_index = {}  # (coset vert, h) -> vertex
+    for vi in ball:
+        vertex_index[(vi, i)] = len(vertex_index)
+    for vi in ball:
+        vertex_index[(vi, -i)] = len(vertex_index)
+    for vi in frontier:
+        for h in range(-i + 1, i):
+            vertex_index[(vi, h)] = len(vertex_index)
+    edges = []
+    edge_index = {}
+    for h in (i, -i):
+        for vi in ball:
+            parent = c.parent_idx[vi]
+            if parent is None:
+                continue
+            edge_index[("tree", vi, h)] = len(edges)
+            edges.append((vertex_index[(vi, h)], vertex_index[(parent, h)]))
+    for vi in frontier:
+        for h in range(-i, i):
+            edge_index[("col", vi, h)] = len(edges)
+            edges.append((vertex_index[(vi, h)], vertex_index[(vi, h + 1)]))
+    return CW2Complex(len(vertex_index), edges, []), edge_index
+
+
+def keyed_collapse(c, i):
+    """Collapse sheets by ancestor, clamp column heights, and push the deep
+    frontier graph's cycle basis into the shallow one's coordinates."""
+    if i + 1 > c.depth:
+        raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
+    deep, deep_index = keyed_frontier_graph(c, i + 1)
+    shallow, shallow_index = keyed_frontier_graph(c, i)
+
+    def edge_image(key):
+        kind = key[0]
+        if kind == "tree":
+            _, child, h = key
+            if c.tier(child) > i:
+                return None  # contracts into the ancestor vertex
+            return ("tree", child, i if h > 0 else -i)
+        _, vi, h = key
+        lo, hi = max(h, -i), min(h + 1, i)
+        if lo >= hi:
+            return None  # clamped flat
+        return ("col", vi if c.tier(vi) <= i else c.parent_idx[vi], lo)
+
+    non_tree_deep, cycles_deep = fundamental_cycles(deep)
+    non_tree_shallow = _spanning_forest(shallow)[2]
+    shallow_pos = {idx: r for r, idx in enumerate(non_tree_shallow)}
+    row_of = {}
+    for key, idx in deep_index.items():
+        image_key = edge_image(key)
+        if image_key is not None:
+            row = shallow_pos.get(shallow_index[image_key])
+            if row is not None:
+                row_of[idx] = row
+
+    columns = []
+    for chain in cycles_deep:
+        col = {}
+        for e_idx, coef in chain.items():
+            row = row_of.get(e_idx)
+            if row is not None:
+                col[row] = col.get(row, 0) + coef
+        columns.append({r: x for r, x in col.items() if x})
+    return CollapseBond(
+        columns=tuple(columns),
+        rows=len(non_tree_shallow),
+        cols=len(non_tree_deep),
+    )

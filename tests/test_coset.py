@@ -2,7 +2,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_classify import valid_germs
-from tree_reference import KeyedCosetTree, keyed_lambda_of_coset, keyed_truncate
+from tree_reference import (
+    KeyedCosetTree,
+    keyed_lambda_of_coset,
+    keyed_truncate,
+    recursive_canonical_key,
+)
 from treeends.coset import (
     BLACK,
     DASHED,
@@ -17,7 +22,7 @@ from treeends.coset import (
     wedge_expansion,
 )
 from treeends.errors import DomainError, SizeCeilingError
-from treeends.germ import germ_from_edges
+from treeends.germ import germ_from_edges, parse_germ
 from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 from corpus import CORPUS
 
@@ -158,6 +163,20 @@ def test_models_agree_as_colored_trees(name, depth):
     assert colored_trees_isomorphic(via_coset, via_wedge)
 
 
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_canonical_keys_match_the_recursive_keys(name):
+    for tree in clone_tree_models(CORPUS[name], 3):
+        for node_id in (0, len(tree) // 2, len(tree) - 1):
+            assert tree.canonical_key(node_id) == recursive_canonical_key(tree, node_id)
+
+
+def test_models_agree_past_the_recursion_limit():
+    # a single label-1 loop unfolds to a path of 1,201 nodes per model
+    via_coset, via_wedge = clone_tree_models(parse_germ("root A\nedge A A 1\n"), 1200)
+    assert len(via_coset) == 1201
+    assert colored_trees_isomorphic(via_coset, via_wedge)
+
+
 def test_models_detect_label_differences():
     a, _ = clone_tree_models(CORPUS["bs2"], 2)
     b, _ = clone_tree_models(CORPUS["bs3"], 2)
@@ -216,3 +235,17 @@ def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling
     assert c.order_of == ref_c.order_of
     nf = null_forest(t)
     assert lambda_of_coset(c, nf).nodes == keyed_lambda_of_coset(ref_c, nf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_germs(), st.integers(0, 5))
+def test_tiers_are_non_decreasing(g, depth):
+    """The frontier graphs find each radius-i ball by bisection over the
+    tiers, so the ball must be a prefix of the vertices."""
+    c, refused = _built_or_refused(CosetTree, positive_part(truncate(g, depth)), 3000)
+    if refused:
+        return
+    tiers = [c.tier(vi) for vi in range(len(c.verts))]
+    assert tiers == sorted(tiers)
+    for radius in range(-1, depth + 2):
+        assert c.ball_size(radius) == sum(tier <= radius for tier in tiers)

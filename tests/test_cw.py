@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import CORPUS
 from cover_reference import keyed_cover
 from dense import boundary1, boundary2, full_selection, mat_mul, mat_vec
+from frontier_reference import keyed_collapse, keyed_frontier_graph
 from test_classify import valid_germs
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
@@ -91,6 +92,17 @@ def coset_for(name: str, depth: int) -> CosetTree:
     return CosetTree(positive_part(truncate(CORPUS[name], depth)))
 
 
+# random multigraphs (n, edges): loops, repeated edges and isolated vertices
+MULTIGRAPHS = st.integers(min_value=0, max_value=12).flatmap(
+    lambda n: st.tuples(
+        st.just(n),
+        st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
+        if n
+        else st.just([]),
+    )
+)
+
+
 class TestCW2Complex:
     def test_boundary_composite_vanishes(self):
         for name in ["bs2", "two_loops", "mixed", "spin"]:
@@ -142,18 +154,8 @@ class TestCW2Complex:
         assert k.components() == [(0,), (1, 2), (3, 4)]
 
     @settings(max_examples=200, deadline=None)
-    @given(
-        st.integers(min_value=0, max_value=12).flatmap(
-            lambda n: st.tuples(
-                st.just(n),
-                st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=3 * n)
-                if n
-                else st.just([]),
-            )
-        )
-    )
+    @given(MULTIGRAPHS)
     def test_components_match_breadth_first_search(self, graph):
-        # random multigraphs: loops, repeated edges and isolated vertices
         n, edges = graph
         adj: list = [[] for _ in range(n)]
         for t, h in edges:
@@ -176,6 +178,12 @@ class TestCW2Complex:
                         queue.append(w)
             want.append(tuple(sorted(comp)))
         assert CW2Complex(n, edges, []).components() == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(MULTIGRAPHS)
+    def test_component_count_matches_the_components(self, graph):
+        k = CW2Complex(*graph, [])
+        assert k.component_count() == len(k.components())
 
 
 class TestH1:
@@ -494,6 +502,27 @@ class TestFrontier:
             for e, coef in chain.items():
                 vec[e] = coef
             assert all(x == 0 for x in mat_vec(d1, vec))
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_layout_matches_the_keyed_reference(self, g, depth):
+        """Every frontier graph and collapse bond against the keyed builders
+        of frontier_reference: same edges in the same order, same bonds."""
+        try:
+            c = CosetTree(positive_part(truncate(g, depth)), ceiling=1500)
+        except SizeCeilingError:
+            return
+        for i in range(c.depth + 1):
+            got, (ref, _) = build_frontier_graph(c, i).complex, keyed_frontier_graph(c, i)
+            assert got.num_vertices == ref.num_vertices
+            assert got.edges == ref.edges
+        for i in range(c.depth):
+            bond, ref_bond = collapse_h1_matrix(c, i), keyed_collapse(c, i)
+            assert (bond.columns, bond.rows, bond.cols) == (
+                ref_bond.columns,
+                ref_bond.rows,
+                ref_bond.cols,
+            )
 
 
 class TestCollapse:

@@ -15,6 +15,8 @@ from treeends.unfold import (
     truncate,
 )
 from corpus import CORPUS
+import test_classify
+from tree_reference import keyed_null_forest
 
 
 # Oracle: enumerate root paths directly as edge-index tuples, tier by tier.
@@ -124,6 +126,16 @@ def test_positive_part_matches_positive_path_count(name):
     for tier in range(4):
         want = sum(1 for path in tiers[tier] if path_is_positive(g, path))
         assert len(pos.tier_nodes(tier)) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(test_classify.valid_germs(), st.integers(0, 5))
+def test_null_forest_matches_the_keyed_walk(g, depth):
+    t = truncate(g, depth)
+    nf = null_forest(t)
+    # one pass over the nodes: the id and child maps stay unbuilt
+    assert "_by_id" not in vars(t) and "_children" not in vars(t)
+    assert nf == keyed_null_forest(t)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

@@ -1,20 +1,23 @@
-"""Reference for ``unfold.truncate``, ``coset.CosetTree`` and
-``coset.lambda_of_coset``: the keyed tree builders.
+"""Reference for ``unfold.truncate``, ``unfold.null_forest``,
+``coset.CosetTree``, ``coset.lambda_of_coset`` and
+``coset.ColoredTree.canonical_key``: the keyed tree builders.
 
 They make every tree node with a named-tuple call after an out-edge lookup,
 index nodes and children in eagerly built dicts, place each coset vertex by
-a dict keyed by (base node, residue), and map coset vertices to colored
-nodes through a dict.  The package builds nodes from a per-call child table,
-builds the node maps on first use, and lays the coset vertices out in
-residue runs instead; the tests check on random germs that both give the
-same trees, node for node and in the same order, and refuse at the same
-point with the same message.
+a dict keyed by (base node, residue), map coset vertices to colored nodes
+through a dict, walk each null component through the id and child maps,
+and key each colored subtree by recursion.  The package builds nodes from a
+per-call child table, builds the node maps on first use, finds the null
+components in one pass over the nodes, keys subtrees bottom-up, and lays
+the coset vertices out in residue runs instead; the tests check on random
+germs that both give the same trees, node for node and in the same order,
+and refuse at the same point with the same message.
 """
 
 from treeends.coset import BLACK, DASHED, GRAY, ColoredNode
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import require_valid
-from treeends.unfold import DEFAULT_CEILING, TreeNode
+from treeends.unfold import DEFAULT_CEILING, NullComponent, NullForest, TreeNode
 
 
 class KeyedTree:
@@ -139,3 +142,35 @@ def keyed_lambda_of_coset(coset, null_parts):
                 ColoredNode(nid, parent_colored, DASHED, True, tnode.germ_vertex, tnode.label, None)
             )
     return tuple(nodes)
+
+
+def keyed_null_forest(t):
+    """Connected components of the non-positive part of ``t``: a depth-first
+    walk through the id and child maps from each non-positive node whose
+    parent is positive."""
+    components = []
+    for n in t.nodes:
+        if n.positive:
+            continue
+        parent_positive = n.parent is not None and t.node(n.parent).positive
+        if not parent_positive:
+            continue
+        ids = []
+        stack = [n.id]
+        while stack:
+            cur = stack.pop()
+            ids.append(cur)
+            stack.extend(reversed(t.children(cur)))
+        component_nodes = tuple(t.node(i) for i in sorted(ids))
+        components.append(NullComponent(n.id, component_nodes))
+    return NullForest(tuple(components))
+
+
+def recursive_canonical_key(tree, node_id=0):
+    """(color, original, germ vertex, label, sorted child keys), one call
+    per node."""
+    node = tree.nodes[node_id]
+    kids = sorted(
+        recursive_canonical_key(tree, c.id) for c in tree.nodes if c.parent == node_id
+    )
+    return (node.color, node.original, node.germ_vertex, node.label, tuple(kids))
