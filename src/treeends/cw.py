@@ -11,7 +11,7 @@ sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, product
+from itertools import product
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -20,18 +20,26 @@ from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
 
 
 class CW2Complex:
-    def __init__(self, num_vertices: int, edges: list, faces: list):
+    """A finite 2-complex.  Edge e runs from ``tails[e]`` to ``heads[e]``.
+    The two lists are kept as given, so no one may change them afterwards;
+    complexes with the same 1-skeleton may share them."""
+
+    def __init__(self, num_vertices: int, tails: list, heads: list, faces: list):
+        if len(tails) != len(heads):
+            raise DomainError(f"{len(tails)} edge tails but {len(heads)} heads")
         self.num_vertices = num_vertices
-        self.edges = edges = tuple(edges)
+        self.tails, self.heads = tails, heads
         self.faces = tuple(tuple([(int(e), int(s)) for e, s in word]) for word in faces)
-        if edges and (
-            min(chain.from_iterable(edges)) < 0
-            or max(chain.from_iterable(edges)) >= num_vertices
+        if tails and (
+            min(tails) < 0
+            or min(heads) < 0
+            or max(tails) >= num_vertices
+            or max(heads) >= num_vertices
         ):
-            for t, h in edges:  # name the first bad edge
+            for t, h in zip(tails, heads):  # name the first bad edge
                 if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                     raise DomainError(f"edge endpoint out of range: ({t}, {h})")
-        n_edges = len(edges)
+        n_edges = len(tails)
         for fi, word in enumerate(self.faces):
             if not word:
                 raise DomainError(f"face {fi} has an empty attaching word")
@@ -41,7 +49,7 @@ class CW2Complex:
             for e, s in word:
                 if not (0 <= e < n_edges) or s not in (1, -1):
                     raise DomainError(f"face {fi} has a bad step ({e}, {s})")
-                src, dst = edges[e] if s == 1 else edges[e][::-1]
+                src, dst = (tails[e], heads[e]) if s == 1 else (heads[e], tails[e])
                 if at is None:
                     start = src
                 elif at != src:
@@ -50,12 +58,25 @@ class CW2Complex:
             if at != start:
                 raise DomainError(f"face {fi} attaching word does not close up")
 
-    def _union_find(self) -> tuple:
-        """(root links, component count) of the 1-skeleton.  Each root is
-        the least vertex of its component, so parent[v] <= v."""
+    @property
+    def edges(self) -> tuple:
+        """The edges as (tail, head) pairs, built on first read."""
+        try:
+            return self._edges
+        except AttributeError:
+            self._edges = tuple(zip(self.tails, self.heads))
+            return self._edges
+
+    def _union_find(self, selected=None) -> tuple:
+        """(root links, merge count) over every edge, or over the edge
+        indices ``selected``.  Each root is the least vertex of its
+        component, so parent[v] <= v."""
+        tails, heads = self.tails, self.heads
+        if selected is not None:
+            tails, heads = map(tails.__getitem__, selected), map(heads.__getitem__, selected)
         parent = list(range(self.num_vertices))
-        count = self.num_vertices
-        for t, h in self.edges:
+        merges = 0
+        for t, h in zip(tails, heads):
             # path halving; the smaller root wins
             while parent[t] != t:
                 parent[t] = t = parent[parent[t]]
@@ -63,11 +84,11 @@ class CW2Complex:
                 parent[h] = h = parent[parent[h]]
             if t < h:
                 parent[h] = t
-                count -= 1
+                merges += 1
             elif h < t:
                 parent[t] = h
-                count -= 1
-        return parent, count
+                merges += 1
+        return parent, merges
 
     def components(self) -> list:
         """Connected components of the 1-skeleton, each a sorted vertex tuple."""
@@ -79,9 +100,13 @@ class CW2Complex:
             groups.setdefault(root, []).append(v)
         return [tuple(vs) for vs in groups.values()]
 
-    def component_count(self) -> int:
-        """Number of connected components of the 1-skeleton."""
-        return self._union_find()[1]
+    def component_count(self, sel: CellSelection | None = None) -> int:
+        """Number of connected components of the 1-skeleton, or of the
+        closed selection ``sel`` (checked as ``subcomplex`` checks it)."""
+        if sel is None:
+            return self.num_vertices - self._union_find()[1]
+        vset = _closed_cells(self, sel)[0]
+        return len(vset) - self._union_find(sel.edges)[1]
 
 
 @dataclass(frozen=True)
@@ -130,12 +155,12 @@ class H1Calculator:
         """Coordinates of an edge cycle in the fundamental-cycle basis: its
         non-tree-edge entries, once its boundary is checked to vanish."""
         k = self.complex
-        if len(edge_vector) != len(k.edges):
+        if len(edge_vector) != len(k.tails):
             raise DomainError(
-                f"edge vector has length {len(edge_vector)}, want {len(k.edges)}"
+                f"edge vector has length {len(edge_vector)}, want {len(k.tails)}"
             )
         acc: dict = {}
-        for (t, h), c in zip(k.edges, edge_vector):
+        for t, h, c in zip(k.tails, k.heads, edge_vector):
             if c and t != h:
                 acc[h] = acc.get(h, 0) + c
                 acc[t] = acc.get(t, 0) - c
@@ -150,7 +175,7 @@ class H1Calculator:
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
-        vec = [0] * len(self.complex.edges)
+        vec = [0] * len(self.complex.tails)
         for r, c in self.presentation.generator(which).items():
             cycle = _fundamental_cycle(
                 self.complex, self._parent, self._depth, self._non_tree[r]
@@ -171,28 +196,46 @@ class CellSelection:
     faces: tuple
 
 
+def _closed_cells(k: CW2Complex, sel: CellSelection) -> tuple:
+    """(vertex set, edge set) of a selection, once every index is checked
+    to name a cell of ``k`` and the selection to be closed: each selected
+    edge keeps both endpoints and each selected face all its edges."""
+    for kind, cells, size in (
+        ("vertex", sel.vertices, k.num_vertices),
+        ("edge", sel.edges, len(k.tails)),
+        ("face", sel.faces, len(k.faces)),
+    ):
+        if cells and (min(cells) < 0 or max(cells) >= size):
+            bad = next(x for x in cells if not 0 <= x < size)
+            raise DomainError(f"selected {kind} {bad} is not in range({size})")
+    vset, eset = set(sel.vertices), set(sel.edges)
+    tails, heads = k.tails, k.heads
+    for e in sel.edges:
+        if tails[e] not in vset or heads[e] not in vset:
+            raise DomainError(f"selection drops an endpoint of edge {e}")
+    for f in sel.faces:
+        for e, _ in k.faces[f]:
+            if e not in eset:
+                raise DomainError(f"selection drops an edge of face {f}")
+    return vset, eset
+
+
 def subcomplex(k: CW2Complex, sel: CellSelection):
     """Restrict to a selection, checking closure.
 
     Returns (complex, vertex_map, edge_map) where the maps send old indices
     to new ones.
     """
-    vset, eset = set(sel.vertices), set(sel.edges)
-    for e in sel.edges:
-        t, h = k.edges[e]
-        if t not in vset or h not in vset:
-            raise DomainError(f"selection drops an endpoint of edge {e}")
-    for f in sel.faces:
-        for e, _ in k.faces[f]:
-            if e not in eset:
-                raise DomainError(f"selection drops an edge of face {f}")
+    vset, eset = _closed_cells(k, sel)
     vmap = {v: i for i, v in enumerate(sorted(vset))}
-    emap = {e: i for i, e in enumerate(sorted(eset))}
-    edges = [(vmap[k.edges[e][0]], vmap[k.edges[e][1]]) for e in sorted(eset)]
+    kept = sorted(eset)
+    emap = {e: i for i, e in enumerate(kept)}
+    tails = [vmap[k.tails[e]] for e in kept]
+    heads = [vmap[k.heads[e]] for e in kept]
     faces = [
         [(emap[e], s) for e, s in k.faces[f]] for f in sorted(sel.faces)
     ]
-    return CW2Complex(len(vmap), edges, faces), vmap, emap
+    return CW2Complex(len(vmap), tails, heads, faces), vmap, emap
 
 
 def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
@@ -208,7 +251,7 @@ def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
     cols = []
     for which in range(len(sub_calc.presentation.slots)):
         sub_vec = sub_calc.generator_edge_vector(which)
-        big_vec = [0] * len(k.edges)
+        big_vec = [0] * len(k.tails)
         for new_idx, coef in enumerate(sub_vec):
             if coef:
                 big_vec[emap_back[new_idx]] = coef
@@ -237,31 +280,28 @@ class BaseComplex:
 
 
 def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
-    vertex_of = {node.id: i for i, node in enumerate(t.nodes)}
-    edges: list = []
-    tree_edge_of: dict = {}
-    loop_of: dict = {}
-    for node in t.nodes:
-        if node.parent is not None:
-            tree_edge_of[node.id] = len(edges)
-            edges.append((vertex_of[node.id], vertex_of[node.parent]))
-    for node in t.nodes:
-        if node.positive:
-            loop_of[node.id] = len(edges)
-            edges.append((vertex_of[node.id], vertex_of[node.id]))
+    nodes = t.nodes
+    vertex_of = {node.id: i for i, node in enumerate(nodes)}
+    # tree edges child -> parent, then one loop per positive node
+    climbs = [i for i, node in enumerate(nodes) if node.parent is not None]
+    loops = [i for i, node in enumerate(nodes) if node.positive]
+    tails = climbs + loops
+    heads = [vertex_of[nodes[i].parent] for i in climbs] + loops
+    tree_edge_of = {nodes[i].id: e for e, i in enumerate(climbs)}
+    loop_of = {nodes[i].id: e for e, i in enumerate(loops, len(climbs))}
     faces: list = []
     face_of: dict = {}
-    for node in t.nodes:
+    for node in nodes:
         if node.positive and node.parent is not None:
             word = [(loop_of[node.id], 1), (tree_edge_of[node.id], 1)]
             word.extend([(loop_of[node.parent], -1)] * node.label)
             word.append((tree_edge_of[node.id], -1))
             face_of[node.id] = len(faces)
             faces.append(word)
-    total = len(t.nodes) + len(edges) + len(faces)
+    total = len(nodes) + len(tails) + len(faces)
     if total > ceiling:
         raise SizeCeilingError("telescope cells", total, ceiling)
-    k = CW2Complex(len(t.nodes), edges, faces)
+    k = CW2Complex(len(nodes), tails, heads, faces)
     return BaseComplex(
         complex=k,
         tree=t,
@@ -367,28 +407,29 @@ def build_cover_graph(
             "cover cells", est_vertices + est_edges + est_faces, ceiling
         )
 
-    edges: list = []
+    tails: list = []
+    heads: list = []
     for vi, parent in enumerate(c.parent_idx):
         if parent is not None:
             at, to = vi * n_heights, parent * n_heights
-            edges.extend(zip(range(at, at + n_heights), range(to, to + n_heights)))
-    for vi in range(len(c.verts)):
-        at = vi * n_heights
-        edges.extend(zip(range(at, at + n_heights - 1), range(at + 1, at + n_heights)))
+            tails += range(at, at + n_heights)
+            heads += range(to, to + n_heights)
+    for at in range(0, len(c.verts) * n_heights, n_heights):
+        tails += range(at, at + n_heights - 1)
+        heads += range(at + 1, at + n_heights)
     vertex_count = len(c.verts) * n_heights
     for comp in nf.components:
+        # comp.nodes[0] is the null root; the others hang below it
         pos = {tnode.id: j for j, tnode in enumerate(comp.nodes)}
-        parent_pos = [None if t.id == comp.root_id else pos[t.parent] for t in comp.nodes]
+        parent_pos = [pos[t.parent] for t in comp.nodes[1:]]
         attach_base = comp.nodes[0].parent
         order = c.order_of[attach_base]
         for h in range(-height, height + 1):
-            shifted = cover_vertex(c.index[(attach_base, h % order)], h, height)
-            edges.extend(
-                (vertex_count + j, shifted if p is None else vertex_count + p)
-                for j, p in enumerate(parent_pos)
-            )
-            vertex_count += len(parent_pos)
-    return CW2Complex(vertex_count, edges, [])
+            tails += range(vertex_count, vertex_count + len(comp.nodes))
+            heads.append(cover_vertex(c.index[(attach_base, h % order)], h, height))
+            heads += [vertex_count + p for p in parent_pos]
+            vertex_count += len(comp.nodes)
+    return CW2Complex(vertex_count, tails, heads, [])
 
 
 def build_cover(
@@ -431,7 +472,7 @@ def build_cover(
             for h in range(-height, height)
         )
 
-    k = CW2Complex(skeleton.num_vertices, skeleton.edges, faces)
+    k = CW2Complex(skeleton.num_vertices, skeleton.tails, skeleton.heads, faces)
     return CoverComplex(
         complex=k,
         coset=c,
@@ -459,26 +500,28 @@ class FrontierGraph:
     def betti(self) -> int:
         """First Betti number: edges - vertices + components."""
         k = self.complex
-        return len(k.edges) - k.num_vertices + k.component_count()
+        return len(k.tails) - k.num_vertices + k.component_count()
 
 
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
     if i == 0:
-        return FrontierGraph(CW2Complex(1, [], []))
+        return FrontierGraph(CW2Complex(1, [], [], []))
     nb, f0 = c.ball_size(i), c.ball_size(i - 1)
     parents = c.parent_idx[1:nb]
-    edges = list(zip(range(1, nb), parents))
-    edges += zip(range(nb + 1, 2 * nb), [nb + p for p in parents])
+    tails = [*range(1, nb), *range(nb + 1, 2 * nb)]
+    heads = parents + [nb + p for p in parents]
     inner = 2 * i - 1
     at = 2 * nb  # the current column's first inner vertex
     for vi in range(f0, nb):
-        edges.append((nb + vi, at))
-        edges += zip(range(at, at + inner - 1), range(at + 1, at + inner))
+        # (vi, -i) up through the inner heights to (vi, i)
+        tails.append(nb + vi)
+        tails += range(at, at + inner)
+        heads += range(at, at + inner)
+        heads.append(vi)
         at += inner
-        edges.append((at - 1, vi))
-    return FrontierGraph(CW2Complex(at, edges, []))
+    return FrontierGraph(CW2Complex(at, tails, heads, []))
 
 
 def _spanning_forest(k: CW2Complex):
@@ -486,7 +529,7 @@ def _spanning_forest(k: CW2Complex):
     edge is oriented up->v.  Returns (parent, depth, non-tree edges in
     index order)."""
     adj: list = [[] for _ in range(k.num_vertices)]
-    for idx, (t, h) in enumerate(k.edges):
+    for idx, (t, h) in enumerate(zip(k.tails, k.heads)):
         adj[t].append((h, idx, 1))
         adj[h].append((t, idx, -1))
     parent: list = [None] * k.num_vertices
@@ -507,7 +550,7 @@ def _spanning_forest(k: CW2Complex):
                     parent[w] = (v, idx, sign)
                     tree_edges.add(idx)
                     queue.append(w)
-    return parent, depth, [idx for idx in range(len(k.edges)) if idx not in tree_edges]
+    return parent, depth, [idx for idx in range(len(k.tails)) if idx not in tree_edges]
 
 
 def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
@@ -530,8 +573,7 @@ def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
 
 def _fundamental_cycle(k: CW2Complex, parent, depth, idx: int) -> dict:
     """Non-tree edge ``idx`` closed up by the forest path back to its tail."""
-    t, h = k.edges[idx]
-    chain = _tree_path_chain(parent, depth, h, t)
+    chain = _tree_path_chain(parent, depth, k.heads[idx], k.tails[idx])
     chain[idx] = chain.get(idx, 0) + 1
     return chain
 
@@ -565,7 +607,7 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
     shallow = build_frontier_graph(c, i)
     non_tree_deep, cycles_deep = fundamental_cycles(deep.complex)
     non_tree_shallow = _spanning_forest(shallow.complex)[2]
-    shallow_row = [None] * len(shallow.complex.edges)
+    shallow_row = [None] * len(shallow.complex.tails)
     for r, idx in enumerate(non_tree_shallow):
         shallow_row[idx] = r
 
@@ -575,7 +617,7 @@ def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
     # lands, past its bottom edge and below its top one, on the column of
     # its parent.  Everything else contracts.
     nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
-    row_of = [None] * len(deep.complex.edges)
+    row_of = [None] * len(deep.complex.tails)
     row_of[: nb - 1] = shallow_row[: nb - 1]
     row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
     at = 2 * (nb_deep - 1) + 1

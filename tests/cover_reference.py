@@ -85,7 +85,7 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
             ]
             faces.append(word)
 
-    k = CW2Complex(vertex_count, edges, faces)
+    k = CW2Complex(vertex_count, [t for t, _ in edges], [h for _, h in edges], faces)
     return CoverComplex(
         complex=k,
         coset=c,

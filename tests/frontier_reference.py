@@ -18,7 +18,7 @@ def keyed_frontier_graph(c, i):
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
     if i == 0:
-        return CW2Complex(1, [], []), {}
+        return CW2Complex(1, [], [], []), {}
     ball = [vi for vi in range(len(c.verts)) if c.tier(vi) <= i]
     frontier = [vi for vi in ball if c.tier(vi) == i]
     vertex_index = {}  # (coset vert, h) -> vertex
@@ -42,7 +42,7 @@ def keyed_frontier_graph(c, i):
         for h in range(-i, i):
             edge_index[("col", vi, h)] = len(edges)
             edges.append((vertex_index[(vi, h)], vertex_index[(vi, h + 1)]))
-    return CW2Complex(len(vertex_index), edges, []), edge_index
+    return CW2Complex(len(vertex_index), [t for t, _ in edges], [h for _, h in edges], []), edge_index
 
 
 def keyed_collapse(c, i):

@@ -1,6 +1,7 @@
 """Tests for end classification, rays, rank towers, and the oracle battery."""
 
 import dataclasses
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -422,13 +423,23 @@ class TestReports:
         for name in ("build_base", "build_frontier_graph", "build_cover_graph", "build_cover"):
             counted(cw, name)
         init = cw.CW2Complex.__init__
+        built = []  # one entry per CW2Complex
 
         def recording_init(self, *args):
             init(self, *args)
+            built.append(self)
             if any(in_cover):
                 cover_faces.append(len(self.faces))
 
         monkeypatch.setattr(cw.CW2Complex, "__init__", recording_init)
+        subcomplex = cw.subcomplex
+        subcomplex_callers = []
+
+        def recording_subcomplex(*args):
+            subcomplex_callers.append(sys._getframe(1).f_code.co_name)
+            return subcomplex(*args)
+
+        monkeypatch.setattr(cw, "subcomplex", recording_subcomplex)
         full_report(CORPUS["two_loops"])
         # truncations and telescopes at depths 3 and 4, both graphs of each
         # of the three collapse bonds, face-free covers at heights 3 and 4
@@ -439,11 +450,19 @@ class TestReports:
             "build_cover_graph": 2,
         }
         assert cover_faces == [0, 0]
+        # the telescopes' neighbourhoods are counted in place; only the
+        # ray-multiplier's induced maps restrict to a subcomplex
+        assert len(built) == 12
+        assert subcomplex_callers == ["induced_h1", "induced_h1"]
         calls.clear()
         cover_faces.clear()
+        built.clear()
+        subcomplex_callers.clear()
         full_report(CORPUS["trivial"])
         assert (calls["build_cover_graph"], calls.get("build_cover", 0)) == (2, 0)
         assert cover_faces == [0, 0]
+        assert len(built) == 6
+        assert subcomplex_callers == []
 
     def test_power_telescoping_walks_each_germ_once(self, monkeypatch):
         # Each walk covers every tier, so the number of walks does not grow

@@ -41,6 +41,11 @@ from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncat
 GERMS = Path(__file__).resolve().parent.parent / "germs"
 
 
+def unzip(edges) -> tuple:
+    """(tails, heads) of a list of (tail, head) pairs."""
+    return [t for t, _ in edges], [h for _, h in edges]
+
+
 def rank_over_rationals(matrix) -> int:
     """Row-reduce with exact fractions; checks ranks without Smith machinery."""
     rows = [[Fraction(x) for x in row] for row in matrix]
@@ -112,24 +117,24 @@ class TestCW2Complex:
 
     def test_edge_endpoint_range_checked(self):
         with pytest.raises(DomainError, match="endpoint out of range"):
-            CW2Complex(2, [(0, 2)], [])
+            CW2Complex(2, *unzip([(0, 2)]), [])
 
     def test_empty_attaching_word_rejected(self):
         with pytest.raises(DomainError, match="empty attaching word"):
-            CW2Complex(1, [(0, 0)], [[]])
+            CW2Complex(1, *unzip([(0, 0)]), [[]])
 
     def test_non_path_word_rejected(self):
         # two loops at different vertices cannot be concatenated
         with pytest.raises(DomainError, match="not a path"):
-            CW2Complex(2, [(0, 0), (1, 1)], [[(0, 1), (1, 1)]])
+            CW2Complex(2, *unzip([(0, 0), (1, 1)]), [[(0, 1), (1, 1)]])
 
     def test_open_word_rejected(self):
         with pytest.raises(DomainError, match="does not close"):
-            CW2Complex(2, [(0, 1)], [[(0, 1)]])
+            CW2Complex(2, *unzip([(0, 1)]), [[(0, 1)]])
 
     def test_bad_step_rejected(self):
         with pytest.raises(DomainError, match="bad step"):
-            CW2Complex(1, [(0, 0)], [[(0, 2)]])
+            CW2Complex(1, *unzip([(0, 0)]), [[(0, 2)]])
 
     @pytest.mark.parametrize(
         "num_vertices, edges, faces, message",
@@ -146,11 +151,28 @@ class TestCW2Complex:
     )
     def test_malformed_complex_messages(self, num_vertices, edges, faces, message):
         with pytest.raises(DomainError) as exc:
-            CW2Complex(num_vertices, edges, faces)
+            CW2Complex(num_vertices, *unzip(edges), faces)
         assert str(exc.value) == message
 
+    @pytest.mark.parametrize(
+        "tails, heads, message",
+        [
+            ([0, -1, 2, -2], [1, 0, 3, 0], "edge endpoint out of range: (-1, 0)"),
+            ([0, 1, 2, 0], [1, 3, 3, -1], "edge endpoint out of range: (1, 3)"),
+        ],
+        ids=["negative-tail", "head-past-end"],
+    )
+    def test_range_check_names_the_first_bad_edge(self, tails, heads, message):
+        with pytest.raises(DomainError) as exc:
+            CW2Complex(3, tails, heads, [])
+        assert str(exc.value) == message
+
+    def test_tails_and_heads_must_pair_up(self):
+        with pytest.raises(DomainError, match="2 edge tails but 1 heads"):
+            CW2Complex(2, [0, 1], [1], [])
+
     def test_components_sorted(self):
-        k = CW2Complex(5, [(1, 2), (4, 3)], [])
+        k = CW2Complex(5, *unzip([(1, 2), (4, 3)]), [])
         assert k.components() == [(0,), (1, 2), (3, 4)]
 
     @settings(max_examples=200, deadline=None)
@@ -177,21 +199,21 @@ class TestCW2Complex:
                         seen.add(w)
                         queue.append(w)
             want.append(tuple(sorted(comp)))
-        assert CW2Complex(n, edges, []).components() == want
+        assert CW2Complex(n, *unzip(edges), []).components() == want
 
     @settings(max_examples=200, deadline=None)
     @given(MULTIGRAPHS)
     def test_component_count_matches_the_components(self, graph):
-        k = CW2Complex(*graph, [])
+        k = CW2Complex(graph[0], *unzip(graph[1]), [])
         assert k.component_count() == len(k.components())
 
 
 class TestH1:
     def test_circle(self):
-        assert h1(CW2Complex(1, [(0, 0)], [])) == H1Summary(1, ())
+        assert h1(CW2Complex(1, *unzip([(0, 0)]), [])) == H1Summary(1, ())
 
     def test_loop_squared_gives_two_torsion(self):
-        k = CW2Complex(1, [(0, 0)], [[(0, 1), (0, 1)]])
+        k = CW2Complex(1, *unzip([(0, 0)]), [[(0, 1), (0, 1)]])
         assert h1(k) == H1Summary(0, (2,))
 
     def test_torsion_must_divide_in_order(self):
@@ -210,8 +232,8 @@ class TestH1:
 
     def test_betti_matches_rational_rank(self):
         complexes = [
-            CW2Complex(1, [(0, 0)], [[(0, 1), (0, 1)]]),
-            CW2Complex(2, [(0, 0), (1, 1)], []),
+            CW2Complex(1, *unzip([(0, 0)]), [[(0, 1), (0, 1)]]),
+            CW2Complex(2, *unzip([(0, 0), (1, 1)]), []),
             base_for("two_loops", 2).complex,
         ]
         for k in complexes:
@@ -220,7 +242,7 @@ class TestH1:
     def test_generators_round_trip_through_coordinates(self):
         for k in [
             base_for("two_loops", 2).complex,
-            CW2Complex(1, [(0, 0)], [[(0, 1), (0, 1)]]),
+            CW2Complex(1, *unzip([(0, 0)]), [[(0, 1), (0, 1)]]),
         ]:
             calc = H1Calculator(k)
             n = len(calc.presentation.slots)
@@ -284,7 +306,7 @@ def random_complexes(draw):
             tail.append((e, s))
             v = u
         faces.append(word + tail[::-1])
-    return CW2Complex(n, edges, faces)
+    return CW2Complex(n, *unzip(edges), faces)
 
 
 def dense_h1(k: CW2Complex) -> H1Summary:
@@ -298,8 +320,8 @@ class TestSparseEngine:
     @settings(max_examples=150, deadline=None)
     @given(random_complexes())
     # torsion Z/2 + Z/6 beside a free circle, and three circles over two components
-    @example(CW2Complex(2, [(0, 0), (0, 0), (1, 1)], [[(0, 1), (0, 1)], [(1, 1)] * 6]))
-    @example(CW2Complex(3, [(0, 1), (1, 0), (0, 0), (2, 2)], []))
+    @example(CW2Complex(2, *unzip([(0, 0), (0, 0), (1, 1)]), [[(0, 1), (0, 1)], [(1, 1)] * 6]))
+    @example(CW2Complex(3, *unzip([(0, 1), (1, 0), (0, 0), (2, 2)]), []))
     def test_agrees_with_dense_smith(self, k):
         calc = H1Calculator(k)
         assert calc.summary() == dense_h1(k)
@@ -349,6 +371,53 @@ class TestSelections:
         with pytest.raises(DomainError, match="edge of face"):
             subcomplex(k, sel)
 
+    @pytest.mark.parametrize(
+        "sel, message",
+        [
+            (CellSelection((0, 1, 2), (-1,), ()), "selected edge -1 is not in range(3)"),
+            (CellSelection((0, 1, 2), (0, 1, 2), (-1,)), "selected face -1 is not in range(1)"),
+            (CellSelection((0, 1, 2, 7), (), ()), "selected vertex 7 is not in range(3)"),
+            (CellSelection((0, 1, 2), (5,), ()), "selected edge 5 is not in range(3)"),
+            (CellSelection((0, 1, 2), (-3, -2, -1), ()), "selected edge -3 is not in range(3)"),
+        ],
+        ids=["edge-negative", "face-negative", "vertex-past-end", "edge-past-end", "edges-wrapped"],
+    )
+    def test_selection_indices_are_range_checked(self, sel, message):
+        k = CW2Complex(3, [0, 1, 2], [1, 2, 0], [[(0, 1), (1, 1), (2, 1)]])
+        for route in (subcomplex, induced_h1, CW2Complex.component_count):
+            with pytest.raises(DomainError) as exc:
+                route(k, sel)
+            assert str(exc.value) == message, route
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(0, 4), st.data())
+    def test_selection_count_matches_the_subcomplex(self, g, depth, data):
+        b = build_base(truncate(g, depth))
+        k = b.complex
+        sels = [infinity_neighborhood_base(b, i) for i in range(depth + 1)]
+        sels += [branch_selection(b, node) for node in (1, 2, 3) if node < len(b.tree.nodes)]
+        for sel in sels:
+            assert k.component_count(sel) == subcomplex(k, sel)[0].component_count()
+            # open the selection up: drop an endpoint of a selected edge, or
+            # an edge of a selected face
+            broken = []
+            if sel.edges:
+                e = data.draw(st.sampled_from(sel.edges))
+                v = data.draw(st.sampled_from((k.tails[e], k.heads[e])))
+                kept = tuple(x for x in sel.vertices if x != v)
+                broken.append(CellSelection(kept, sel.edges, sel.faces))
+            if sel.faces:
+                f = data.draw(st.sampled_from(sel.faces))
+                e = data.draw(st.sampled_from([e for e, _ in k.faces[f]]))
+                kept = tuple(x for x in sel.edges if x != e)
+                broken.append(CellSelection(sel.vertices, kept, sel.faces))
+            for bad in broken:
+                with pytest.raises(DomainError) as by_count:
+                    k.component_count(bad)
+                with pytest.raises(DomainError) as by_subcomplex:
+                    subcomplex(k, bad)
+                assert str(by_count.value) == str(by_subcomplex.value)
+
     def test_base_ceiling(self):
         with pytest.raises(SizeCeilingError):
             build_base(truncate(CORPUS["bs2"], 3), ceiling=10)
@@ -367,11 +436,11 @@ class TestCover:
         relabel = {v: i for i, v in enumerate(keep)}
         rest = CW2Complex(
             len(keep),
-            [
+            *unzip([
                 (relabel[a], relabel[b])
                 for a, b in k.edges
                 if a != mid and b != mid
-            ],
+            ]),
             [],
         )
         assert len(rest.components()) == 2
