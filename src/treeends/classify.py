@@ -1,8 +1,9 @@
 """End-structure classification with a cross-checking oracle battery.
 
-The closed-form answers (end counts, rank towers, sequence flags) are all
-recomputed here against the cell-complex machinery, so every claim in a
-report is backed by at least one independent route.
+The closed-form answers (end counts, rays, rank towers, sequence flags) are
+computed once per report.  The battery receives the claims under test and
+checks them against the cell-complex machinery or brute-force counting, so
+every claim in a report is backed by at least one independent route.
 """
 
 from __future__ import annotations
@@ -250,13 +251,13 @@ class RankSequence:
         return ",".join(str(r) for r in self.ranks)
 
 
-def pro_h1_fixed_end(g: GermGraph, depth: int) -> RankSequence:
+def pro_h1_fixed_end(g: GermGraph, depth: int, ends: EndReport) -> RankSequence:
     """Rank tower of the neighborhoods of the fixed end: one less than the
-    clone count over each tier.  Only defined with exactly one fixed end."""
+    clone count over each tier.  Only defined with exactly one fixed end,
+    as ``ends``, the end report of ``g``, says."""
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    report = classify_ends(g)
-    if report.fixed_end_count != 1:
+    if ends.fixed_end_count != 1:
         raise DomainError("rank tower needs exactly one fixed end")
     counts = walk_counts(g, (g.root,), lambda e: e.label, depth)  # frontier_count, every tier
     return RankSequence(tuple(check_label(n - 1, "rank") for n in counts))
@@ -319,18 +320,20 @@ def _tree_child_along(g: GermGraph, t: TruncatedTree, node_id: int, edge_idx: in
 
 def cross_checks(
     g: GermGraph,
+    ends: EndReport,
+    ray: RaySpec | None,
     depth: int = 4,
     height: int = 4,
     ceiling: int = DEFAULT_CEILING,
 ) -> list:
-    """Dual-route battery: every closed-form answer is recomputed from cell
-    complexes or brute-force counting.  Checks that do not apply to the
-    germ's class are reported as skips, never silently dropped."""
-    require_valid(g)
+    """Dual-route battery on a valid germ.  The claims under test, checked
+    against cell complexes or brute-force counting and never derived again,
+    are ``ends``, the end report of ``g``, and ``ray``, its default ray.
+    The rank tower is walked afresh to ``min(3, depth)``, the battery's
+    window.  Checks that do not apply to the germ's class are reported as
+    skips, never silently dropped."""
     if depth < 1 or height < 1:
         raise DomainError("depth and height must be at least 1")
-    report = classify_ends(g)
-    ray = default_ray(g)
     results: list = []
 
     def add(name: str, ok: bool, detail: str) -> None:
@@ -346,8 +349,8 @@ def cross_checks(
     t_deep = truncate(g, d3 + 1, ceiling)
     coset = lambda_plus(positive_part(t_deep), ceiling)
 
-    if report.fixed_end_count == 1:
-        ranks = pro_h1_fixed_end(g, d3)
+    if ends.fixed_end_count == 1:
+        ranks = pro_h1_fixed_end(g, d3, ends)
         bonds = [cw.collapse_h1_matrix(coset, i) for i in range(min(2, d3) + 1)]
         # a bond's rows and cols are the Betti numbers of its two graphs
         betti = ([b.rows for b in bonds] + [bonds[-1].cols])[: d3 + 1]
@@ -373,15 +376,14 @@ def cross_checks(
             details.append(f"d={tree.depth} i={i}: {got} vs {want}")
     add("branch-components", ok, "; ".join(details))
 
-    if report.fixed_end_count == 1 and ray is not None:
+    if ends.fixed_end_count == 1 and ray is not None:
         ok = True
         details = []
         node_id = t.root.id
         prod = 1
+        steps = ray.prefix + ray.cycle * 2  # at least the ray's first two edges
         for i in range(1, min(2, d3) + 1):
-            e_idx = ray.prefix[i - 1] if i - 1 < len(ray.prefix) else ray.cycle[
-                (i - 1 - len(ray.prefix)) % len(ray.cycle)
-            ]
+            e_idx = steps[i - 1]
             prod *= g.edges[e_idx].label
             node_id = _tree_child_along(g, t, node_id, e_idx)
             mat = cw.induced_h1(base.complex, cw.branch_selection(base, node_id))
@@ -399,27 +401,19 @@ def cross_checks(
     hc = min(height, 3)
     # Both cover checks read only the 1-skeleton.
     covers = {h: cw.build_cover_graph(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)}
-    ok = True
-    details = []
-    for h, k in covers.items():
-        n = k.component_count()
-        if n != 1:
-            ok = False
-        details.append(f"height {h}: {n} component(s)")
-    add("cover-connected", ok, "; ".join(details))
+    parts = {h: k.component_count() for h, k in covers.items()}
+    details = [f"height {h}: {n} component(s)" for h, n in parts.items()]
+    add("cover-connected", set(parts.values()) == {1}, "; ".join(details))
 
     if g.is_trivial:
         ok = True
         details = []
         for h, k in covers.items():
-            # drop the middle vertex's edges; it is then one component alone
+            # the cover with the middle vertex and its edges dropped
             mid = cw.cover_vertex(cov_coset.root_index, 0, h)
-            tails, heads = [], []
-            for a, b in zip(k.tails, k.heads):
-                if a != mid and b != mid:
-                    tails.append(a)
-                    heads.append(b)
-            n = cw.CW2Complex(k.num_vertices, tails, heads, []).component_count() - 1
+            verts = tuple(v for v in range(k.num_vertices) if v != mid)
+            edges = tuple(e for e, pair in enumerate(zip(k.tails, k.heads)) if mid not in pair)
+            n = k.component_count(cw.CellSelection(verts, edges, ()))
             if n != 2:
                 ok = False
             details.append(f"height {h}: middle vertex splits into {n}")
@@ -429,10 +423,10 @@ def cross_checks(
 
     counts = null_path_counts(g, 12)
     gc = growth_class(counts)
-    if report.null_ends is Cardinality.EMPTY:
+    if ends.null_ends is Cardinality.EMPTY:
         ok = all(c == 0 for c in counts)
         want = "all-zero counts"
-    elif report.null_ends is Cardinality.UNCOUNTABLE:
+    elif ends.null_ends is Cardinality.UNCOUNTABLE:
         ok = gc is GrowthClass.EXPONENTIAL
         want = "exponential"
     else:
@@ -459,24 +453,13 @@ def cross_checks(
         if m not in walks:
             skip(name, f"power germ unavailable: {powered}")
             continue
-        rep_m = classify_ends(powered)
-        same = (
-            rep_m.end_class is report.end_class
-            and rep_m.fixed_end_count == report.fixed_end_count
-            and rep_m.null_ends == report.null_ends
-            and rep_m.gamma_plus_finite == report.gamma_plus_finite
-        )
+        same = classify_ends(powered) == ends
         add(name, same and tele[m], f"class match {same}, frontier telescoping {tele[m]}")
 
-    if report.fixed_end_count == 1:
-        ok = True
-        details = []
-        for i, bond in enumerate(bonds):
-            onto = bond.surjective()
-            if not onto:
-                ok = False
-            details.append(f"i={i}: {'onto' if onto else 'not onto'}")
-        add("collapse-surjective", ok, "; ".join(details))
+    if ends.fixed_end_count == 1:
+        onto = [bond.surjective() for bond in bonds]
+        details = [f"i={i}: {'onto' if x else 'not onto'}" for i, x in enumerate(onto)]
+        add("collapse-surjective", all(onto), "; ".join(details))
     else:
         skip("collapse-surjective", "needs exactly one fixed end")
 
@@ -515,7 +498,7 @@ def full_report(
     ceiling: int = DEFAULT_CEILING,
 ) -> Report:
     ends = classify_ends(g)
-    ranks = pro_h1_fixed_end(g, depth) if ends.fixed_end_count == 1 else None
+    ranks = pro_h1_fixed_end(g, depth, ends) if ends.fixed_end_count == 1 else None
     ray = default_ray(g)
     seq = pro_pi1_ray(g, ray) if ray is not None else None
     return Report(
@@ -524,7 +507,7 @@ def full_report(
         ray_sequence=seq,
         flags=classify_mult(seq) if seq is not None else None,
         limit=inverse_limit_mult(seq) if seq is not None else None,
-        checks=tuple(cross_checks(g, depth, height, ceiling)),
+        checks=tuple(cross_checks(g, ends, ray, depth, height, ceiling)),
     )
 
 

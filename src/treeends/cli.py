@@ -21,7 +21,7 @@ import json
 import sys
 from operator import attrgetter
 
-from .classify import cross_checks, full_report, render_text, to_json_dict
+from .classify import classify_ends, cross_checks, default_ray, full_report, render_text, to_json_dict
 from .coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree, lambda_of_coset, lambda_plus
 from .errors import ParseError, SizeCeilingError, TreeEndsError
 from .germ import GermGraph, parse_germ, render_germ, require_valid, validate_germ
@@ -299,7 +299,9 @@ def _cmd_oracle(args) -> int:
     g = _load_germ(args.germ)
     if args.format == "dot":
         return _reject_format("dot", "oracle")
-    checks = cross_checks(g, depth=args.depth, height=args.height, ceiling=args.ceiling)
+    checks = cross_checks(
+        g, classify_ends(g), default_ray(g), depth=args.depth, height=args.height, ceiling=args.ceiling
+    )
     counts = {"pass": 0, "fail": 0, "skip": 0}
     for c in checks:
         counts[c.status] += 1

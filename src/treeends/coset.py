@@ -13,7 +13,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import islice, repeat
-from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
@@ -62,7 +61,7 @@ class CosetTree:
         verts: list = []
         tiers: list = []
         parent_idx: list = []
-        for node in sorted(base.nodes, key=attrgetter("tier")):  # parents first
+        for node in base.nodes:  # tier order, so parents first
             order = order_of[node.id]
             start[node.id] = len(verts)
             runs.append((node, len(verts), order))

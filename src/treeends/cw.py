@@ -318,17 +318,15 @@ def infinity_neighborhood_base(b: BaseComplex, i: int) -> CellSelection:
     t = b.tree
     if not (0 <= i <= t.depth):
         raise DomainError(f"tier {i} outside 0..{t.depth}")
-    verts = [b.vertex_of_node[n.id] for n in t.nodes if n.tier >= i]
-    edges = []
-    faces = []
-    for n in t.nodes:
-        if n.tier >= i + 1 and n.parent is not None:
-            edges.append(b.tree_edge_of_node[n.id])
-            if n.positive:
-                faces.append(b.face_of_node[n.id])
-        if n.tier >= i and n.positive:
-            edges.append(b.loop_of_node[n.id])
-    return CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
+    outer = t.nodes[t.tier_starts[i] :]
+    deeper = t.nodes[t.tier_starts[i + 1] :]  # non-root, so each has a tree edge
+    # build_base numbers every kind of cell in node order, tree edges before
+    # loops, so the lists come out sorted
+    return CellSelection(
+        tuple([b.vertex_of_node[n.id] for n in outer]),
+        tuple([b.tree_edge_of_node[n.id] for n in deeper] + [b.loop_of_node[n.id] for n in outer if n.positive]),
+        tuple([b.face_of_node[n.id] for n in deeper if n.positive]),
+    )
 
 
 def branch_selection(b: BaseComplex, branch_root: int) -> CellSelection:

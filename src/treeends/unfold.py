@@ -6,9 +6,11 @@ order, so equal germs always unfold to identical node tables.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
+from operator import attrgetter
 from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
@@ -27,9 +29,10 @@ class TreeNode(NamedTuple):
 
 
 class TruncatedTree:
-    """A depth-``d`` truncation.  Node ids are stable under filtering.  The
-    id and child maps are built on first use: exporting a tree reads only
-    ``nodes``."""
+    """A depth-``d`` truncation.  Node ids are stable under filtering, and
+    every constructor keeps ``nodes`` in nondecreasing tier order, so each
+    tier is a slice.  The id and child maps and the tier offsets are built
+    on first use: exporting a tree reads only ``nodes``."""
 
     def __init__(self, depth: int, nodes: tuple[TreeNode, ...]) -> None:
         self.depth = depth
@@ -38,6 +41,11 @@ class TruncatedTree:
     @cached_property
     def _by_id(self) -> dict[int, TreeNode]:
         return {n.id: n for n in self.nodes}
+
+    @cached_property
+    def tier_starts(self) -> tuple[int, ...]:
+        """Index of the first node at each tier or deeper, tiers 0..depth+1."""
+        return tuple(bisect_left(self.nodes, k, key=attrgetter("tier")) for k in range(self.depth + 2))
 
     @cached_property
     def _children(self) -> dict[int, list[int]]:
@@ -57,8 +65,10 @@ class TruncatedTree:
     def root(self) -> TreeNode:
         return self.nodes[0]
 
-    def tier_nodes(self, tier: int) -> list[TreeNode]:
-        return [n for n in self.nodes if n.tier == tier]
+    def tier_nodes(self, tier: int) -> tuple[TreeNode, ...]:
+        if not 0 <= tier <= self.depth:
+            return ()
+        return self.nodes[self.tier_starts[tier] : self.tier_starts[tier + 1]]
 
     def __eq__(self, other) -> bool:
         return (

@@ -267,8 +267,9 @@ def test_criterion_9_horizon_stability():
     started = time.time()
     problems = []
     g = CORPUS["bs2"]
-    deeper = pro_h1_fixed_end(g, 5)
-    if tuple(deeper.ranks[:5]) != tuple(pro_h1_fixed_end(g, 4).ranks):
+    ends = classify_ends(g)
+    deeper = pro_h1_fixed_end(g, 5, ends)
+    if tuple(deeper.ranks[:5]) != tuple(pro_h1_fixed_end(g, 4, ends).ranks):
         problems.append("rank tower changes under a deeper horizon")
     report = full_report(g, depth=5, height=5)
     if report.ends.end_class.value != "OneEnded" or str(report.ray_sequence) != "cycle:2":

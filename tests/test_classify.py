@@ -26,9 +26,9 @@ from treeends.classify import (
     render_text,
     to_json_dict,
 )
-from treeends import classify, coset, cw, germ, unfold
+from treeends import classify, cli, coset, cw, germ, unfold
 from treeends.errors import DomainError
-from treeends.germ import germ_from_edges, parse_germ
+from treeends.germ import germ_from_edges, parse_germ, render_germ
 from treeends.proseq import block_compress
 from treeends.reduce import germ_power
 from treeends.unfold import Cardinality, gamma_plus_is_finite, null_end_class
@@ -285,16 +285,16 @@ class TestRankTower:
         ],
     )
     def test_frozen_ranks(self, name, ranks):
-        tower = pro_h1_fixed_end(CORPUS[name], 4)
+        tower = pro_h1_fixed_end(CORPUS[name], 4, classify_ends(CORPUS[name]))
         assert tuple(tower.ranks) == ranks
 
     def test_text_form_is_comma_joined(self):
-        assert str(pro_h1_fixed_end(CORPUS["bs2"], 4)) == "0,1,3,7,15"
+        assert str(pro_h1_fixed_end(CORPUS["bs2"], 4, classify_ends(CORPUS["bs2"]))) == "0,1,3,7,15"
 
     @pytest.mark.parametrize("name", ["trivial", "null_ray", "null_binary"])
     def test_two_fixed_ends_refused(self, name):
         with pytest.raises(DomainError, match="one fixed end"):
-            pro_h1_fixed_end(CORPUS[name], 3)
+            pro_h1_fixed_end(CORPUS[name], 3, classify_ends(CORPUS[name]))
 
 
 class TestPowerRay:
@@ -363,10 +363,15 @@ EXPECTED_SKIPS = {
 }
 
 
+def battery(g, **options):
+    """The oracle battery on the closed-form claims for ``g``."""
+    return cross_checks(g, classify_ends(g), default_ray(g), **options)
+
+
 class TestCrossChecks:
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_battery_runs_clean(self, name):
-        checks = cross_checks(CORPUS[name])
+        checks = battery(CORPUS[name])
         assert [c.name for c in checks] == BATTERY_ORDER
         assert all(c.status in ("pass", "skip") for c in checks)
         skipped = {c.name for c in checks if c.status == "skip"}
@@ -374,7 +379,7 @@ class TestCrossChecks:
 
     def test_label_one_cycles_certify_against_the_identity_tower(self):
         for name in ("ray1", "mixed"):
-            checks = {c.name: c for c in cross_checks(CORPUS[name])}
+            checks = {c.name: c for c in battery(CORPUS[name])}
             assert checks["ray-stable-label1"].status == "pass"
 
     @pytest.mark.xfail(
@@ -387,7 +392,7 @@ class TestCrossChecks:
         # A->C 2 end there; the bond ((1, 0, ...), (0, ...), (0, ...)) at
         # i=1 then misses two of its three rows.
         g = germ_from_edges("A", [("A", "A", 2), ("A", "C", 2), ("C", "C", 0)])
-        checks = {c.name: c for c in cross_checks(g)}
+        checks = {c.name: c for c in battery(g)}
         assert checks["collapse-surjective"].status == "pass"
 
 
@@ -461,8 +466,49 @@ class TestReports:
         full_report(CORPUS["trivial"])
         assert (calls["build_cover_graph"], calls.get("build_cover", 0)) == (2, 0)
         assert cover_faces == [0, 0]
-        assert len(built) == 6
+        # two telescopes and two covers; two-ended-split counts the covers
+        # without their middle vertex in place
+        assert len(built) == 4
         assert subcomplex_callers == []
+
+    def test_each_closed_form_is_computed_once(self, monkeypatch, tmp_path):
+        # (function, caller, germ) per call; the battery receives the end
+        # report and the ray, and classifies only the power germs itself
+        calls = []
+
+        def counted(name):
+            inner = getattr(classify, name)
+
+            def wrapper(g, *args):
+                calls.append((name, sys._getframe(1).f_code.co_name, g))
+                return inner(g, *args)
+
+            for module in (classify, cli):
+                if getattr(module, name, None) is inner:
+                    monkeypatch.setattr(module, name, wrapper)
+
+        for name in ("classify_ends", "default_ray", "pro_h1_fixed_end"):
+            counted(name)
+        g = CORPUS["two_loops"]
+        full_report(g)
+        powers = [germ_power(g, 2), germ_power(g, 3)]
+        assert calls == [
+            ("classify_ends", "full_report", g),
+            ("pro_h1_fixed_end", "full_report", g),  # at the report's depth
+            ("default_ray", "full_report", g),
+            ("pro_h1_fixed_end", "cross_checks", g),  # at the battery's window
+            ("classify_ends", "cross_checks", powers[0]),
+            ("classify_ends", "cross_checks", powers[1]),
+        ]
+        calls.clear()
+        germ_file = tmp_path / "two_loops.germ"
+        germ_file.write_text(render_germ(g))
+        assert cli.run(["oracle", str(germ_file)]) == 0
+        assert [(name, caller) for name, caller, h in calls if h == g] == [
+            ("classify_ends", "_cmd_oracle"),
+            ("default_ray", "_cmd_oracle"),
+            ("pro_h1_fixed_end", "cross_checks"),
+        ]
 
     def test_power_telescoping_walks_each_germ_once(self, monkeypatch):
         # Each walk covers every tier, so the number of walks does not grow
@@ -475,7 +521,7 @@ class TestReports:
         per_depth = []
         for depth in (4, 40):
             calls.clear()
-            cross_checks(CORPUS["bs2"], depth=depth)
+            battery(CORPUS["bs2"], depth=depth)
             per_depth.append(len(calls))
         assert per_depth == [5, 5]
 

@@ -553,6 +553,20 @@ class TestOracle:
         code, _, _ = cli("oracle", GERMS / "bs2.germ", "--format", "dot")
         assert code == 2
 
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(max_vertices=4), st.integers(1, 4), st.integers(1, 4))
+    def test_classify_and_oracle_run_the_same_battery(self, tmp_path_factory, g, depth, height):
+        germ_file = tmp_path_factory.mktemp("agree") / "g.germ"
+        germ_file.write_text(render_germ(g))
+        options = ["--depth", depth, "--height", height, "--format", "json"]
+        report = json.loads(_stdout(["classify", germ_file, *options]))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = run([str(a) for a in ["oracle", germ_file, *options]])
+        checks = json.loads(out.getvalue())["checks"]
+        assert checks == report["oracle_checks"]
+        assert code == (1 if any(c["status"] == "fail" for c in checks) else 0)
+
 
 COMMANDS = ["validate", "classify", "unfold", "lambda", "reduce", "proseq", "oracle"]
 SMALL = st.integers(-1, 6).map(str)  # keeps every tree the fuzz builds small

@@ -36,6 +36,7 @@ from treeends.cw import (
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, validate_germ
 from treeends.intmat import smith_normal_form
+from treeends.reduce import elementary_reduction
 from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 
 GERMS = Path(__file__).resolve().parent.parent / "germs"
@@ -388,6 +389,26 @@ class TestSelections:
             with pytest.raises(DomainError) as exc:
                 route(k, sel)
             assert str(exc.value) == message, route
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_germs(), st.integers(1, 4), st.data())
+    def test_tier_slices_match_a_full_scan(self, g, depth, data):
+        # tiers and neighbourhoods of infinity, served as slices, against a
+        # scan of every node, on a tree of each constructor
+        t = truncate(g, depth)
+        lo = data.draw(st.integers(0, depth - 1))
+        trees = [t, positive_part(t), elementary_reduction(t, lo, data.draw(st.integers(lo + 1, depth)))]
+        for tree in trees:
+            b = build_base(tree)
+            for tier in range(-1, tree.depth + 2):
+                assert tree.tier_nodes(tier) == tuple(n for n in tree.nodes if n.tier == tier)
+            for i in range(tree.depth + 1):
+                verts = [b.vertex_of_node[n.id] for n in tree.nodes if n.tier >= i]
+                edges = [b.tree_edge_of_node[n.id] for n in tree.nodes if n.tier > i]
+                edges += [b.loop_of_node[n.id] for n in tree.nodes if n.tier >= i and n.positive]
+                faces = [b.face_of_node[n.id] for n in tree.nodes if n.tier > i and n.positive]
+                want = CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
+                assert infinity_neighborhood_base(b, i) == want
 
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(0, 4), st.data())
