@@ -172,26 +172,31 @@ def check_ray(g: GermGraph, ray: RaySpec) -> None:
         raise DomainError("ray cycle part does not close up")
 
 
-def _positive_tree(g: GermGraph, src: str) -> dict:
-    """Breadth-first tree of the positive edges from ``src``, out-edges in
-    declaration order: vertex -> (distance, index of the edge that first
-    reached it), so tree paths are shortest, then lexicographically first."""
-    tree = {src: (0, None)}
+def _positive_tree(out: list, src: int, limit) -> tuple:
+    """Breadth-first tree of the positive out-edges ``out`` from ``src`` to
+    distance ``limit``, in declaration order: per vertex, its distance and
+    the edge that first reached it (None if unreached), so tree paths are
+    shortest, then lexicographically first; and the reached vertices."""
+    dist, edge = [None] * len(out), [None] * len(out)
+    dist[src] = 0
     queue = [src]
     for at in queue:
-        for idx, edge in g.out_edges(at):
-            if edge.label > 0 and edge.dst not in tree:
-                tree[edge.dst] = (tree[at][0] + 1, idx)
-                queue.append(edge.dst)
-    return tree
+        d = dist[at] + 1
+        if d > limit:  # every vertex still queued is at least as far
+            break
+        for idx, w in out[at]:
+            if dist[w] is None:
+                dist[w], edge[w] = d, idx
+                queue.append(w)
+    return dist, edge, queue
 
 
-def _tree_path(g: GermGraph, tree: dict, v: str) -> tuple:
+def _tree_path(edge: list, src_of: list, v: int) -> tuple:
     """Edge indices of the tree path to ``v``."""
     path = []
-    while tree[v][1] is not None:
-        path.append(tree[v][1])
-        v = g.edges[path[-1]].src
+    while edge[v] is not None:
+        path.append(edge[v])
+        v = src_of[edge[v]]
     return tuple(reversed(path))
 
 
@@ -205,22 +210,29 @@ def default_ray(g: GermGraph) -> RaySpec | None:
     then an edge v -> w and a shortest path from w back to v: any other
     shape contains a shorter lasso.  So breadth-first trees from the root
     and from each reached vertex, one held at a time, find it in O(V*E)
-    time and O(V+E) memory, with no path enumeration."""
+    time and O(V+E) memory, with no path enumeration.  The tree from w
+    stops at the best lasso length so far less w's root distance."""
     require_valid(g)
     if g.is_trivial:
         return None
-    reach = _positive_tree(g, g.root)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    src_of = [index[e.src] for e in g.edges]
+    # positive (edge, head) pairs out of each vertex and (edge, tail) pairs into it
+    out, into = [[] for _ in index], [[] for _ in index]
+    for idx, (t, e) in enumerate(zip(src_of, g.edges)):
+        if e.label > 0:
+            out[t].append((idx, index[e.dst]))
+            into[index[e.dst]].append((idx, t))
+    root_dist, root_edge, reached = _positive_tree(out, index[g.root], math.inf)
     best = (math.inf, None, 0)  # (length, trail, prefix length)
-    for w in reach:
-        tree = _positive_tree(g, w)
-        for v, (d, _) in tree.items():
-            n = reach[v][0] + 1 + d  # the length of a lasso closed by v -> w
-            if n > best[0]:
-                continue
-            for idx, edge in g.out_edges(v):
-                if edge.dst == w and edge.label > 0:
-                    trail = _tree_path(g, reach, v) + (idx,) + _tree_path(g, tree, v)
-                    best = min(best, (n, trail, reach[v][0]))
+    for w in reached:
+        if root_dist[w] > best[0]:  # so is every later source
+            break
+        dist, edge, _ = _positive_tree(out, w, best[0] - root_dist[w])
+        for idx, v in into[w]:  # a lasso closed by v -> w, if no longer than the best
+            if dist[v] is not None and root_dist[v] + 1 + dist[v] <= best[0]:
+                trail = _tree_path(root_edge, src_of, v) + (idx,) + _tree_path(edge, src_of, v)
+                best = min(best, (len(trail), trail, root_dist[v]))
     _, trail, k = best
     if trail is not None:
         return RaySpec(trail[:k], trail[k:])
@@ -351,7 +363,7 @@ def cross_checks(
 
     if ends.fixed_end_count == 1:
         ranks = pro_h1_fixed_end(g, d3, ends)
-        bonds = [cw.collapse_h1_matrix(coset, i) for i in range(min(2, d3) + 1)]
+        bonds = list(map(cw.FrontierTower(coset).bond, range(min(2, d3) + 1)))
         # a bond's rows and cols are the Betti numbers of its two graphs
         betti = ([b.rows for b in bonds] + [bonds[-1].cols])[: d3 + 1]
         add(
@@ -362,7 +374,8 @@ def cross_checks(
     else:
         skip("frontier-rank", "rank tower needs exactly one fixed end")
 
-    t = truncate(g, d3, ceiling)
+    # truncate numbers breadth first, so depth d3 is a tier prefix
+    t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
     base = cw.build_base(t, ceiling)
     ok = True
     details = []

@@ -6,12 +6,15 @@ closed-form answers elsewhere be compared against cell counting.
 
 Complexes are immutable after construction.  Faces are attaching words:
 sequences of (edge index, +1/-1) steps that must chain into a closed loop.
+
+Every H1 route reads cycles off one BFS spanning forest; a ``FrontierTower``
+builds each radius's graph and forest once and reads its bonds off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
+from itertools import compress, product
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -175,12 +178,13 @@ class H1Calculator:
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
-        vec = [0] * len(self.complex.tails)
+        k = self.complex
+        vec = [0] * len(k.tails)
         for r, c in self.presentation.generator(which).items():
-            cycle = _fundamental_cycle(
-                self.complex, self._parent, self._depth, self._non_tree[r]
-            )
-            for idx, x in cycle.items():
+            # non-tree edge e, closed up by the forest path back to its tail
+            e = self._non_tree[r]
+            vec[e] += c
+            for idx, x in _tree_path_chain(self._parent, self._depth, k.heads[e], k.tails[e]).items():
                 vec[idx] += c * x
         return vec
 
@@ -526,29 +530,34 @@ def _spanning_forest(k: CW2Complex):
     """BFS forest: parent[v] = (up vertex, edge, sign) with sign +1 when the
     edge is oriented up->v.  Returns (parent, depth, non-tree edges in
     index order)."""
+    tails, heads = k.tails, k.heads
+    # edge idx is idx in its tail's list and ~idx in its head's, tail first
     adj: list = [[] for _ in range(k.num_vertices)]
-    for idx, (t, h) in enumerate(zip(k.tails, k.heads)):
-        adj[t].append((h, idx, 1))
-        adj[h].append((t, idx, -1))
+    for idx, t, h in zip(range(len(tails)), tails, heads):
+        adj[t].append(idx)
+        adj[h].append(~idx)
     parent: list = [None] * k.num_vertices
     depth: list = [None] * k.num_vertices
-    tree_edges: set = set()
+    non_tree = bytearray(b"\x01") * len(tails)
     for start in range(k.num_vertices):
         if depth[start] is not None:
             continue
         depth[start] = 0
         queue = [start]
-        head = 0
-        while head < len(queue):
-            v = queue[head]
-            head += 1
-            for w, idx, sign in adj[v]:
+        for v in queue:
+            d = depth[v] + 1
+            for idx in adj[v]:
+                if idx >= 0:
+                    w, sign = heads[idx], 1
+                else:
+                    idx = ~idx
+                    w, sign = tails[idx], -1
                 if depth[w] is None:
-                    depth[w] = depth[v] + 1
+                    depth[w] = d
                     parent[w] = (v, idx, sign)
-                    tree_edges.add(idx)
+                    non_tree[idx] = 0
                     queue.append(w)
-    return parent, depth, [idx for idx in range(len(k.tails)) if idx not in tree_edges]
+    return parent, depth, list(compress(range(len(tails)), non_tree))
 
 
 def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
@@ -569,17 +578,26 @@ def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
     return chain
 
 
-def _fundamental_cycle(k: CW2Complex, parent, depth, idx: int) -> dict:
-    """Non-tree edge ``idx`` closed up by the forest path back to its tail."""
-    chain = _tree_path_chain(parent, depth, k.heads[idx], k.tails[idx])
-    chain[idx] = chain.get(idx, 0) + 1
-    return chain
-
-
-def fundamental_cycles(k: CW2Complex):
-    """(non-tree edge indices, cycle chains): a basis of the cycle space."""
-    parent, depth, non_tree = _spanning_forest(k)
-    return non_tree, [_fundamental_cycle(k, parent, depth, idx) for idx in non_tree]
+def _cycle_columns(k: CW2Complex, forest: tuple, row_of: list) -> list:
+    """Each fundamental cycle of ``forest``, a spanning forest of ``k``, as a
+    sparse column on the rows ``row_of[e]`` of its edges (None: no row):
+    row(e) + pot[tail] - pot[head] for non-tree edge e, pot[v] being the
+    image of the forest path from v's root down to v."""
+    parent, depth, non_tree = forest
+    pot: list = [{}] * len(parent)  # roots share one empty dict, children their parent's over a rowless edge
+    for v in sorted(range(len(parent)), key=depth.__getitem__):
+        if parent[v] is not None:
+            up, idx, sign = parent[v]
+            row, p = row_of[idx], pot[up]
+            pot[v] = p if row is None else {**p, row: p.get(row, 0) + sign}
+    columns = []
+    for e in non_tree:
+        a, b, row = pot[k.tails[e]], pot[k.heads[e]], row_of[e]
+        col = {} if a is b else {**a, **{r: a.get(r, 0) - x for r, x in b.items()}}
+        if row is not None:
+            col[row] = col.get(row, 0) + 1
+        columns.append({r: x for r, x in col.items() if x})
+    return columns
 
 
 @dataclass(frozen=True)
@@ -596,44 +614,52 @@ class CollapseBond:
         return all(f == 1 for f in unit_pivot_presentation(self.rows, self.columns).factors)
 
 
+class FrontierTower:
+    """The frontier graphs of one coset tree and the collapse bonds between
+    neighbouring radii.  Each radius's graph and BFS spanning forest are
+    built on first use and kept, so bonds i and i + 1 share radius i + 1."""
+
+    def __init__(self, c: CosetTree):
+        self.coset = c
+        self._levels: dict = {}
+
+    def level(self, i: int) -> tuple:
+        """(frontier graph, spanning forest) at radius ``i``."""
+        if i not in self._levels:
+            graph = build_frontier_graph(self.coset, i)
+            self._levels[i] = graph, _spanning_forest(graph.complex)
+        return self._levels[i]
+
+    def bond(self, i: int) -> CollapseBond:
+        """Collapse sheets by ancestor, clamp column heights, and push the
+        deep frontier graph's cycle basis into the shallow one's coordinates."""
+        c = self.coset
+        if i + 1 > c.depth:
+            raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
+        deep, forest = self.level(i + 1)
+        shallow, (_, _, non_tree_shallow) = self.level(i)
+        shallow_row = [None] * len(shallow.complex.tails)
+        for r, idx in enumerate(non_tree_shallow):
+            shallow_row[idx] = r
+
+        # Each deep edge lands on at most one shallow edge, read off the two
+        # layouts (see FrontierGraph).  A sheet edge over a vertex of the
+        # radius-i ball keeps its sheet.  The column over a deep frontier
+        # vertex lands, past its bottom edge and below its top one, on the
+        # column of its parent.  Everything else contracts.
+        nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
+        row_of = [None] * len(deep.complex.tails)
+        row_of[: nb - 1] = shallow_row[: nb - 1]
+        row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
+        at = 2 * (nb_deep - 1) + 1
+        for up in c.parent_idx[nb:nb_deep]:
+            to = 2 * (nb - 1) + (up - f0) * 2 * i
+            row_of[at : at + 2 * i] = shallow_row[to : to + 2 * i]
+            at += 2 * (i + 1)
+        columns = _cycle_columns(deep.complex, forest, row_of)
+        return CollapseBond(tuple(columns), rows=len(non_tree_shallow), cols=len(columns))
+
+
 def collapse_h1_matrix(c: CosetTree, i: int) -> CollapseBond:
-    """Collapse sheets by ancestor, clamp column heights, and push the deep
-    frontier graph's cycle basis into the shallow one's coordinates."""
-    if i + 1 > c.depth:
-        raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
-    deep = build_frontier_graph(c, i + 1)
-    shallow = build_frontier_graph(c, i)
-    non_tree_deep, cycles_deep = fundamental_cycles(deep.complex)
-    non_tree_shallow = _spanning_forest(shallow.complex)[2]
-    shallow_row = [None] * len(shallow.complex.tails)
-    for r, idx in enumerate(non_tree_shallow):
-        shallow_row[idx] = r
-
-    # Each deep edge lands on at most one shallow edge, read off the two
-    # layouts (see FrontierGraph).  A sheet edge over a vertex of the
-    # radius-i ball keeps its sheet.  The column over a deep frontier vertex
-    # lands, past its bottom edge and below its top one, on the column of
-    # its parent.  Everything else contracts.
-    nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
-    row_of = [None] * len(deep.complex.tails)
-    row_of[: nb - 1] = shallow_row[: nb - 1]
-    row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
-    at = 2 * (nb_deep - 1) + 1
-    for parent in c.parent_idx[nb:nb_deep]:
-        to = 2 * (nb - 1) + (parent - f0) * 2 * i
-        row_of[at : at + 2 * i] = shallow_row[to : to + 2 * i]
-        at += 2 * (i + 1)
-
-    columns = []
-    for cycle in cycles_deep:
-        col: dict = {}
-        for e_idx, coef in cycle.items():
-            row = row_of[e_idx]
-            if row is not None:
-                col[row] = col.get(row, 0) + coef
-        columns.append({r: x for r, x in col.items() if x})
-    return CollapseBond(
-        columns=tuple(columns),
-        rows=len(non_tree_shallow),
-        cols=len(non_tree_deep),
-    )
+    """Bond i of the frontier tower of ``c``, built on its own."""
+    return FrontierTower(c).bond(i)

@@ -7,10 +7,67 @@ height) key, and maps each deep edge to a shallow one by rewriting its key.
 The package reads both graphs' numberings off the coset tree's tier layout
 instead; the tests check on random germs that both give the same graphs,
 edge for edge and in the same order, and the same bonds.
+
+The cycle basis here is the package's former one, kept apart from it: a BFS
+forest over (neighbour, edge, sign) adjacency tuples, and each fundamental
+cycle walked edge by edge up the forest.  The package keeps its forest as
+int-coded adjacency and reads a bond's columns off forest potentials; the
+tests check that both give the same forest and the same columns.
 """
 
-from treeends.cw import CollapseBond, CW2Complex, _spanning_forest, fundamental_cycles
+from treeends.cw import CollapseBond, CW2Complex
 from treeends.errors import DomainError
+
+
+def spanning_forest(k):
+    """BFS forest: parent[v] = (up vertex, edge, sign) with sign +1 when the
+    edge is oriented up->v.  Returns (parent, depth, non-tree edges in
+    index order)."""
+    adj = [[] for _ in range(k.num_vertices)]
+    for idx, (t, h) in enumerate(zip(k.tails, k.heads)):
+        adj[t].append((h, idx, 1))
+        adj[h].append((t, idx, -1))
+    parent = [None] * k.num_vertices
+    depth = [None] * k.num_vertices
+    tree_edges = set()
+    for start in range(k.num_vertices):
+        if depth[start] is not None:
+            continue
+        depth[start] = 0
+        queue = [start]
+        head = 0
+        while head < len(queue):
+            v = queue[head]
+            head += 1
+            for w, idx, sign in adj[v]:
+                if depth[w] is None:
+                    depth[w] = depth[v] + 1
+                    parent[w] = (v, idx, sign)
+                    tree_edges.add(idx)
+                    queue.append(w)
+    return parent, depth, [idx for idx in range(len(k.tails)) if idx not in tree_edges]
+
+
+def fundamental_cycles(k):
+    """(non-tree edge indices, cycle chains): a basis of the cycle space.
+    Each non-tree edge is closed up by the forest path from its head back to
+    its tail, climbing the deeper endpoint one edge at a time."""
+    parent, depth, non_tree = spanning_forest(k)
+    chains = []
+    for idx in non_tree:
+        chain = {}
+        a, b = k.heads[idx], k.tails[idx]
+        while a != b:
+            # walking v -> parent(v) uses the edge against parent[v]'s sign
+            if depth[a] >= depth[b]:
+                a, e, sign = parent[a]
+                chain[e] = chain.get(e, 0) - sign
+            else:
+                b, e, sign = parent[b]
+                chain[e] = chain.get(e, 0) + sign
+        chain[idx] = chain.get(idx, 0) + 1
+        chains.append(chain)
+    return non_tree, chains
 
 
 def keyed_frontier_graph(c, i):
@@ -67,7 +124,7 @@ def keyed_collapse(c, i):
         return ("col", vi if c.tier(vi) <= i else c.parent_idx[vi], lo)
 
     non_tree_deep, cycles_deep = fundamental_cycles(deep)
-    non_tree_shallow = _spanning_forest(shallow)[2]
+    non_tree_shallow = spanning_forest(shallow)[2]
     shallow_pos = {idx: r for r, idx in enumerate(non_tree_shallow)}
     row_of = {}
     for key, idx in deep_index.items():

@@ -425,7 +425,7 @@ class TestReports:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(classify, "truncate")
-        for name in ("build_base", "build_frontier_graph", "build_cover_graph", "build_cover"):
+        for name in ("build_base", "build_frontier_graph", "build_cover_graph", "build_cover", "_spanning_forest"):
             counted(cw, name)
         init = cw.CW2Complex.__init__
         built = []  # one entry per CW2Complex
@@ -446,18 +446,21 @@ class TestReports:
 
         monkeypatch.setattr(cw, "subcomplex", recording_subcomplex)
         full_report(CORPUS["two_loops"])
-        # truncations and telescopes at depths 3 and 4, both graphs of each
-        # of the three collapse bonds, face-free covers at heights 3 and 4
+        # one truncation, whose depth-3 prefix is the shallow tree; telescopes
+        # at depths 3 and 4; the frontier tower's graphs at radii 0 to 3, one
+        # forest each, plus the two of each of the ray-multiplier's two
+        # induced maps; face-free covers at heights 3 and 4
         assert calls == {
-            "truncate": 2,
+            "truncate": 1,
             "build_base": 2,
-            "build_frontier_graph": 6,
+            "build_frontier_graph": 4,
+            "_spanning_forest": 8,
             "build_cover_graph": 2,
         }
         assert cover_faces == [0, 0]
         # the telescopes' neighbourhoods are counted in place; only the
         # ray-multiplier's induced maps restrict to a subcomplex
-        assert len(built) == 12
+        assert len(built) == 10
         assert subcomplex_callers == ["induced_h1", "induced_h1"]
         calls.clear()
         cover_faces.clear()

@@ -10,7 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import CORPUS
 from cover_reference import keyed_cover
 from dense import boundary1, boundary2, full_selection, mat_mul, mat_vec
-from frontier_reference import keyed_collapse, keyed_frontier_graph
+from frontier_reference import fundamental_cycles, keyed_collapse, keyed_frontier_graph
 from test_classify import valid_germs
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
@@ -27,7 +27,6 @@ from treeends.cw import (
     build_frontier_graph,
     collapse_h1_matrix,
     cover_vertex,
-    fundamental_cycles,
     h1,
     induced_h1,
     infinity_neighborhood_base,

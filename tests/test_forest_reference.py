@@ -1,0 +1,116 @@
+"""The package's spanning forest and collapse bonds against the reference in
+frontier_reference: the tuple-adjacency BFS forest and the walk-based
+fundamental cycles.
+
+The forest must come out equal, parent links, depths and non-tree edges
+alike, on every kind of graph the package builds and on random multigraphs
+with loops and repeated edges: the H1 engine's generator signs, and so the
+homology digests, follow the forest.  The bonds must have the same columns.
+"""
+
+from hypothesis import given, settings, strategies as st
+
+from corpus import CORPUS
+from frontier_reference import fundamental_cycles, keyed_collapse, spanning_forest
+from test_classify import valid_germs
+from test_cw import MULTIGRAPHS, unzip
+from treeends import cw
+from treeends.coset import CosetTree
+from treeends.cw import (
+    CW2Complex,
+    FrontierTower,
+    _cycle_columns,
+    _spanning_forest,
+    build_base,
+    build_cover,
+    build_frontier_graph,
+)
+from treeends.errors import SizeCeilingError
+from treeends.unfold import null_forest, positive_part, truncate
+
+CEILING = 3000
+
+
+class TestSpanningForest:
+    @settings(max_examples=300, deadline=None)
+    @given(MULTIGRAPHS)
+    def test_matches_the_reference_on_multigraphs(self, graph):
+        n, edges = graph
+        k = CW2Complex(n, *unzip(edges), [])
+        assert _spanning_forest(k) == spanning_forest(k)
+
+    def test_loops_and_repeated_edges(self):
+        # a loop at the root, two pairs of opposite edges, and an
+        # isolated vertex: every kind of adjacency entry in one graph
+        k = CW2Complex(4, [0, 0, 1, 1, 2], [0, 1, 0, 2, 1], [])
+        assert _spanning_forest(k) == spanning_forest(k) == (
+            [None, (0, 1, 1), (1, 3, 1), None],
+            [0, 1, 2, 0],
+            [0, 2, 4],
+        )
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 3), st.integers(1, 2))
+    def test_matches_the_reference_on_built_complexes(self, g, depth, height):
+        """Telescopes, covers and every frontier graph of one germ."""
+        try:
+            t = truncate(g, depth, CEILING)
+            c = CosetTree(positive_part(t), ceiling=CEILING)
+            complexes = [build_base(t, CEILING).complex]
+            complexes.append(build_cover(c, null_forest(t), height, CEILING).complex)
+        except SizeCeilingError:
+            return
+        complexes += [build_frontier_graph(c, i).complex for i in range(c.depth + 1)]
+        for k in complexes:
+            assert _spanning_forest(k) == spanning_forest(k)
+
+
+class TestCycleColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(MULTIGRAPHS, st.data())
+    def test_potentials_match_the_walked_cycles(self, graph, data):
+        """Columns read off forest potentials against the reference's walked
+        cycles, pushed through a random edge -> row map: rows shared by
+        several edges, and edges without a row, included."""
+        n, edges = graph
+        k = CW2Complex(n, *unzip(edges), [])
+        rows = st.none() | st.integers(0, 3)
+        row_of = data.draw(st.lists(rows, min_size=len(edges), max_size=len(edges)))
+        want = []
+        for chain in fundamental_cycles(k)[1]:
+            col = {}
+            for e, x in chain.items():
+                if row_of[e] is not None:
+                    col[row_of[e]] = col.get(row_of[e], 0) + x
+            want.append({r: x for r, x in col.items() if x})
+        assert _cycle_columns(k, _spanning_forest(k), row_of) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_columns_match_the_walked_cycles(self, g, depth):
+        """Each bond's columns, read off forest potentials, against the
+        reference's walked fundamental cycles pushed through the collapse."""
+        try:
+            c = CosetTree(positive_part(truncate(g, depth)), ceiling=1500)
+        except SizeCeilingError:
+            return
+        tower = FrontierTower(c)
+        for i in range(c.depth):
+            bond, ref = tower.bond(i), keyed_collapse(c, i)
+            assert (bond.columns, bond.rows, bond.cols) == (ref.columns, ref.rows, ref.cols)
+
+    def test_each_radius_is_built_once(self, monkeypatch):
+        radii = []
+
+        def counted(c, i):
+            radii.append(i)
+            return build_frontier_graph(c, i)
+
+        # the tower calls the builder through the module, as a tracer sees it
+        monkeypatch.setattr(cw, "build_frontier_graph", counted)
+        c = CosetTree(positive_part(truncate(CORPUS["two_loops"], 3)))
+        tower = FrontierTower(c)
+        bonds = [tower.bond(i) for i in range(3)]
+        assert radii == [1, 0, 2, 3]
+        assert tower.level(2) is tower.level(2)
+        assert [b.rows for b in bonds] + [bonds[-1].cols] == [0, 4, 24, 124]
