@@ -355,15 +355,22 @@ def cross_checks(
         results.append(CheckResult(name, "skip", detail))
 
     # One window for every cell-complex check.  Each object below is built
-    # once, in the order the checks first need it, so a SizeCeilingError
-    # names the first stage that overflows.
+    # once, before the checks that read it, so a SizeCeilingError names the
+    # first stage that overflows: truncation, clone trees, telescopes, then
+    # covers.  The covers read the depth-d3 clone tree and the frontier
+    # tower radii up to the bond count, so at d3 = 3 the two share one
+    # tree; below that the tower gets a tree one tier deeper.
     d3 = min(3, depth)
     t_deep = truncate(g, d3 + 1, ceiling)
-    coset = lambda_plus(positive_part(t_deep), ceiling)
+    # truncate numbers breadth first, so depth d3 is a tier prefix
+    t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
+    cov_coset = lambda_plus(positive_part(t), ceiling)
+    n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
+    coset = cov_coset if n_bonds == d3 else lambda_plus(positive_part(t_deep), ceiling)
 
     if ends.fixed_end_count == 1:
         ranks = pro_h1_fixed_end(g, d3, ends)
-        bonds = list(map(cw.FrontierTower(coset).bond, range(min(2, d3) + 1)))
+        bonds = list(map(cw.FrontierTower(coset).bond, range(n_bonds)))
         # a bond's rows and cols are the Betti numbers of its two graphs
         betti = ([b.rows for b in bonds] + [bonds[-1].cols])[: d3 + 1]
         add(
@@ -374,15 +381,15 @@ def cross_checks(
     else:
         skip("frontier-rank", "rank tower needs exactly one fixed end")
 
-    # truncate numbers breadth first, so depth d3 is a tier prefix
-    t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
     base = cw.build_base(t, ceiling)
     ok = True
     details = []
     for tree, telescope in ((t, base), (t_deep, cw.build_base(t_deep, ceiling))):
+        # the neighbourhood of infinity at tier i is the full subgraph on
+        # the vertices at tier >= i, that is, of level depth - tier <= depth - i
+        counts = telescope.complex.level_component_counts([tree.depth - n.tier for n in tree.nodes])
         for i in range(1, min(3, tree.depth) + 1):
-            sel = cw.infinity_neighborhood_base(telescope, i)
-            got = telescope.complex.component_count(sel)
+            got = counts[tree.depth - i]
             want = len(tree.tier_nodes(i))
             if got != want:
                 ok = False
@@ -395,11 +402,12 @@ def cross_checks(
         node_id = t.root.id
         prod = 1
         steps = ray.prefix + ray.cycle * 2  # at least the ray's first two edges
+        engine = cw.H1Calculator(base.complex)
         for i in range(1, min(2, d3) + 1):
             e_idx = steps[i - 1]
             prod *= g.edges[e_idx].label
             node_id = _tree_child_along(g, t, node_id, e_idx)
-            mat = cw.induced_h1(base.complex, cw.branch_selection(base, node_id))
+            mat = engine.induced(cw.branch_selection(base, node_id))
             entries = [abs(x) for row in mat for x in row if x != 0]
             mult = math.gcd(*entries) if entries else 0
             if len(mat) != 1 or mult != prod:
@@ -410,7 +418,6 @@ def cross_checks(
         skip("ray-multiplier", "needs one fixed end and a ray")
 
     nf = null_forest(t)
-    cov_coset = lambda_plus(positive_part(t), ceiling)
     hc = min(height, 3)
     # Both cover checks read only the 1-skeleton.
     covers = {h: cw.build_cover_graph(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)}

@@ -9,6 +9,10 @@ sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 
 Every H1 route reads cycles off one BFS spanning forest; a ``FrontierTower``
 builds each radius's graph and forest once and reads its bonds off them.
+One ``H1Calculator`` serves every induced map into its complex, and
+``CW2Complex.level_component_counts`` counts a whole nested family of full
+subgraphs, such as a telescope's neighbourhoods of infinity, in one
+union-find sweep.
 """
 
 from __future__ import annotations
@@ -70,14 +74,16 @@ class CW2Complex:
             self._edges = tuple(zip(self.tails, self.heads))
             return self._edges
 
-    def _union_find(self, selected=None) -> tuple:
+    def _union_find(self, selected=None, parent=None) -> tuple:
         """(root links, merge count) over every edge, or over the edge
-        indices ``selected``.  Each root is the least vertex of its
-        component, so parent[v] <= v."""
+        indices ``selected``, starting from the root links ``parent`` (all
+        singletons when None), which it updates in place.  Each root is the
+        least vertex of its component, so parent[v] <= v."""
         tails, heads = self.tails, self.heads
         if selected is not None:
             tails, heads = map(tails.__getitem__, selected), map(heads.__getitem__, selected)
-        parent = list(range(self.num_vertices))
+        if parent is None:
+            parent = list(range(self.num_vertices))
         merges = 0
         for t, h in zip(tails, heads):
             # path halving; the smaller root wins
@@ -110,6 +116,30 @@ class CW2Complex:
             return self.num_vertices - self._union_find()[1]
         vset = _closed_cells(self, sel)[0]
         return len(vset) - self._union_find(sel.edges)[1]
+
+    def level_component_counts(self, level: list) -> list:
+        """Given a level >= 0 for each vertex, the number of components of
+        the full subgraph on the vertices of level <= L, for L = 0 up to
+        the top level.  One union-find sweep adds each edge at the larger
+        level of its two ends and reads the merge count at every level."""
+        if len(level) != self.num_vertices:
+            raise DomainError(f"{len(level)} levels for {self.num_vertices} vertices")
+        if min(level, default=0) < 0:
+            raise DomainError(f"negative vertex level {min(level)}")
+        top = max(level, default=-1)
+        new_vertices = [0] * (top + 1)
+        for x in level:
+            new_vertices[x] += 1
+        new_edges: list = [[] for _ in range(top + 1)]
+        edge_levels = map(max, map(level.__getitem__, self.tails), map(level.__getitem__, self.heads))
+        for e, x in enumerate(edge_levels):
+            new_edges[x].append(e)
+        counts, parent, count = [], None, 0
+        for n, edges in zip(new_vertices, new_edges):
+            parent, merges = self._union_find(edges, parent)
+            count += n - merges
+            counts.append(count)
+        return counts
 
 
 @dataclass(frozen=True)
@@ -175,6 +205,29 @@ class H1Calculator:
         """Class of a cycle on the nontrivial summands, torsion reduced."""
         coords = self.cycle_coords(edge_vector)
         return self.presentation.coords({r: c for r, c in enumerate(coords) if c})
+
+    def induced(self, sel: CellSelection) -> Matrix:
+        """Matrix of H1(selection) -> H1(k) on Smith-basis generators.
+
+        Rows index the nontrivial summands of H1(k), columns the generators
+        of the selected subcomplex; torsion rows are reduced modulo their
+        factor.  Only the subcomplex gets an engine of its own, so one
+        engine serves any number of selections.
+        """
+        k = self.complex
+        sub, _, emap = subcomplex(k, sel)
+        sub_calc = H1Calculator(sub)
+        emap_back = {new: old for old, new in emap.items()}
+        cols = []
+        for which in range(len(sub_calc.presentation.slots)):
+            sub_vec = sub_calc.generator_edge_vector(which)
+            big_vec = [0] * len(k.tails)
+            for new_idx, coef in enumerate(sub_vec):
+                if coef:
+                    big_vec[emap_back[new_idx]] = coef
+            cols.append(self.h1_coords(big_vec))
+        rows = len(self.presentation.slots)
+        return [[col[r] for col in cols] for r in range(rows)]
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
@@ -243,25 +296,9 @@ def subcomplex(k: CW2Complex, sel: CellSelection):
 
 
 def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
-    """Matrix of H1(selection) -> H1(k) on Smith-basis generators.
-
-    Rows index the nontrivial summands of H1(k), columns the generators of
-    the selected subcomplex; torsion rows are reduced modulo their factor.
-    """
-    sub, _, emap = subcomplex(k, sel)
-    sub_calc = H1Calculator(sub)
-    big_calc = H1Calculator(k)
-    emap_back = {new: old for old, new in emap.items()}
-    cols = []
-    for which in range(len(sub_calc.presentation.slots)):
-        sub_vec = sub_calc.generator_edge_vector(which)
-        big_vec = [0] * len(k.tails)
-        for new_idx, coef in enumerate(sub_vec):
-            if coef:
-                big_vec[emap_back[new_idx]] = coef
-        cols.append(big_calc.h1_coords(big_vec))
-    rows = len(big_calc.presentation.slots)
-    return [[col[r] for col in cols] for r in range(rows)]
+    """Matrix of H1(selection) -> H1(k), from an engine of its own
+    (``H1Calculator.induced``)."""
+    return H1Calculator(k).induced(sel)
 
 
 @dataclass

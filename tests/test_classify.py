@@ -425,8 +425,22 @@ class TestReports:
             monkeypatch.setattr(module, name, wrapper)
 
         counted(classify, "truncate")
-        for name in ("build_base", "build_frontier_graph", "build_cover_graph", "build_cover", "_spanning_forest"):
+        for name in (
+            "build_base",
+            "infinity_neighborhood_base",
+            "build_frontier_graph",
+            "build_cover_graph",
+            "build_cover",
+            "_spanning_forest",
+        ):
             counted(cw, name)
+        tree_init = coset.CosetTree.__init__
+
+        def counted_tree_init(self, *args, **kwargs):
+            calls["CosetTree"] = calls.get("CosetTree", 0) + 1
+            tree_init(self, *args, **kwargs)
+
+        monkeypatch.setattr(coset.CosetTree, "__init__", counted_tree_init)
         init = cw.CW2Complex.__init__
         built = []  # one entry per CW2Complex
 
@@ -446,22 +460,41 @@ class TestReports:
 
         monkeypatch.setattr(cw, "subcomplex", recording_subcomplex)
         full_report(CORPUS["two_loops"])
-        # one truncation, whose depth-3 prefix is the shallow tree; telescopes
+        # one truncation, whose depth-3 prefix is the shallow tree; one clone
+        # tree, at depth 3, for the frontier tower and the covers; telescopes
         # at depths 3 and 4; the frontier tower's graphs at radii 0 to 3, one
-        # forest each, plus the two of each of the ray-multiplier's two
-        # induced maps; face-free covers at heights 3 and 4
+        # forest each, plus one for the ray-multiplier's H1 engine of the
+        # depth-3 telescope and one for each of its two branches; face-free
+        # covers at heights 3 and 4
         assert calls == {
             "truncate": 1,
+            "CosetTree": 1,
             "build_base": 2,
             "build_frontier_graph": 4,
-            "_spanning_forest": 8,
+            "_spanning_forest": 7,
             "build_cover_graph": 2,
         }
         assert cover_faces == [0, 0]
-        # the telescopes' neighbourhoods are counted in place; only the
-        # ray-multiplier's induced maps restrict to a subcomplex
+        # the telescopes' neighbourhoods are counted in one sweep each, with
+        # no selection; only the ray-multiplier's induced maps restrict to a
+        # subcomplex
         assert len(built) == 10
-        assert subcomplex_callers == ["induced_h1", "induced_h1"]
+        assert subcomplex_callers == ["induced", "induced"]
+        calls.clear()
+        cover_faces.clear()
+        built.clear()
+        subcomplex_callers.clear()
+        full_report(CORPUS["two_loops"], depth=2)
+        # at depth 2 the covers read the depth-2 clone tree and the tower
+        # radii up to 3, so each gets a tree of its own
+        assert calls == {
+            "truncate": 1,
+            "CosetTree": 2,
+            "build_base": 2,
+            "build_frontier_graph": 4,
+            "_spanning_forest": 7,
+            "build_cover_graph": 2,
+        }
         calls.clear()
         cover_faces.clear()
         built.clear()

@@ -163,6 +163,32 @@ class TestCoverCeiling:
         assert "check cover-connected: pass" in out
 
 
+class TestBatteryCloneTree:
+    """At the default window the battery builds its clone tree to depth 3,
+    the depth its covers and frontier tower read, so the ceiling counts no
+    tier it never reads."""
+
+    def test_runs_when_only_an_unread_tier_is_past_the_ceiling(self, cli, tmp_path):
+        # tiers 0-3 are one clone each; D's two loops would add 1,200 at tier 4
+        path = tmp_path / "chain.germ"
+        path.write_text(
+            "root A\nvertex B\nvertex C\nvertex D\n"
+            "edge A B 1\nedge B C 1\nedge C D 1\nedge D D 600\nedge D D 600\n"
+        )
+        code, out, err = cli("oracle", "--ceiling", 1000, path)
+        assert (code, err) == (0, "")
+        assert out.endswith("oracle: 6 pass, 0 fail, 4 skip\n")
+
+    def test_a_big_tree_is_refused_at_the_covers(self, cli, tmp_path):
+        # 33,825 clones to depth 3 fit; the covers over them at heights 3
+        # and 4 do not
+        path = tmp_path / "loop32.germ"
+        path.write_text("root A\nedge A A 32\n")
+        code, out, err = cli("oracle", path)
+        assert (code, out) == (3, "")
+        assert err == "error: cover cells exceeds the size ceiling (1150033 > 1000000)\n"
+
+
 class TestUnfold:
     def test_text_tree(self, cli):
         code, out, _ = cli("unfold", GERMS / "bs2.germ", "--depth", 2)

@@ -355,6 +355,23 @@ class TestSelections:
         assert induced_h1(b.complex, branch_selection(b, first)) == [[2]]
         assert induced_h1(b.complex, branch_selection(b, second)) == [[3]]
 
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_one_engine_serves_every_selection(self, g, depth):
+        """One engine, asked for the neighbourhoods and branches in both
+        orders, gives the matrices of fresh ``induced_h1`` calls: it keeps
+        no state between calls."""
+        try:
+            b = build_base(truncate(g, depth, 3000), 3000)
+        except SizeCeilingError:
+            return
+        sels = [infinity_neighborhood_base(b, i) for i in range(depth + 1)]
+        sels += [branch_selection(b, n.id) for n in b.tree.nodes[1:4]]
+        want = [induced_h1(b.complex, sel) for sel in sels]
+        engine = H1Calculator(b.complex)
+        assert [engine.induced(sel) for sel in sels] == want
+        assert [engine.induced(sel) for sel in reversed(sels)] == want[::-1]
+
     def test_neighborhood_tier_range_checked(self):
         b = base_for("bs2", 2)
         with pytest.raises(DomainError):

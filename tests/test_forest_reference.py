@@ -1,13 +1,17 @@
-"""The package's spanning forest and collapse bonds against the reference in
-frontier_reference: the tuple-adjacency BFS forest and the walk-based
-fundamental cycles.
+"""The package's graph kernels against their references: the spanning
+forest and collapse bonds against frontier_reference (the tuple-adjacency
+BFS forest and the walk-based fundamental cycles), and the level sweep
+against one counted selection per level.
 
 The forest must come out equal, parent links, depths and non-tree edges
 alike, on every kind of graph the package builds and on random multigraphs
 with loops and repeated edges: the H1 engine's generator signs, and so the
 homology digests, follow the forest.  The bonds must have the same columns.
+The sweep must give every level's component count, since the battery reads
+each neighbourhood of infinity off it.
 """
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from corpus import CORPUS
@@ -18,14 +22,16 @@ from treeends import cw
 from treeends.coset import CosetTree
 from treeends.cw import (
     CW2Complex,
+    CellSelection,
     FrontierTower,
     _cycle_columns,
     _spanning_forest,
     build_base,
     build_cover,
     build_frontier_graph,
+    infinity_neighborhood_base,
 )
-from treeends.errors import SizeCeilingError
+from treeends.errors import DomainError, SizeCeilingError
 from treeends.unfold import null_forest, positive_part, truncate
 
 CEILING = 3000
@@ -114,3 +120,43 @@ class TestCycleColumns:
         assert radii == [1, 0, 2, 3]
         assert tower.level(2) is tower.level(2)
         assert [b.rows for b in bonds] + [bonds[-1].cols] == [0, 4, 24, 124]
+
+
+class TestLevelSweep:
+    @settings(max_examples=300, deadline=None)
+    @given(MULTIGRAPHS, st.data())
+    def test_matches_one_selection_per_level(self, graph, data):
+        """Each level's count against the selection of the vertices of level
+        <= L and the edges with both ends among them, counted on its own."""
+        n, edges = graph
+        k = CW2Complex(n, *unzip(edges), [])
+        level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        counts = k.level_component_counts(level)
+        assert len(counts) == max(level, default=-1) + 1
+        for top, got in enumerate(counts):
+            verts = tuple(v for v in range(n) if level[v] <= top)
+            kept = tuple(e for e, (t, h) in enumerate(edges) if level[t] <= top and level[h] <= top)
+            assert got == k.component_count(CellSelection(verts, kept, ()))
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_counts_every_neighbourhood_of_infinity(self, g, depth):
+        """On a telescope, level depth - tier counts the neighbourhood of
+        infinity at every tier, as the battery reads it."""
+        try:
+            b = build_base(truncate(g, depth, CEILING), CEILING)
+        except SizeCeilingError:
+            return
+        counts = b.complex.level_component_counts([depth - n.tier for n in b.tree.nodes])
+        assert len(counts) == depth + 1
+        for i in range(depth + 1):
+            assert counts[depth - i] == b.complex.component_count(infinity_neighborhood_base(b, i))
+
+    @pytest.mark.parametrize(
+        "level, message",
+        [([0, 1], "2 levels for 3 vertices"), ([0, -1, 2], "negative vertex level -1")],
+    )
+    def test_levels_are_checked(self, level, message):
+        k = CW2Complex(3, [0, 1], [1, 2], [])
+        with pytest.raises(DomainError, match=message):
+            k.level_component_counts(level)
