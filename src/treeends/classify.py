@@ -355,11 +355,13 @@ def cross_checks(
         results.append(CheckResult(name, "skip", detail))
 
     # One window for every cell-complex check.  Each object below is built
-    # once, before the checks that read it, so a SizeCeilingError names the
-    # first stage that overflows: truncation, clone trees, telescopes, then
-    # covers.  The covers read the depth-d3 clone tree and the frontier
-    # tower radii up to the bond count, so at d3 = 3 the two share one
-    # tree; below that the tower gets a tree one tier deeper.
+    # once, and every ceiling is checked before the frontier tower runs, so
+    # a SizeCeilingError names the first stage that overflows (truncation,
+    # clone trees, telescopes, then covers) and comes before any work the
+    # covers' size bounds.  The covers read the depth-d3 clone tree and the
+    # frontier tower radii up to the bond count, so at d3 = 3 the two share
+    # one tree, whose frontier graphs have fewer cells than the taller
+    # cover; below that the tower gets a tree one tier deeper.
     d3 = min(3, depth)
     t_deep = truncate(g, d3 + 1, ceiling)
     # truncate numbers breadth first, so depth d3 is a tier prefix
@@ -367,6 +369,12 @@ def cross_checks(
     cov_coset = lambda_plus(positive_part(t), ceiling)
     n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
     coset = cov_coset if n_bonds == d3 else lambda_plus(positive_part(t_deep), ceiling)
+    base = cw.build_base(t, ceiling)
+    telescopes = ((t, base), (t_deep, cw.build_base(t_deep, ceiling)))
+    nf = null_forest(t)
+    hc = min(height, 3)
+    for h in (hc, hc + 1):
+        cw.check_cover_size(cov_coset, nf, h, ceiling)
 
     if ends.fixed_end_count == 1:
         ranks = pro_h1_fixed_end(g, d3, ends)
@@ -381,10 +389,9 @@ def cross_checks(
     else:
         skip("frontier-rank", "rank tower needs exactly one fixed end")
 
-    base = cw.build_base(t, ceiling)
     ok = True
     details = []
-    for tree, telescope in ((t, base), (t_deep, cw.build_base(t_deep, ceiling))):
+    for tree, telescope in telescopes:
         # the neighbourhood of infinity at tier i is the full subgraph on
         # the vertices at tier >= i, that is, of level depth - tier <= depth - i
         counts = telescope.complex.level_component_counts([tree.depth - n.tier for n in tree.nodes])
@@ -417,8 +424,6 @@ def cross_checks(
     else:
         skip("ray-multiplier", "needs one fixed end and a ray")
 
-    nf = null_forest(t)
-    hc = min(height, 3)
     # Both cover checks read only the 1-skeleton.
     covers = {h: cw.build_cover_graph(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)}
     parts = {h: k.component_count() for h, k in covers.items()}

@@ -414,22 +414,17 @@ def cover_vertex(vi: int, h: int, height: int) -> int:
     return vi * (2 * height + 1) + h + height
 
 
-def build_cover_graph(
+def check_cover_size(
     c: CosetTree,
     nf: NullForest,
     height: int,
     ceiling: int = DEFAULT_CEILING,
-) -> CW2Complex:
-    """The 1-skeleton of the cover, with no faces.
-
-    Product vertex (vi, h) is ``cover_vertex(vi, h, height)``, so each vi
-    owns a run of 2 * height + 1 indices; the null copies follow in
-    (component, h, node) order.  Edges come in three runs: horizontal
-    (vi, h) -> (parent, h) over every non-root vi, vertical
-    (vi, h) -> (vi, h + 1), then each null node to its parent's copy, where
-    a null root's parent copy is the product vertex that the residue
-    odometer picks at height h.  The ceiling counts the square faces of
-    ``build_cover`` too, so both refuse the same covers."""
+) -> None:
+    """Refuse the cover over ``c`` and ``nf`` at ``height`` if its cells
+    exceed ``ceiling``.  The count includes the square faces of
+    ``build_cover``, so ``build_cover_graph`` and ``build_cover`` refuse the
+    same covers.  It needs only the sizes of ``c`` and ``nf``, so a caller
+    can refuse before any other work that the cover's size bounds."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
@@ -446,6 +441,24 @@ def build_cover_graph(
             "cover cells", est_vertices + est_edges + est_faces, ceiling
         )
 
+
+def build_cover_graph(
+    c: CosetTree,
+    nf: NullForest,
+    height: int,
+    ceiling: int = DEFAULT_CEILING,
+) -> CW2Complex:
+    """The 1-skeleton of the cover, with no faces.
+
+    Product vertex (vi, h) is ``cover_vertex(vi, h, height)``, so each vi
+    owns a run of 2 * height + 1 indices; the null copies follow in
+    (component, h, node) order.  Edges come in three runs: horizontal
+    (vi, h) -> (parent, h) over every non-root vi, vertical
+    (vi, h) -> (vi, h + 1), then each null node to its parent's copy, where
+    a null root's parent copy is the product vertex that the residue
+    odometer picks at height h."""
+    check_cover_size(c, nf, height, ceiling)
+    n_heights = 2 * height + 1
     tails: list = []
     heads: list = []
     for vi, parent in enumerate(c.parent_idx):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
-from treeends import cli as cli_module
+from treeends import cli as cli_module, cw
 from treeends.cli import run
 from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
 from treeends.germ import parse_germ, render_germ
@@ -163,30 +163,49 @@ class TestCoverCeiling:
         assert "check cover-connected: pass" in out
 
 
+@pytest.mark.parametrize("command", ["oracle", "classify"])
 class TestBatteryCloneTree:
     """At the default window the battery builds its clone tree to depth 3,
     the depth its covers and frontier tower read, so the ceiling counts no
-    tier it never reads."""
+    tier it never reads.  ``classify`` runs the same battery."""
 
-    def test_runs_when_only_an_unread_tier_is_past_the_ceiling(self, cli, tmp_path):
+    def test_runs_when_only_an_unread_tier_is_past_the_ceiling(self, cli, tmp_path, command):
         # tiers 0-3 are one clone each; D's two loops would add 1,200 at tier 4
         path = tmp_path / "chain.germ"
         path.write_text(
             "root A\nvertex B\nvertex C\nvertex D\n"
             "edge A B 1\nedge B C 1\nedge C D 1\nedge D D 600\nedge D D 600\n"
         )
-        code, out, err = cli("oracle", "--ceiling", 1000, path)
+        code, out, err = cli(command, "--ceiling", 1000, path)
         assert (code, err) == (0, "")
-        assert out.endswith("oracle: 6 pass, 0 fail, 4 skip\n")
+        assert "check frontier-rank: pass" in out
+        assert "check cover-connected: pass" in out
+        if command == "oracle":
+            assert out.endswith("oracle: 6 pass, 0 fail, 4 skip\n")
 
-    def test_a_big_tree_is_refused_at_the_covers(self, cli, tmp_path):
+    def test_a_big_tree_is_refused_at_the_covers(self, cli, tmp_path, command):
         # 33,825 clones to depth 3 fit; the covers over them at heights 3
         # and 4 do not
         path = tmp_path / "loop32.germ"
         path.write_text("root A\nedge A A 32\n")
-        code, out, err = cli("oracle", path)
+        code, out, err = cli(command, path)
         assert (code, out) == (3, "")
         assert err == "error: cover cells exceeds the size ceiling (1150033 > 1000000)\n"
+
+    def test_covers_are_refused_before_the_frontier_tower(
+        self, cli, tmp_path, monkeypatch, command
+    ):
+        # 980,200 clones to depth 3 fit the ceiling, but their radius-3
+        # frontier graph alone would have about 14.6 million cells
+        def unbounded(c, i):
+            raise AssertionError(f"frontier graph of radius {i} built before the refusal")
+
+        monkeypatch.setattr(cw, "build_frontier_graph", unbounded)
+        path = tmp_path / "loop99.germ"
+        path.write_text("root A\nedge A A 99\n")
+        code, out, err = cli(command, path)
+        assert (code, out) == (3, "")
+        assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
 
 
 class TestUnfold:
