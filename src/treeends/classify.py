@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from . import cw
-from .coset import lambda_plus
+from .coset import clone_orders, lambda_plus
 from .errors import DomainError, SizeCeilingError, ValidationFailed
 from .germ import GermGraph, check_label, require_valid, walk_counts
 from .proseq import (
@@ -355,26 +355,29 @@ def cross_checks(
         results.append(CheckResult(name, "skip", detail))
 
     # One window for every cell-complex check.  Each object below is built
-    # once, and every ceiling is checked before the frontier tower runs, so
-    # a SizeCeilingError names the first stage that overflows (truncation,
-    # clone trees, telescopes, then covers) and comes before any work the
-    # covers' size bounds.  The covers read the depth-d3 clone tree and the
-    # frontier tower radii up to the bond count, so at d3 = 3 the two share
-    # one tree, whose frontier graphs have fewer cells than the taller
-    # cover; below that the tower gets a tree one tier deeper.
+    # once, and every ceiling is checked before the clone trees are built,
+    # so a SizeCeilingError names the first stage that overflows
+    # (truncation, clone trees, telescopes, then covers) and comes before
+    # any work the covers' size bounds.  The covers read the depth-d3 clone
+    # tree and the frontier tower radii up to the bond count, so at d3 = 3
+    # the two share one tree, whose frontier graphs have fewer cells than
+    # the taller cover; below that the tower gets a tree one tier deeper.
     d3 = min(3, depth)
     t_deep = truncate(g, d3 + 1, ceiling)
     # truncate numbers breadth first, so depth d3 is a tier prefix
     t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
-    cov_coset = lambda_plus(positive_part(t), ceiling)
     n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
-    coset = cov_coset if n_bonds == d3 else lambda_plus(positive_part(t_deep), ceiling)
-    base = cw.build_base(t, ceiling)
-    telescopes = ((t, base), (t_deep, cw.build_base(t_deep, ceiling)))
+    trees = [positive_part(t)] if n_bonds == d3 else [positive_part(t), positive_part(t_deep)]
+    # each clone tree is counted, and refused, before any is built
+    clones = [sum(clone_orders(pos, ceiling).values()) for pos in trees]
+    # branch-components reads only 1-skeletons; ray-multiplier fills t's
+    telescopes = [(tree, cw.telescope_graph(tree, ceiling)) for tree in (t, t_deep)]
     nf = null_forest(t)
     hc = min(height, 3)
-    for h in (hc, hc + 1):
-        cw.check_cover_size(cov_coset, nf, h, ceiling)
+    # the cover at hc is a prefix of the one at hc + 1, cut at these counts
+    cuts = [cw.check_cover_size(clones[0], nf, h, ceiling) for h in (hc, hc + 1)]
+    cosets = [lambda_plus(pos, ceiling) for pos in trees]
+    cov_coset, coset = cosets[0], cosets[-1]
 
     if ends.fixed_end_count == 1:
         ranks = pro_h1_fixed_end(g, d3, ends)
@@ -391,10 +394,10 @@ def cross_checks(
 
     ok = True
     details = []
-    for tree, telescope in telescopes:
+    for tree, skeleton in telescopes:
         # the neighbourhood of infinity at tier i is the full subgraph on
         # the vertices at tier >= i, that is, of level depth - tier <= depth - i
-        counts = telescope.complex.level_component_counts([tree.depth - n.tier for n in tree.nodes])
+        counts = skeleton.level_component_counts([tree.depth - n.tier for n in tree.nodes])
         for i in range(1, min(3, tree.depth) + 1):
             got = counts[tree.depth - i]
             want = len(tree.tier_nodes(i))
@@ -409,6 +412,7 @@ def cross_checks(
         node_id = t.root.id
         prod = 1
         steps = ray.prefix + ray.cycle * 2  # at least the ray's first two edges
+        base = cw.build_base(t, ceiling, telescopes[0][1])
         engine = cw.H1Calculator(base.complex)
         for i in range(1, min(2, d3) + 1):
             e_idx = steps[i - 1]
@@ -424,21 +428,23 @@ def cross_checks(
     else:
         skip("ray-multiplier", "needs one fixed end and a ray")
 
-    # Both cover checks read only the 1-skeleton.
-    covers = {h: cw.build_cover_graph(cov_coset, nf, h, ceiling) for h in (hc, hc + 1)}
-    parts = {h: k.component_count() for h, k in covers.items()}
+    # Both cover checks read only the 1-skeleton of the taller cover, and
+    # the one at hc as its prefix.
+    cover = cw.build_cover_graph(cov_coset, nf, hc + 1, ceiling)
+    parts = dict(zip((hc, hc + 1), cover.prefix_component_counts(cuts)))
     details = [f"height {h}: {n} component(s)" for h, n in parts.items()]
     add("cover-connected", set(parts.values()) == {1}, "; ".join(details))
 
     if g.is_trivial:
         ok = True
         details = []
-        for h, k in covers.items():
-            # the cover with the middle vertex and its edges dropped
-            mid = cw.cover_vertex(cov_coset.root_index, 0, h)
-            verts = tuple(v for v in range(k.num_vertices) if v != mid)
-            edges = tuple(e for e, pair in enumerate(zip(k.tails, k.heads)) if mid not in pair)
-            n = k.component_count(cw.CellSelection(verts, edges, ()))
+        width = cuts[0][0] // (2 * hc + 1)  # vertices at each height
+        mid = cw.cover_vertex(cov_coset.root_index, 0, width)
+        for h, (nv, ne) in zip((hc, hc + 1), cuts):
+            # the cover at h with the middle vertex and its edges dropped
+            verts = tuple(v for v in range(nv) if v != mid)
+            edges = tuple(e for e in range(ne) if mid not in (cover.tails[e], cover.heads[e]))
+            n = cover.component_count(cw.CellSelection(verts, edges, ()))
             if n != 2:
                 ok = False
             details.append(f"height {h}: middle vertex splits into {n}")

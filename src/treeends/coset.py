@@ -42,20 +42,8 @@ class CosetTree:
     """
 
     def __init__(self, base: TruncatedTree, ceiling: int = DEFAULT_CEILING):
-        for node in base.nodes:
-            if not node.positive:
-                raise DomainError(
-                    f"coset model needs a positive base tree; node {node.id} is not"
-                )
         self.base = base
-        order_of = self.order_of = {}
-        total = 0
-        for node in base.nodes:  # BFS order, parents first
-            order = 1 if node.parent is None else order_of[node.parent] * node.label
-            order_of[node.id] = order
-            total += order
-            if total > ceiling:
-                raise SizeCeilingError("coset tree vertices", total, ceiling)
+        order_of = self.order_of = clone_orders(base, ceiling)
         start: dict = {}
         runs: list = []
         verts: list = []
@@ -92,6 +80,28 @@ class CosetTree:
     @property
     def root_index(self) -> int:
         return self.index[(self.base.root.id, 0)]
+
+
+def clone_orders(base: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> dict:
+    """The clone count of each node of the positive truncation ``base``,
+    keyed by node id: the product of the labels on its root path.  Their sum
+    is the size of the clone tree over ``base``, so a caller knows that size
+    before the tree is built.  Raises SizeCeilingError as soon as the
+    running sum passes ``ceiling``."""
+    for node in base.nodes:
+        if not node.positive:
+            raise DomainError(
+                f"coset model needs a positive base tree; node {node.id} is not"
+            )
+    order_of: dict = {}
+    total = 0
+    for node in base.nodes:  # BFS order, parents first
+        order = 1 if node.parent is None else order_of[node.parent] * node.label
+        order_of[node.id] = order
+        total += order
+        if total > ceiling:
+            raise SizeCeilingError("coset tree vertices", total, ceiling)
+    return order_of
 
 
 def lambda_plus(positive_tree: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CosetTree:

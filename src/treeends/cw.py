@@ -13,12 +13,20 @@ One ``H1Calculator`` serves every induced map into its complex, and
 ``CW2Complex.level_component_counts`` counts a whole nested family of full
 subgraphs, such as a telescope's neighbourhoods of infinity, in one
 union-find sweep.
+
+Checks that read only vertices and edges build 1-skeletons:
+``telescope_graph`` is the face-free telescope, which ``build_base`` fills
+with faces, and ``build_cover_graph`` the face-free cover, which
+``build_cover`` fills.  A cover is laid out shell by shell, height 0 first,
+then -1, 1, -2, 2 and so on, so the cover at any height is a prefix of every
+taller one, and ``CW2Complex.prefix_component_counts`` counts the components
+of every such prefix in one union-find pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, product
+from itertools import compress, islice
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -75,12 +83,16 @@ class CW2Complex:
             return self._edges
 
     def _union_find(self, selected=None, parent=None) -> tuple:
-        """(root links, merge count) over every edge, or over the edge
-        indices ``selected``, starting from the root links ``parent`` (all
-        singletons when None), which it updates in place.  Each root is the
-        least vertex of its component, so parent[v] <= v."""
+        """(root links, merge count) over every edge, or over the edges
+        ``selected``, a sequence of indices or a slice, starting from the
+        root links ``parent`` (all singletons when None), which it updates
+        in place.  Each root is the least vertex of its component, so
+        parent[v] <= v."""
         tails, heads = self.tails, self.heads
-        if selected is not None:
+        if isinstance(selected, slice):  # a run of edges, read in place
+            run = selected.start, selected.stop
+            tails, heads = islice(tails, *run), islice(heads, *run)
+        elif selected is not None:
             tails, heads = map(tails.__getitem__, selected), map(heads.__getitem__, selected)
         if parent is None:
             parent = list(range(self.num_vertices))
@@ -139,6 +151,32 @@ class CW2Complex:
             parent, merges = self._union_find(edges, parent)
             count += n - merges
             counts.append(count)
+        return counts
+
+    def prefix_component_counts(self, cuts: list) -> list:
+        """Given ascending (vertex count, edge count) cuts, the number of
+        components of each prefix: vertices ``range(nv)`` and edges
+        ``range(ne)``.  Each prefix must be closed, its edges ending at its
+        vertices.  One union-find pass adds each cut's new run of edges; the
+        root links grow with the vertex prefix, so an edge that leaves it
+        fails at its lookup and no edge list is copied."""
+        counts: list = []
+        parent: list = []
+        merges = done = 0
+        for nv, ne in cuts:
+            if not (len(parent) <= nv <= self.num_vertices and done <= ne <= len(self.tails)):
+                raise DomainError(
+                    f"cut ({nv}, {ne}) does not ascend from ({len(parent)}, {done})"
+                    f" within ({self.num_vertices}, {len(self.tails)})"
+                )
+            parent += range(len(parent), nv)
+            try:
+                merges += self._union_find(slice(done, ne), parent)[1]
+            except IndexError:
+                e = next(e for e in range(done, ne) if max(self.tails[e], self.heads[e]) >= nv)
+                raise DomainError(f"prefix of {nv} vertices drops an endpoint of edge {e}") from None
+            done = ne
+            counts.append(nv - merges)
         return counts
 
 
@@ -320,14 +358,45 @@ class BaseComplex:
     face_of_node: dict
 
 
-def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
+def _telescope_edges(t: TruncatedTree, ceiling: int) -> tuple:
+    """(vertex of each node id, tree edges, loops, heads) of the telescope
+    of ``t``: vertex i is node i, the tree edges child -> parent and the
+    loops, one per positive node, are given by their nodes' vertices in
+    node order, and the heads follow the same order.  Refuses a telescope
+    whose cells, faces included, exceed ``ceiling``."""
     nodes = t.nodes
     vertex_of = {node.id: i for i, node in enumerate(nodes)}
-    # tree edges child -> parent, then one loop per positive node
     climbs = [i for i, node in enumerate(nodes) if node.parent is not None]
     loops = [i for i, node in enumerate(nodes) if node.positive]
+    n_faces = sum(nodes[i].parent is not None for i in loops)
+    total = len(nodes) + len(climbs) + len(loops) + n_faces
+    if total > ceiling:
+        raise SizeCeilingError("telescope cells", total, ceiling)
+    return vertex_of, climbs, loops, [vertex_of[nodes[i].parent] for i in climbs] + loops
+
+
+def telescope_graph(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CW2Complex:
+    """The 1-skeleton of the telescope ``build_base(t)``, with no faces:
+    vertex i is node i, the tree edges child -> parent come in node order,
+    then one loop per positive node.  It refuses the trees that
+    ``build_base`` refuses, with the same count, faces included."""
+    _, climbs, loops, heads = _telescope_edges(t, ceiling)
+    return CW2Complex(len(t.nodes), climbs + loops, heads, [])
+
+
+def build_base(
+    t: TruncatedTree,
+    ceiling: int = DEFAULT_CEILING,
+    graph: CW2Complex | None = None,
+) -> BaseComplex:
+    """The skeleton ``telescope_graph(t, ceiling)`` with its faces and cell
+    registries.  A caller that holds that skeleton already passes it as
+    ``graph``, and the faced complex shares its edge lists."""
+    vertex_of, climbs, loops, heads = _telescope_edges(t, ceiling)
     tails = climbs + loops
-    heads = [vertex_of[nodes[i].parent] for i in climbs] + loops
+    if graph is not None:
+        tails, heads = graph.tails, graph.heads
+    nodes = t.nodes
     tree_edge_of = {nodes[i].id: e for e, i in enumerate(climbs)}
     loop_of = {nodes[i].id: e for e, i in enumerate(loops, len(climbs))}
     faces: list = []
@@ -339,12 +408,8 @@ def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
             word.append((tree_edge_of[node.id], -1))
             face_of[node.id] = len(faces)
             faces.append(word)
-    total = len(nodes) + len(tails) + len(faces)
-    if total > ceiling:
-        raise SizeCeilingError("telescope cells", total, ceiling)
-    k = CW2Complex(len(nodes), tails, heads, faces)
     return BaseComplex(
-        complex=k,
+        complex=CW2Complex(len(nodes), tails, heads, faces),
         tree=t,
         vertex_of_node=vertex_of,
         tree_edge_of_node=tree_edge_of,
@@ -409,37 +474,44 @@ class CoverComplex:
         return self.product_vertex[(self.coset.root_index, 0)]
 
 
-def cover_vertex(vi: int, h: int, height: int) -> int:
-    """Index of product vertex (vi, h) in a cover of height bound ``height``."""
-    return vi * (2 * height + 1) + h + height
+def _layout_heights(height: int) -> list:
+    """The heights of a cover of height bound ``height``, in layout order:
+    0, -1, 1, -2, 2, ...  Past 0, the next inner height of the one at
+    position p is at position max(p - 2, 0)."""
+    return [0] + [h for s in range(1, height + 1) for h in (-s, s)]
+
+
+def cover_vertex(vi: int, h: int, width: int) -> int:
+    """Index of product vertex (vi, h) in a cover with ``width`` vertices
+    at each height, the clone tree's and then the null forest's: height h
+    is at position 2|h| - (h < 0) of the layout."""
+    return (2 * abs(h) - (h < 0)) * width + vi
 
 
 def check_cover_size(
-    c: CosetTree,
+    clones: int,
     nf: NullForest,
     height: int,
     ceiling: int = DEFAULT_CEILING,
-) -> None:
-    """Refuse the cover over ``c`` and ``nf`` at ``height`` if its cells
-    exceed ``ceiling``.  The count includes the square faces of
-    ``build_cover``, so ``build_cover_graph`` and ``build_cover`` refuse the
-    same covers.  It needs only the sizes of ``c`` and ``nf``, so a caller
-    can refuse before any other work that the cover's size bounds."""
+) -> tuple:
+    """Refuse the cover at ``height`` over a clone tree of ``clones``
+    vertices and the null forest ``nf`` if its cells exceed ``ceiling``,
+    else return its (vertex, edge) counts.  The count includes the square
+    faces of ``build_cover``, so ``build_cover_graph`` and ``build_cover``
+    refuse the same covers.  It needs only sizes, so a caller can refuse
+    before it builds the clone tree or any other work that the cover's size
+    bounds.  Each cover is a prefix of every taller one, so the two counts
+    also cut this cover out of a taller one."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
     null_nodes = sum(len(comp.nodes) for comp in nf.components)
-    est_vertices = len(c.verts) * n_heights + null_nodes * n_heights
-    est_edges = (
-        (len(c.verts) - 1) * n_heights
-        + len(c.verts) * (n_heights - 1)
-        + null_nodes * n_heights
-    )
-    est_faces = (len(c.verts) - 1) * (n_heights - 1)
-    if est_vertices + est_edges + est_faces > ceiling:
-        raise SizeCeilingError(
-            "cover cells", est_vertices + est_edges + est_faces, ceiling
-        )
+    vertices = (clones + null_nodes) * n_heights
+    edges = (clones - 1 + null_nodes) * n_heights + clones * (n_heights - 1)
+    faces = (clones - 1) * (n_heights - 1)
+    if vertices + edges + faces > ceiling:
+        raise SizeCeilingError("cover cells", vertices + edges + faces, ceiling)
+    return vertices, edges
 
 
 def build_cover_graph(
@@ -448,40 +520,50 @@ def build_cover_graph(
     height: int,
     ceiling: int = DEFAULT_CEILING,
 ) -> CW2Complex:
-    """The 1-skeleton of the cover, with no faces.
+    """The 1-skeleton of the cover, with no faces, laid out shell by shell.
 
-    Product vertex (vi, h) is ``cover_vertex(vi, h, height)``, so each vi
-    owns a run of 2 * height + 1 indices; the null copies follow in
-    (component, h, node) order.  Edges come in three runs: horizontal
-    (vi, h) -> (parent, h) over every non-root vi, vertical
-    (vi, h) -> (vi, h + 1), then each null node to its parent's copy, where
-    a null root's parent copy is the product vertex that the residue
-    odometer picks at height h."""
-    check_cover_size(c, nf, height, ceiling)
-    n_heights = 2 * height + 1
-    tails: list = []
-    heads: list = []
-    for vi, parent in enumerate(c.parent_idx):
-        if parent is not None:
-            at, to = vi * n_heights, parent * n_heights
-            tails += range(at, at + n_heights)
-            heads += range(to, to + n_heights)
-    for at in range(0, len(c.verts) * n_heights, n_heights):
-        tails += range(at, at + n_heights - 1)
-        heads += range(at + 1, at + n_heights)
-    vertex_count = len(c.verts) * n_heights
+    The heights come in the order 0, -1, 1, ..., -height, height.  Each
+    brings its ``width`` vertices: the product vertices (vi, h) in vi order,
+    so (vi, h) is ``cover_vertex(vi, h, width)``, then the null copies in
+    (component, node) order.  Then come its edges: horizontal
+    (vi, h) -> (parent, h) over every non-root vi; each null node to its
+    parent's copy, where a null root's parent copy is the product vertex
+    that the residue odometer picks at height h; and, but at height 0, the
+    vertical edges (vi, h) -> (vi, h + 1) between h and the next inner
+    height.  No edge reaches out past its own height, so the cover at any
+    height up to ``height`` is the prefix of this one that
+    ``check_cover_size`` counts."""
+    n_vertices, _ = check_cover_size(len(c.verts), nf, height, ceiling)
+    clones = len(c.verts)
+    width = n_vertices // (2 * height + 1)
+    # vertex 0 is the root, the only clone without a parent
+    parents = c.parent_idx[1:]
+    # per null component: the attach point's run start and order, and the
+    # head of every other node's edge, counted from its height's first vertex
+    null_runs = []
+    at = clones
     for comp in nf.components:
         # comp.nodes[0] is the null root; the others hang below it
-        pos = {tnode.id: j for j, tnode in enumerate(comp.nodes)}
-        parent_pos = [pos[t.parent] for t in comp.nodes[1:]]
-        attach_base = comp.nodes[0].parent
-        order = c.order_of[attach_base]
-        for h in range(-height, height + 1):
-            tails += range(vertex_count, vertex_count + len(comp.nodes))
-            heads.append(cover_vertex(c.index[(attach_base, h % order)], h, height))
-            heads += [vertex_count + p for p in parent_pos]
-            vertex_count += len(comp.nodes)
-    return CW2Complex(vertex_count, tails, heads, [])
+        pos = {tnode.id: j for j, tnode in enumerate(comp.nodes, at)}
+        attach = comp.nodes[0].parent
+        inner = [pos[t.parent] for t in comp.nodes[1:]]
+        null_runs.append((c.index[(attach, 0)], c.order_of[attach], inner))
+        at += len(comp.nodes)
+    tails: list = []
+    heads: list = []
+    for shell, h in enumerate(_layout_heights(height)):
+        first = shell * width
+        tails += range(first + 1, first + width)
+        heads += map(first.__add__, parents)
+        for run, order, inner in null_runs:
+            heads.append(first + run + h % order)
+            heads += map(first.__add__, inner)
+        if shell:
+            inward = max(shell - 2, 0) * width
+            low, high = (first, inward) if h < 0 else (inward, first)
+            tails += range(low, low + clones)
+            heads += range(high, high + clones)
+    return CW2Complex(n_vertices, tails, heads, [])
 
 
 def build_cover(
@@ -492,36 +574,41 @@ def build_cover(
 ) -> CoverComplex:
     """Cell the strip over the clone tree with square faces, then hang a
     copy of every truncated null subtree at each integer height, shifted by
-    the residue odometer: ``build_cover_graph`` with its squares filled."""
+    the residue odometer: ``build_cover_graph`` with its squares filled.
+    Each height but 0 brings the squares between it and the next inner
+    height, so the faces nest too."""
     skeleton = build_cover_graph(c, nf, height, ceiling)
-    n_heights = 2 * height + 1
-    heights = range(-height, height + 1)
-    # the skeleton's numbering: (vi, h) pairs in order, then the null copies
-    product_vertex = {key: v for v, key in enumerate(product(range(len(c.verts)), heights))}
-    null_keys = (
-        (ci, h, tnode.id)
-        for ci, comp in enumerate(nf.components)
-        for h in heights
-        for tnode in comp.nodes
-    )
-    null_vertex = {key: v for v, key in enumerate(null_keys, len(product_vertex))}
+    clones = len(c.verts)
+    width = skeleton.num_vertices // (2 * height + 1)
+    heights = _layout_heights(height)
+    # the skeleton's numbering, height by height
+    product_vertex = {
+        (vi, h): shell * width + vi for shell, h in enumerate(heights) for vi in range(clones)
+    }
+    null_nodes = [(ci, tnode.id) for ci, comp in enumerate(nf.components) for tnode in comp.nodes]
+    null_vertex = {
+        (ci, h, node_id): shell * width + v
+        for shell, h in enumerate(heights)
+        for v, (ci, node_id) in enumerate(null_nodes, clones)
+    }
 
-    # The skeleton's edge runs: horizontal edge (vi, h) is
-    # row * n_heights + h + height, row counting the non-root vertices
-    # before vi, and vertical edge (vi, h) is vi * (n_heights - 1) + h + height
-    # past all the horizontal ones.
-    vertical = n_heights * sum(p is not None for p in c.parent_idx) + height
+    # The skeleton's edge runs: a height brings ``own`` horizontal and null
+    # edges, horizontal edge (vi, h) being the (vi - 1)-th, and past 0 then
+    # ``clones`` vertical ones, vertical edge vi being the vi-th.
+    own = width - 1
+
+    def first_edge(shell: int) -> int:
+        return shell * own + max(shell - 1, 0) * clones
+
     faces: list = []
-    row = 0
-    for vi, parent in enumerate(c.parent_idx):
-        if parent is None:
-            continue
-        hor = row * n_heights + height
-        row += 1
-        up, side = vertical + parent * (n_heights - 1), vertical + vi * (n_heights - 1)
+    for shell, h in enumerate(heights[1:], 1):
+        # horizontal edge (vi, h) is outer + vi, and (vi, next inner) inner + vi
+        outer, inner = first_edge(shell) - 1, first_edge(max(shell - 2, 0)) - 1
+        below, above = (outer, inner) if h < 0 else (inner, outer)
+        up = first_edge(shell) + own
         faces.extend(
-            [(hor + h, 1), (up + h, 1), (hor + h + 1, -1), (side + h, -1)]
-            for h in range(-height, height)
+            [(below + vi, 1), (up + parent, 1), (above + vi, -1), (up + vi, -1)]
+            for vi, parent in enumerate(c.parent_idx[1:], 1)
         )
 
     k = CW2Complex(skeleton.num_vertices, skeleton.tails, skeleton.heads, faces)

@@ -271,12 +271,20 @@ def _digit_limit() -> int:
     return getattr(sys, "get_int_max_str_digits", lambda: 0)()  # absent before 3.10.7
 
 
+# Python refuses a digit limit below this threshold, and a label of at most
+# 3 bits per digit of it is below 8**threshold < 10**threshold, so no limit
+# can reach it.  0 before 3.10.7, which has no limit at all.
+_ALWAYS_PRINTABLE_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 0)
+
+
 def check_label(label: int, what: str = "label") -> int:
     """Return ``label``, or raise SizeCeilingError when it has more decimal
     digits than Python converts (``sys.get_int_max_str_digits()``, 0 for no
     limit).  ``parse_label`` reads labels under the same limit, so a label
     that passes can be written out and read back; ``what`` names other
     printed integers, such as ranks, in the error."""
+    if label.bit_length() <= _ALWAYS_PRINTABLE_BITS:
+        return label
     limit = _digit_limit()
     if limit and label.bit_length() > 3 * limit and label >= 10**limit:
         digits = int(label.bit_length() * math.log10(2))  # the count, or one less

@@ -2,9 +2,9 @@
 key-indexed cover builder.
 
 It lays out every vertex and edge through dicts keyed by (coset vertex,
-height) and (component, height, node id), and builds each square face from
-those keys.  The package places vertices, edges and faces by index
-arithmetic instead; the tests check on random germs that both give the same
+height) and (component, height, node id), height by height in the order 0,
+-1, 1, -2, 2, ..., and builds each square face from those keys.  The
+package places vertices, edges and faces by index arithmetic instead; the tests check on random germs that both give the same
 complex, cell for cell and in the same order.
 """
 
@@ -33,14 +33,17 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
             "cover cells", est_vertices + est_edges + est_faces, ceiling
         )
 
+    # shell by shell: height 0, then -1, 1, -2, 2 and so on, each height
+    # with its vertices, and its edges and squares out to the next inner one
+    heights = sorted(range(-height, height + 1), key=lambda h: (abs(h), h))
     product_vertex: dict = {}
-    for vi in range(len(c.verts)):
-        for h in range(-height, height + 1):
-            product_vertex[(vi, h)] = len(product_vertex)
-    vertex_count = len(product_vertex)
     null_vertex: dict = {}
-    for ci, comp in enumerate(nf.components):
-        for h in range(-height, height + 1):
+    vertex_count = 0
+    for h in heights:
+        for vi in range(len(c.verts)):
+            product_vertex[(vi, h)] = vertex_count
+            vertex_count += 1
+        for ci, comp in enumerate(nf.components):
             for tnode in comp.nodes:
                 null_vertex[(ci, h, tnode.id)] = vertex_count
                 vertex_count += 1
@@ -48,21 +51,17 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
     edges: list = []
     horizontal_edge: dict = {}
     vertical_edge: dict = {}
-    for vi in range(len(c.verts)):
-        parent = c.parent_idx[vi]
-        if parent is None:
-            continue
-        for h in range(-height, height + 1):
+    for outer in heights:
+        h = outer
+        for vi in range(len(c.verts)):
+            parent = c.parent_idx[vi]
+            if parent is None:
+                continue
             horizontal_edge[(vi, h)] = len(edges)
             edges.append((product_vertex[(vi, h)], product_vertex[(parent, h)]))
-    for vi in range(len(c.verts)):
-        for h in range(-height, height):
-            vertical_edge[(vi, h)] = len(edges)
-            edges.append((product_vertex[(vi, h)], product_vertex[(vi, h + 1)]))
-    for ci, comp in enumerate(nf.components):
-        attach_base = comp.nodes[0].parent
-        order = c.order_of[attach_base]
-        for h in range(-height, height + 1):
+        for ci, comp in enumerate(nf.components):
+            attach_base = comp.nodes[0].parent
+            order = c.order_of[attach_base]
             shifted = c.index[(attach_base, h % order)]
             for tnode in comp.nodes:
                 if tnode.id == comp.root_id:
@@ -70,13 +69,22 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
                 else:
                     target = null_vertex[(ci, h, tnode.parent)]
                 edges.append((null_vertex[(ci, h, tnode.id)], target))
+        if outer == 0:
+            continue
+        h = outer if outer < 0 else outer - 1  # between outer and the next inner height
+        for vi in range(len(c.verts)):
+            vertical_edge[(vi, h)] = len(edges)
+            edges.append((product_vertex[(vi, h)], product_vertex[(vi, h + 1)]))
 
     faces: list = []
-    for vi in range(len(c.verts)):
-        if c.parent_idx[vi] is None:
+    for outer in heights:
+        if outer == 0:
             continue
-        parent = c.parent_idx[vi]
-        for h in range(-height, height):
+        h = outer if outer < 0 else outer - 1  # the square spans h..h+1
+        for vi in range(len(c.verts)):
+            if c.parent_idx[vi] is None:
+                continue
+            parent = c.parent_idx[vi]
             word = [
                 (horizontal_edge[(vi, h)], 1),
                 (vertical_edge[(parent, h)], 1),

@@ -426,6 +426,7 @@ class TestReports:
 
         counted(classify, "truncate")
         for name in (
+            "telescope_graph",
             "build_base",
             "infinity_neighborhood_base",
             "build_frontier_graph",
@@ -461,20 +462,22 @@ class TestReports:
         monkeypatch.setattr(cw, "subcomplex", recording_subcomplex)
         full_report(CORPUS["two_loops"])
         # one truncation, whose depth-3 prefix is the shallow tree; one clone
-        # tree, at depth 3, for the frontier tower and the covers; telescopes
-        # at depths 3 and 4; the frontier tower's graphs at radii 0 to 3, one
-        # forest each, plus one for the ray-multiplier's H1 engine of the
-        # depth-3 telescope and one for each of its two branches; face-free
-        # covers at heights 3 and 4
+        # tree, at depth 3, for the frontier tower and the cover; telescope
+        # skeletons at depths 3 and 4, and the depth-3 one filled with faces
+        # for the ray-multiplier; the frontier tower's graphs at radii 0 to
+        # 3, one forest each, plus one for the ray-multiplier's H1 engine of
+        # the faced telescope and one for each of its two branches; one
+        # face-free cover at height 4, whose prefix is the one at height 3
         assert calls == {
             "truncate": 1,
             "CosetTree": 1,
-            "build_base": 2,
+            "telescope_graph": 2,
+            "build_base": 1,
             "build_frontier_graph": 4,
             "_spanning_forest": 7,
-            "build_cover_graph": 2,
+            "build_cover_graph": 1,
         }
-        assert cover_faces == [0, 0]
+        assert cover_faces == [0]
         # the telescopes' neighbourhoods are counted in one sweep each, with
         # no selection; only the ray-multiplier's induced maps restrict to a
         # subcomplex
@@ -485,26 +488,34 @@ class TestReports:
         built.clear()
         subcomplex_callers.clear()
         full_report(CORPUS["two_loops"], depth=2)
-        # at depth 2 the covers read the depth-2 clone tree and the tower
+        # at depth 2 the cover reads the depth-2 clone tree and the tower
         # radii up to 3, so each gets a tree of its own
         assert calls == {
             "truncate": 1,
             "CosetTree": 2,
-            "build_base": 2,
+            "telescope_graph": 2,
+            "build_base": 1,
             "build_frontier_graph": 4,
             "_spanning_forest": 7,
-            "build_cover_graph": 2,
+            "build_cover_graph": 1,
         }
         calls.clear()
         cover_faces.clear()
         built.clear()
         subcomplex_callers.clear()
         full_report(CORPUS["trivial"])
-        assert (calls["build_cover_graph"], calls.get("build_cover", 0)) == (2, 0)
-        assert cover_faces == [0, 0]
-        # two telescopes and two covers; two-ended-split counts the covers
-        # without their middle vertex in place
-        assert len(built) == 4
+        # the trivial germ has two fixed ends, so the ray-multiplier skips
+        # and no telescope gets faces
+        assert calls == {
+            "truncate": 1,
+            "CosetTree": 1,
+            "telescope_graph": 2,
+            "build_cover_graph": 1,
+        }
+        assert cover_faces == [0]
+        # two telescope skeletons and one cover; two-ended-split counts the
+        # cover's prefixes without their middle vertex in place
+        assert len(built) == 3
         assert subcomplex_callers == []
 
     def test_each_closed_form_is_computed_once(self, monkeypatch, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
-from treeends import cli as cli_module, cw
+from treeends import cli as cli_module, coset, cw
 from treeends.cli import run
 from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
 from treeends.germ import parse_germ, render_germ
@@ -201,6 +201,19 @@ class TestBatteryCloneTree:
             raise AssertionError(f"frontier graph of radius {i} built before the refusal")
 
         monkeypatch.setattr(cw, "build_frontier_graph", unbounded)
+        path = tmp_path / "loop99.germ"
+        path.write_text("root A\nedge A A 99\n")
+        code, out, err = cli(command, path)
+        assert (code, out) == (3, "")
+        assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
+
+    def test_covers_are_refused_before_the_clone_tree(self, cli, tmp_path, monkeypatch, command):
+        # the covers' size follows from the 980,200 clones that the depth-3
+        # tree would have, so none of them is built
+        def unbuilt(self, *args, **kwargs):
+            raise AssertionError("clone tree built before the refusal")
+
+        monkeypatch.setattr(coset.CosetTree, "__init__", unbuilt)
         path = tmp_path / "loop99.germ"
         path.write_text("root A\nedge A A 99\n")
         code, out, err = cli(command, path)

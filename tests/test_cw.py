@@ -25,12 +25,14 @@ from treeends.cw import (
     build_cover,
     build_cover_graph,
     build_frontier_graph,
+    check_cover_size,
     collapse_h1_matrix,
     cover_vertex,
     h1,
     induced_h1,
     infinity_neighborhood_base,
     subcomplex,
+    telescope_graph,
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, validate_germ
@@ -558,13 +560,109 @@ class TestCover:
         assert graph.num_vertices == ref.complex.num_vertices
         assert graph.edges == ref.complex.edges
         assert graph.faces == ()
-        assert cover_vertex(c.root_index, 0, height) == ref.middle_vertex
+        width = len(c.verts) + sum(len(comp.nodes) for comp in nf.components)
+        assert {key: cover_vertex(*key, width) for key in ref.product_vertex} == ref.product_vertex
+        assert cover_vertex(c.root_index, 0, width) == ref.middle_vertex
         cov = build_cover(c, nf, height, ceiling)
         assert cov.complex.num_vertices == ref.complex.num_vertices
         assert cov.complex.edges == ref.complex.edges
         assert cov.complex.faces == ref.complex.faces
         assert cov.product_vertex == ref.product_vertex
         assert list(cov.null_vertex.items()) == list(ref.null_vertex.items())
+
+
+class TestCoverNesting:
+    """A cover is laid out shell by shell, so every lower cover is a prefix
+    of a taller one, cut where ``check_cover_size`` counts it."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_germs(), st.integers(1, 3), st.integers(1, 4))
+    def test_each_lower_cover_is_a_prefix(self, g, depth, top):
+        t = truncate(g, depth)
+        c, nf = lambda_plus(positive_part(t)), null_forest(t)
+        try:
+            tall = build_cover(c, nf, top, 3000)
+        except SizeCeilingError:
+            return
+        k = tall.complex
+        cuts = []
+        for h in range(1, top + 1):
+            nv, ne = check_cover_size(len(c.verts), nf, h, 3000)
+            cuts.append((nv, ne))
+            graph = build_cover_graph(c, nf, h, 3000)
+            assert (graph.num_vertices, graph.tails, graph.heads) == (nv, k.tails[:ne], k.heads[:ne])
+            cov = build_cover(c, nf, h, 3000).complex
+            assert (cov.num_vertices, cov.edges) == (nv, k.edges[:ne])
+            assert cov.faces == k.faces[: len(cov.faces)]
+            assert len(cov.faces) == (len(c.verts) - 1) * 2 * h
+        assert k.prefix_component_counts(cuts) == [
+            build_cover_graph(c, nf, h, 3000).component_count() for h in range(1, top + 1)
+        ]
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 3), st.integers(2, 4), st.data())
+    def test_bad_cuts_are_refused(self, g, depth, top, data):
+        t = truncate(g, depth)
+        c, nf = lambda_plus(positive_part(t)), null_forest(t)
+        try:
+            k = build_cover_graph(c, nf, top, 3000)
+        except SizeCeilingError:
+            return
+        cuts = [check_cover_size(len(c.verts), nf, h, 3000) for h in range(1, top + 1)]
+        i = data.draw(st.integers(0, len(cuts) - 2))
+        (nv, ne), (nv_next, ne_next) = cuts[i], cuts[i + 1]
+        # a cut that descends in vertices or in edges
+        for bad in ((nv_next, ne), (nv, ne_next)):
+            with pytest.raises(DomainError, match="does not ascend"):
+                k.prefix_component_counts([cuts[i + 1], bad])
+        # a cut past the complex
+        with pytest.raises(DomainError, match="does not ascend"):
+            k.prefix_component_counts([(k.num_vertices + 1, len(k.tails))])
+        # a cut that keeps an edge of the next shell, which reaches past its
+        # vertices, and one that keeps too few vertices for its edges
+        for bad in ((nv, ne + 1), (nv - 1, ne)):
+            with pytest.raises(DomainError, match="drops an endpoint of edge"):
+                k.prefix_component_counts(cuts[:i] + [bad])
+
+    def test_counts_of_hand_made_prefixes(self):
+        # a path 0 - 1 - 2 - 3 whose edges come in vertex order, and a
+        # repeated cut
+        k = CW2Complex(4, [0, 1, 2], [1, 2, 3], [])
+        assert k.prefix_component_counts([(1, 0), (2, 0), (2, 1), (2, 1), (4, 2), (4, 3)]) == [1, 2, 1, 1, 2, 1]
+        assert k.prefix_component_counts([]) == []
+        with pytest.raises(DomainError) as exc:
+            k.prefix_component_counts([(2, 2)])
+        assert str(exc.value) == "prefix of 2 vertices drops an endpoint of edge 1"
+        with pytest.raises(DomainError) as exc:
+            k.prefix_component_counts([(3, 2), (2, 2)])
+        assert str(exc.value) == "cut (2, 2) does not ascend from (3, 2) within (4, 3)"
+
+
+class TestTelescopeGraph:
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(0, 4), st.integers(1, 3000))
+    def test_the_skeleton_of_the_faced_telescope(self, g, depth, ceiling):
+        t = truncate(g, depth)
+        try:
+            b = build_base(t, ceiling)
+        except SizeCeilingError as exc:
+            # both refuse with the same count, faces included
+            with pytest.raises(SizeCeilingError) as got:
+                telescope_graph(t, ceiling)
+            assert str(got.value) == str(exc)
+            return
+        k = telescope_graph(t, ceiling)
+        assert (k.num_vertices, k.edges, k.faces) == (b.complex.num_vertices, b.complex.edges, ())
+        # filling a given skeleton builds the same telescope on its edge lists
+        filled = build_base(t, ceiling, k)
+        assert filled.complex.tails is k.tails and filled.complex.heads is k.heads
+        assert filled.complex.faces == b.complex.faces
+        assert (filled.vertex_of_node, filled.tree_edge_of_node, filled.loop_of_node, filled.face_of_node) == (
+            b.vertex_of_node,
+            b.tree_edge_of_node,
+            b.loop_of_node,
+            b.face_of_node,
+        )
 
 
 class TestFrontier:

@@ -1,4 +1,5 @@
 import dataclasses
+import sys
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -185,6 +186,21 @@ def test_label_check_matches_the_int_digit_limit(int_digit_limit):
         with pytest.raises(SizeCeilingError) as exc:
             check_label(label)
         assert (exc.value.count, exc.value.ceiling) == (digits, 4300)
+
+
+def test_label_check_at_the_least_digit_limit(int_digit_limit):
+    # 640 digits is the least limit Python accepts; every label of at most
+    # 3 * 640 bits returns before the limit is read
+    sys.set_int_max_str_digits(640)
+    assert sys.int_info.str_digits_check_threshold == 640
+    assert check_label(2**1920 - 1) == 2**1920 - 1
+    assert check_label(10**640 - 1) == 10**640 - 1
+    with pytest.raises(SizeCeilingError) as exc:
+        check_label(10**640)
+    assert (exc.value.count, exc.value.ceiling) == (641, 640)
+    sys.set_int_max_str_digits(0)  # no limit
+    for label in (2**1920 - 1, 10**640 - 1, 10**640, 2**15000):
+        assert check_label(label) == label
 
 
 TOKENS = st.one_of(
