@@ -370,7 +370,7 @@ def cross_checks(
     trees = [positive_part(t)] if n_bonds == d3 else [positive_part(t), positive_part(t_deep)]
     # each clone tree is counted, and refused, before any is built
     clones = [sum(clone_orders(pos, ceiling).values()) for pos in trees]
-    # branch-components reads only 1-skeletons; ray-multiplier fills t's
+    # branch-components reads only 1-skeletons; ray-multiplier builds t's with faces
     telescopes = [(tree, cw.telescope_graph(tree, ceiling)) for tree in (t, t_deep)]
     nf = null_forest(t)
     hc = min(height, 3)
@@ -412,7 +412,7 @@ def cross_checks(
         node_id = t.root.id
         prod = 1
         steps = ray.prefix + ray.cycle * 2  # at least the ray's first two edges
-        base = cw.build_base(t, ceiling, telescopes[0][1])
+        base = cw.build_base(t, ceiling)
         engine = cw.H1Calculator(base.complex)
         for i in range(1, min(2, d3) + 1):
             e_idx = steps[i - 1]
@@ -438,8 +438,7 @@ def cross_checks(
     if g.is_trivial:
         ok = True
         details = []
-        width = cuts[0][0] // (2 * hc + 1)  # vertices at each height
-        mid = cw.cover_vertex(cov_coset.root_index, 0, width)
+        mid = cw.cover_vertex(cov_coset.root_index, 0, clones[0], nf)
         for h, (nv, ne) in zip((hc, hc + 1), cuts):
             # the cover at h with the middle vertex and its edges dropped
             verts = tuple(v for v in range(nv) if v != mid)

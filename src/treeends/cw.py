@@ -26,7 +26,7 @@ of every such prefix in one union-find pass.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import compress, islice
+from itertools import compress
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -84,15 +84,11 @@ class CW2Complex:
 
     def _union_find(self, selected=None, parent=None) -> tuple:
         """(root links, merge count) over every edge, or over the edges
-        ``selected``, a sequence of indices or a slice, starting from the
-        root links ``parent`` (all singletons when None), which it updates
-        in place.  Each root is the least vertex of its component, so
-        parent[v] <= v."""
+        ``selected``, a sequence of indices, starting from the root links
+        ``parent`` (all singletons when None), which it updates in place.
+        Each root is the least vertex of its component, so parent[v] <= v."""
         tails, heads = self.tails, self.heads
-        if isinstance(selected, slice):  # a run of edges, read in place
-            run = selected.start, selected.stop
-            tails, heads = islice(tails, *run), islice(heads, *run)
-        elif selected is not None:
+        if selected is not None:
             tails, heads = map(tails.__getitem__, selected), map(heads.__getitem__, selected)
         if parent is None:
             parent = list(range(self.num_vertices))
@@ -171,7 +167,7 @@ class CW2Complex:
                 )
             parent += range(len(parent), nv)
             try:
-                merges += self._union_find(slice(done, ne), parent)[1]
+                merges += self._union_find(range(done, ne), parent)[1]
             except IndexError:
                 e = next(e for e in range(done, ne) if max(self.tails[e], self.heads[e]) >= nv)
                 raise DomainError(f"prefix of {nv} vertices drops an endpoint of edge {e}") from None
@@ -384,18 +380,10 @@ def telescope_graph(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CW2Comp
     return CW2Complex(len(t.nodes), climbs + loops, heads, [])
 
 
-def build_base(
-    t: TruncatedTree,
-    ceiling: int = DEFAULT_CEILING,
-    graph: CW2Complex | None = None,
-) -> BaseComplex:
+def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
     """The skeleton ``telescope_graph(t, ceiling)`` with its faces and cell
-    registries.  A caller that holds that skeleton already passes it as
-    ``graph``, and the faced complex shares its edge lists."""
+    registries."""
     vertex_of, climbs, loops, heads = _telescope_edges(t, ceiling)
-    tails = climbs + loops
-    if graph is not None:
-        tails, heads = graph.tails, graph.heads
     nodes = t.nodes
     tree_edge_of = {nodes[i].id: e for e, i in enumerate(climbs)}
     loop_of = {nodes[i].id: e for e, i in enumerate(loops, len(climbs))}
@@ -409,7 +397,7 @@ def build_base(
             face_of[node.id] = len(faces)
             faces.append(word)
     return BaseComplex(
-        complex=CW2Complex(len(nodes), tails, heads, faces),
+        complex=CW2Complex(len(nodes), climbs + loops, heads, faces),
         tree=t,
         vertex_of_node=vertex_of,
         tree_edge_of_node=tree_edge_of,
@@ -481,11 +469,17 @@ def _layout_heights(height: int) -> list:
     return [0] + [h for s in range(1, height + 1) for h in (-s, s)]
 
 
-def cover_vertex(vi: int, h: int, width: int) -> int:
-    """Index of product vertex (vi, h) in a cover with ``width`` vertices
-    at each height, the clone tree's and then the null forest's: height h
-    is at position 2|h| - (h < 0) of the layout."""
-    return (2 * abs(h) - (h < 0)) * width + vi
+def _cover_width(clones: int, nf: NullForest) -> int:
+    """Vertices at each height of a cover over a clone tree of ``clones``
+    vertices and the null forest ``nf``: the clones, then the null copies."""
+    return clones + sum(len(comp.nodes) for comp in nf.components)
+
+
+def cover_vertex(vi: int, h: int, clones: int, nf: NullForest) -> int:
+    """Index of product vertex (vi, h) in a cover over a clone tree of
+    ``clones`` vertices and the null forest ``nf``: height h is at position
+    2|h| - (h < 0) of the layout."""
+    return (2 * abs(h) - (h < 0)) * _cover_width(clones, nf) + vi
 
 
 def check_cover_size(
@@ -505,9 +499,9 @@ def check_cover_size(
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
-    null_nodes = sum(len(comp.nodes) for comp in nf.components)
-    vertices = (clones + null_nodes) * n_heights
-    edges = (clones - 1 + null_nodes) * n_heights + clones * (n_heights - 1)
+    width = _cover_width(clones, nf)
+    vertices = width * n_heights
+    edges = (width - 1) * n_heights + clones * (n_heights - 1)
     faces = (clones - 1) * (n_heights - 1)
     if vertices + edges + faces > ceiling:
         raise SizeCeilingError("cover cells", vertices + edges + faces, ceiling)
@@ -524,7 +518,7 @@ def build_cover_graph(
 
     The heights come in the order 0, -1, 1, ..., -height, height.  Each
     brings its ``width`` vertices: the product vertices (vi, h) in vi order,
-    so (vi, h) is ``cover_vertex(vi, h, width)``, then the null copies in
+    so (vi, h) is ``cover_vertex(vi, h, clones, nf)``, then the null copies in
     (component, node) order.  Then come its edges: horizontal
     (vi, h) -> (parent, h) over every non-root vi; each null node to its
     parent's copy, where a null root's parent copy is the product vertex
@@ -533,9 +527,9 @@ def build_cover_graph(
     height.  No edge reaches out past its own height, so the cover at any
     height up to ``height`` is the prefix of this one that
     ``check_cover_size`` counts."""
-    n_vertices, _ = check_cover_size(len(c.verts), nf, height, ceiling)
     clones = len(c.verts)
-    width = n_vertices // (2 * height + 1)
+    n_vertices, _ = check_cover_size(clones, nf, height, ceiling)
+    width = _cover_width(clones, nf)
     # vertex 0 is the root, the only clone without a parent
     parents = c.parent_idx[1:]
     # per null component: the attach point's run start and order, and the
@@ -579,7 +573,7 @@ def build_cover(
     height, so the faces nest too."""
     skeleton = build_cover_graph(c, nf, height, ceiling)
     clones = len(c.verts)
-    width = skeleton.num_vertices // (2 * height + 1)
+    width = _cover_width(clones, nf)
     heights = _layout_heights(height)
     # the skeleton's numbering, height by height
     product_vertex = {

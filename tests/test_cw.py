@@ -560,9 +560,9 @@ class TestCover:
         assert graph.num_vertices == ref.complex.num_vertices
         assert graph.edges == ref.complex.edges
         assert graph.faces == ()
-        width = len(c.verts) + sum(len(comp.nodes) for comp in nf.components)
-        assert {key: cover_vertex(*key, width) for key in ref.product_vertex} == ref.product_vertex
-        assert cover_vertex(c.root_index, 0, width) == ref.middle_vertex
+        clones = len(c.verts)
+        assert {key: cover_vertex(*key, clones, nf) for key in ref.product_vertex} == ref.product_vertex
+        assert cover_vertex(c.root_index, 0, clones, nf) == ref.middle_vertex
         cov = build_cover(c, nf, height, ceiling)
         assert cov.complex.num_vertices == ref.complex.num_vertices
         assert cov.complex.edges == ref.complex.edges
@@ -653,16 +653,6 @@ class TestTelescopeGraph:
             return
         k = telescope_graph(t, ceiling)
         assert (k.num_vertices, k.edges, k.faces) == (b.complex.num_vertices, b.complex.edges, ())
-        # filling a given skeleton builds the same telescope on its edge lists
-        filled = build_base(t, ceiling, k)
-        assert filled.complex.tails is k.tails and filled.complex.heads is k.heads
-        assert filled.complex.faces == b.complex.faces
-        assert (filled.vertex_of_node, filled.tree_edge_of_node, filled.loop_of_node, filled.face_of_node) == (
-            b.vertex_of_node,
-            b.tree_edge_of_node,
-            b.loop_of_node,
-            b.face_of_node,
-        )
 
 
 class TestFrontier:
