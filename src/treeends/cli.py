@@ -22,12 +22,12 @@ import sys
 from operator import attrgetter
 
 from .classify import classify_ends, cross_checks, default_ray, full_report, render_text, to_json_dict
-from .coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree, lambda_of_coset, lambda_plus
+from .coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
 from .errors import ParseError, SizeCeilingError, TreeEndsError
 from .germ import GermGraph, parse_germ, render_germ, require_valid, validate_germ
 from .proseq import classify_mult, format_sequence, inverse_limit_mult, parse_sequence
 from .reduce import elementary_reduction, germ_power
-from .unfold import DEFAULT_CEILING, TreeNode, TruncatedTree, null_forest, positive_part, truncate
+from .unfold import DEFAULT_CEILING, TruncatedTree, null_forest, positive_part, truncate
 
 
 def _at_least(minimum: int):
@@ -68,60 +68,49 @@ def _reject_format(fmt: str, command: str) -> int:
 
 def render_tree_text(t: TruncatedTree) -> str:
     lines = [f"depth {t.depth}"]
-    for node in t.nodes:
-        if node.parent is None:
-            lines.append(f"node {node.id} tier 0 root {node.germ_vertex}")
+    for i, tier, parent, vertex, label, positive in t.nodes:
+        if parent is None:
+            lines.append(f"node {i} tier 0 root {vertex}")
         else:
-            kind = "positive" if node.positive else "null"
-            lines.append(
-                f"node {node.id} tier {node.tier} parent {node.parent} "
-                f"vertex {node.germ_vertex} label {node.label} {kind}"
-            )
+            kind = "positive" if positive else "null"
+            lines.append(f"node {i} tier {tier} parent {parent} vertex {vertex} label {label} {kind}")
     return "\n".join(lines) + "\n"
 
 
-# _INT_SHAPE.get(type(v), v) is ``int`` for an exact int and ``v`` otherwise
-_INT_SHAPE = {int: int}
+class _Quoted(dict):
+    """``json.dumps`` of each value looked up, made once per value."""
+
+    def __missing__(self, value) -> str:
+        text = self[value] = json.dumps(value)
+        return text
 
 
-def _json_records(head: dict, node_type, records) -> str:
-    """``json.dumps({**head, "nodes": [...]}, indent=2)`` for records of
-    ``node_type``, a named tuple whose fields are the JSON keys in order
-    (``germ_vertex`` is written as ``"vertex"``), without the per-record
-    dicts.
-
-    The records hold None, bools, ints and strings.  A record's shape is the
-    record with each exact int replaced by ``int``.  Each shape gets one
-    %-template that bakes in its other scalars as ``json.dumps`` encodes
-    them and takes the ints by ``%d``, the same digits as ``int.__repr__``;
-    the record tuple itself fills it, ``%.0s`` consuming the baked fields.
-    """
+def _json_nodes(head: dict, records: list) -> str:
+    """``json.dumps({**head, "nodes": [...]}, indent=2)`` given each node's
+    JSON object as ``records``: one f-string per node, with its ints as their
+    digits and its strings (and None color) quoted by ``json.dumps``."""
     text = json.dumps(head, indent=2)[:-2]  # drop the closing "\n}"
     if not records:
         return text + ',\n  "nodes": []\n}'
-    prefixes = [
-        f"      {json.dumps('vertex' if f == 'germ_vertex' else f)}: " for f in node_type._fields
-    ]
-    templates: dict = {}
-    out = []
-    for r in records:
-        shape = tuple(map(_INT_SHAPE.get, map(type, r), r))
-        template = templates.get(shape)
-        if template is None:
-            fields = (
-                p + ("%d" if s is int else json.dumps(s).replace("%", "%%") + "%.0s")
-                for p, s in zip(prefixes, shape)
-            )
-            template = templates[shape] = "    {\n" + ",\n".join(fields) + "\n    }"
-        out.append(template % r)
-    return text + ',\n  "nodes": [\n' + ",\n".join(out) + "\n  ]\n}"
+    return text + ',\n  "nodes": [\n' + ",\n".join(records) + "\n  ]\n}"
 
 
 def tree_json_dict(t: TruncatedTree) -> str:
     """JSON text of a tree, the same as ``json.dumps(payload, indent=2)``.
     Named for the dict it once returned; the name stays until a benchmark
     change retargets the span that times it."""
-    return _json_records({"schema": 1, "depth": t.depth}, TreeNode, t.nodes)
+    quoted = _Quoted()
+    return _json_nodes(
+        {"schema": 1, "depth": t.depth},
+        [
+            f'    {{\n      "id": {i},\n      "tier": {tier},\n'
+            f'      "parent": {"null" if parent is None else parent},\n'
+            f'      "vertex": {quoted[vertex]},\n'
+            f'      "label": {"null" if label is None else label},\n'
+            f'      "positive": {"true" if positive else "false"}\n    }}'
+            for i, tier, parent, vertex, label, positive in t.nodes
+        ],
+    )
 
 
 def _emit_dot(name: str, nodes, field: str, looks: dict) -> str:
@@ -156,14 +145,13 @@ def emit_dot_colored(ct: ColoredTree) -> str:
 
 def colored_tree_text(ct) -> str:
     lines = [f"nodes {len(ct)}"]
-    for n in ct.nodes:
-        parent = "-" if n.parent is None else str(n.parent)
-        color = n.color if n.color is not None else "root"
-        label = "-" if n.label is None else str(n.label)
-        residue = "-" if n.residue is None else str(n.residue)
-        kind = "original" if n.original else "clone"
+    for i, parent, color, original, vertex, label, residue in ct.nodes:
+        parent = "-" if parent is None else parent
+        color = "root" if color is None else color
+        residue = "-" if residue is None else residue
+        kind = "original" if original else "clone"
         lines.append(
-            f"node {n.id} parent {parent} color {color} vertex {n.germ_vertex} "
+            f"node {i} parent {parent} color {color} vertex {vertex} "
             f"label {label} residue {residue} {kind}"
         )
     return "\n".join(lines) + "\n"
@@ -173,7 +161,19 @@ def colored_tree_json_dict(ct: ColoredTree) -> str:
     """JSON text of a clone tree, the same as ``json.dumps(payload,
     indent=2)``.  Named for the dict it once returned; the name stays until a
     benchmark change retargets the span that times it."""
-    return _json_records({"schema": 1}, ColoredNode, ct.nodes)
+    quoted = _Quoted()
+    return _json_nodes(
+        {"schema": 1},
+        [
+            f'    {{\n      "id": {i},\n'
+            f'      "parent": {"null" if parent is None else parent},\n'
+            f'      "color": {quoted[color]},\n'
+            f'      "original": {"true" if original else "false"},\n'
+            f'      "vertex": {quoted[vertex]},\n      "label": {label},\n'
+            f'      "residue": {"null" if residue is None else residue}\n    }}'
+            for i, parent, color, original, vertex, label, residue in ct.nodes
+        ],
+    )
 
 
 def germ_json_dict(g: GermGraph) -> dict:

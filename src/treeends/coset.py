@@ -20,8 +20,8 @@ from .germ import GermGraph, walk_counts
 from .unfold import (
     DEFAULT_CEILING,
     NullForest,
-    TreeNode,
     TruncatedTree,
+    null_forest,
     positive_part,
     truncate,
 )
@@ -187,39 +187,33 @@ def wedge_expansion(
     """Grow the clone tree by copying: positive children of an original
     vertex contribute one black copy and label-1 gray copies, zero-label
     children contribute one dashed copy, and every copy under a gray vertex
-    is gray with no dashed part."""
+    is gray with no dashed part.  A base node's children are read from
+    ``tree`` once, however many copies it has."""
+    new = tuple.__new__
     root = tree.root
-    nodes = [ColoredNode(0, None, None, True, root.germ_vertex, 0, None)]
-    queue = [(0, root.id)]
-    head = 0
-    while head < len(queue):
-        colored_id, base_id = queue[head]
-        head += 1
-        me = nodes[colored_id]
-        for child_id in tree.children(base_id):
-            child = tree.node(child_id)
-            if child.label > 0:
-                copies = []
-                if me.original:
-                    copies.append((BLACK, True))
-                    copies.extend((GRAY, False) for _ in range(child.label - 1))
-                else:
-                    copies.extend((GRAY, False) for _ in range(child.label))
-                for color, original in copies:
-                    nid = len(nodes)
-                    if nid >= ceiling:
-                        raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
-                    nodes.append(
-                        ColoredNode(nid, colored_id, color, original, child.germ_vertex, child.label, None)
-                    )
-                    queue.append((nid, child_id))
-            else:
-                if me.original:
-                    nid = len(nodes)
-                    if nid >= ceiling:
-                        raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
-                    nodes.append(ColoredNode(nid, colored_id, DASHED, True, child.germ_vertex, 0, None))
-                    queue.append((nid, child_id))
+    nodes = [new(ColoredNode, (0, None, None, True, root.germ_vertex, 0, None))]
+    append = nodes.append
+    base_ids = [root.id]  # the base node each colored node copies
+    # base id -> each child's id, vertex, label and the (color, original) of
+    # its copies under an original and under a clone
+    kids: dict = {}
+    for (colored_id, _, _, parent_original, _, _, _), base_id in zip(nodes, base_ids):
+        children = kids.get(base_id)
+        if children is None:
+            children = kids[base_id] = []
+            for c in map(tree.node, tree.children(base_id)):
+                gray = [(GRAY, False)] * c.label
+                under_original = [(BLACK, True)] + gray[1:] if c.label else [(DASHED, True)]
+                children.append((c.id, c.germ_vertex, c.label, under_original, gray))
+        for child_id, vertex, label, under_original, under_clone in children:
+            looks = under_original if parent_original else under_clone
+            nid = len(nodes)
+            if nid + len(looks) > ceiling:  # refuse before making any copy
+                raise SizeCeilingError("wedge tree vertices", max(nid, ceiling) + 1, ceiling)
+            for color, original in looks:
+                append(new(ColoredNode, (nid, colored_id, color, original, vertex, label, None)))
+                nid += 1
+            base_ids += repeat(child_id, len(looks))
     return ColoredTree(nodes)
 
 
@@ -265,8 +259,6 @@ def clone_tree_models(
     Returns (coset colored tree, wedge colored tree); the two are isomorphic
     as colored rooted trees for every valid germ.
     """
-    from .unfold import null_forest
-
     tree = truncate(germ, depth, ceiling=ceiling)
     pos = positive_part(tree)
     coset = lambda_plus(pos, ceiling=ceiling)

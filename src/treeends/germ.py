@@ -177,7 +177,8 @@ def render_germ(g: GermGraph) -> str:
 def validate_germ(g: GermGraph) -> ValidationReport:
     """Check the structural rules a germ must satisfy.
 
-    Rules: every referenced name declared and unique; every vertex reachable
+    Rules: every referenced name declared and unique; every label an exact
+    nonnegative int (not a bool, float or string); every vertex reachable
     from the root; every reachable vertex has an outgoing edge (leafless),
     except the single-vertex zero-edge germ; every vertex that is the target
     of a reachable 0-labeled edge has only 0-labeled outgoing edges.
@@ -194,7 +195,9 @@ def validate_germ(g: GermGraph) -> ValidationReport:
         for name in (e.src, e.dst):
             if name not in seen:
                 violations.append(Violation("structure", name, f"edge endpoint {name!r} is not declared"))
-        if e.label < 0:
+        if type(e.label) is not int:
+            violations.append(Violation("structure", f"{e.src}->{e.dst}", "label must be an integer"))
+        elif e.label < 0:
             violations.append(Violation("structure", f"{e.src}->{e.dst}", "negative label"))
     if violations:
         return ValidationReport(ok=False, violations=tuple(violations))

@@ -18,7 +18,7 @@ from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
 from treeends import cli as cli_module, coset, cw
 from treeends.cli import run
-from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
+from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree, lambda_of_coset, lambda_plus
 from treeends.germ import parse_germ, render_germ
 from treeends.reduce import elementary_reduction
 from treeends.unfold import TreeNode, TruncatedTree, null_forest, positive_part, truncate
@@ -515,6 +515,37 @@ class TestJsonWriters:
         # germ files admit only identifiers; a tree built in code may hold any name
         t = TruncatedTree(0, (TreeNode(0, 0, None, 'q"\\\n%s é', None, True),))
         assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
+
+    def test_clone_tree_names_that_need_escapes(self):
+        ct = ColoredTree(
+            [
+                ColoredNode(0, None, None, True, 'q"\\\n%s é', 0, 0),
+                ColoredNode(1, 0, BLACK, True, "\t%d{}", 2, 0),
+                ColoredNode(2, 0, GRAY, False, "\t%d{}", 2, 1),
+                ColoredNode(3, 1, DASHED, True, 'q"\\\n%s é', 0, None),
+            ]
+        )
+        assert cli_module.colored_tree_json_dict(ct) == json.dumps(colored_tree_payload(ct), indent=2)
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    @pytest.mark.parametrize(
+        "germ_file",
+        [p for p in sorted(GERMS.glob("*.germ")) if parse_germ(p.read_text()).report.ok],
+        ids=lambda p: p.stem,
+    )
+    def test_every_valid_germ_file(self, germ_file, depth):
+        t = truncate(parse_germ(germ_file.read_text()), depth)
+        written = [
+            (["unfold"], tree_payload(t)),
+            (["lambda"], colored_tree_payload(_clone_tree(t))),
+        ]
+        for i in range(depth):
+            reduced = elementary_reduction(t, i, depth)
+            written.append((["reduce", "--interval", i, depth], tree_payload(reduced)))
+        for argv, payload in written:
+            text = _stdout(argv + [germ_file, "--depth", depth, "--format", "json"])
+            assert json.loads(text) == payload
+            assert text == _dumps(payload)
 
 
 class TestParser:

@@ -6,6 +6,7 @@ from tree_reference import (
     KeyedCosetTree,
     keyed_lambda_of_coset,
     keyed_truncate,
+    keyed_wedge_expansion,
     recursive_canonical_key,
 )
 from treeends.coset import (
@@ -235,6 +236,36 @@ def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling
     assert c.order_of == ref_c.order_of
     nf = null_forest(t)
     assert lambda_of_coset(c, nf).nodes == keyed_lambda_of_coset(ref_c, nf)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_germs(), st.integers(0, 5), st.sampled_from([10, 50, 1000, DEFAULT_CEILING]))
+def test_wedge_matches_the_keyed_wedge(g, depth, ceiling):
+    """The wedge clone tree against the keyed builder of tree_reference:
+    the same nodes in the same order, or the same refusal."""
+    t = truncate(g, depth)
+    got, refused = _built_or_refused(wedge_expansion, t, ceiling)
+    want, want_refused = _built_or_refused(keyed_wedge_expansion, t, ceiling)
+    assert refused == want_refused
+    if not refused:
+        assert got.nodes == want.nodes
+
+
+def test_wedge_refuses_at_the_keyed_count():
+    # two_loops at depth 2 has 31 wedge vertices; each ceiling below that is
+    # passed inside a child's copies, and reported as the ceiling plus one
+    t = truncate(CORPUS["two_loops"], 2)
+    assert len(wedge_expansion(t, 31)) == 31
+    for build in (wedge_expansion, keyed_wedge_expansion):
+        # below 1 the root alone is over, and the first child is the count
+        with pytest.raises(SizeCeilingError, match=r"\(2 > 0\)"):
+            build(t, 0)
+    for ceiling in range(1, 31):
+        message = f"wedge tree vertices exceeds the size ceiling ({ceiling + 1} > {ceiling})"
+        for build in (wedge_expansion, keyed_wedge_expansion):
+            with pytest.raises(SizeCeilingError) as exc:
+                build(t, ceiling)
+            assert str(exc.value) == message
 
 
 @settings(max_examples=200, deadline=None)

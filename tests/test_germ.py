@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from treeends.classify import full_report
 from treeends.errors import ParseError, SizeCeilingError, ValidationFailed
 from treeends.germ import (
     GermEdge,
@@ -16,6 +17,7 @@ from treeends.germ import (
     validate_germ,
 )
 from treeends.reduce import germ_power
+from treeends.unfold import truncate
 from corpus import CORPUS
 
 # What ``treeends reduce --power 2`` prints for the germ ``edge A A 2**40``.
@@ -101,6 +103,30 @@ def test_unreachable_violation():
     report = validate_germ(g)
     assert not report.ok
     assert [v.rule for v in report.violations] == ["unreachable"]
+
+
+@pytest.mark.parametrize("label", ["2", 2.0, True])
+def test_labels_that_are_not_exact_ints_are_violations(label):
+    # germ files give ints; a germ built in code may hold anything, and the
+    # tree writers print each label as the digits of an exact int
+    for g in (
+        germ_from_edges("A", [("A", "A", label)]),
+        GermGraph(("A",), "A", (GermEdge("A", "A", 1), GermEdge("A", "A", label))),
+    ):
+        report = validate_germ(g)
+        assert not report.ok
+        assert [(v.rule, v.subject, v.message) for v in report.violations] == [
+            ("structure", "A->A", "label must be an integer")
+        ]
+        with pytest.raises(ValidationFailed):
+            truncate(g, 1)
+        with pytest.raises(ValidationFailed):
+            full_report(g)
+
+
+def test_negative_label_violation():
+    report = validate_germ(germ_from_edges("A", [("A", "A", -1)]))
+    assert [(v.rule, v.message) for v in report.violations] == [("structure", "negative label")]
 
 
 def test_require_valid_raises_with_report():

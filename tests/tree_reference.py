@@ -1,20 +1,22 @@
 """Reference for ``unfold.truncate``, ``unfold.null_forest``,
-``coset.CosetTree``, ``coset.lambda_of_coset`` and
-``coset.ColoredTree.canonical_key``: the keyed tree builders.
+``coset.CosetTree``, ``coset.lambda_of_coset``, ``coset.wedge_expansion``
+and ``coset.ColoredTree.canonical_key``: the keyed tree builders.
 
 They make every tree node with a named-tuple call after an out-edge lookup,
 index nodes and children in eagerly built dicts, place each coset vertex by
 a dict keyed by (base node, residue), map coset vertices to colored nodes
 through a dict, walk each null component through the id and child maps,
-and key each colored subtree by recursion.  The package builds nodes from a
-per-call child table, builds the node maps on first use, finds the null
-components in one pass over the nodes, keys subtrees bottom-up, and lays
-the coset vertices out in residue runs instead; the tests check on random
-germs that both give the same trees, node for node and in the same order,
-and refuse at the same point with the same message.
+copy each wedge child through a per-child list after looking up its parent
+and the child node, and key each colored subtree by recursion.  The package
+builds nodes from a per-call child table, builds the node maps on first
+use, finds the null components in one pass over the nodes, reads each base
+node's children once for all its wedge copies, keys subtrees bottom-up, and
+lays the coset vertices out in residue runs instead; the tests check on
+random germs that both give the same trees, node for node and in the same
+order, and refuse at the same point with the same message.
 """
 
-from treeends.coset import BLACK, DASHED, GRAY, ColoredNode
+from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import require_valid
 from treeends.unfold import DEFAULT_CEILING, NullComponent, NullForest, TreeNode
@@ -142,6 +144,45 @@ def keyed_lambda_of_coset(coset, null_parts):
                 ColoredNode(nid, parent_colored, DASHED, True, tnode.germ_vertex, tnode.label, None)
             )
     return tuple(nodes)
+
+
+def keyed_wedge_expansion(tree, ceiling=DEFAULT_CEILING):
+    """The wedge clone tree, each colored node looked up again to read
+    whether it is an original, and each child's copies listed one by one,
+    the ceiling checked before each copy."""
+    root = tree.root
+    nodes = [ColoredNode(0, None, None, True, root.germ_vertex, 0, None)]
+    queue = [(0, root.id)]
+    head = 0
+    while head < len(queue):
+        colored_id, base_id = queue[head]
+        head += 1
+        me = nodes[colored_id]
+        for child_id in tree.children(base_id):
+            child = tree.node(child_id)
+            if child.label > 0:
+                copies = []
+                if me.original:
+                    copies.append((BLACK, True))
+                    copies.extend((GRAY, False) for _ in range(child.label - 1))
+                else:
+                    copies.extend((GRAY, False) for _ in range(child.label))
+                for color, original in copies:
+                    nid = len(nodes)
+                    if nid >= ceiling:
+                        raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
+                    nodes.append(
+                        ColoredNode(nid, colored_id, color, original, child.germ_vertex, child.label, None)
+                    )
+                    queue.append((nid, child_id))
+            else:
+                if me.original:
+                    nid = len(nodes)
+                    if nid >= ceiling:
+                        raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
+                    nodes.append(ColoredNode(nid, colored_id, DASHED, True, child.germ_vertex, 0, None))
+                    queue.append((nid, child_id))
+    return ColoredTree(nodes)
 
 
 def keyed_null_forest(t):
