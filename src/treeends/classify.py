@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 
 from . import cw
-from .coset import clone_orders, lambda_plus
+from .coset import CosetTree, clone_orders, lambda_plus
 from .errors import DomainError, SizeCeilingError, ValidationFailed
 from .germ import GermGraph, check_label, require_valid, walk_counts
 from .proseq import (
@@ -322,12 +323,174 @@ class CheckResult:
 
 def _tree_child_along(g: GermGraph, t: TruncatedTree, node_id: int, edge_idx: int) -> int:
     """Child of a tree node reached by one germ edge, matched by position."""
-    node = t.node(node_id)
-    kids = t.children(node_id)
-    for pos, (gi, _) in enumerate(g.out_edges(node.germ_vertex)):
+    vertex = t.node(node_id).germ_vertex
+    for kid, (gi, _) in zip(t.children(node_id), g.out_edges(vertex)):
         if gi == edge_idx:
-            return kids[pos]
-    raise DomainError(f"edge {edge_idx} does not leave vertex {node.germ_vertex}")
+            return kid
+    raise DomainError(f"edge {edge_idx} does not leave vertex {vertex}")
+
+
+class BatteryContext:
+    """What the oracle battery's checks read.  The constructor is the size plan:
+    it fixes one window (depth ``min(3, depth)``, heights ``min(3, height)`` and
+    one more) and refuses in stage order, truncation, clone trees, telescopes,
+    then covers, before any clone tree is built; the rest is built on first read."""
+
+    def __init__(self, g: GermGraph, ends: EndReport, ray, depth: int, height: int, ceiling: int):
+        if depth < 1 or height < 1:
+            raise DomainError("depth and height must be at least 1")
+        self.g, self.ends, self.ray, self.depth, self.ceiling = g, ends, ray, depth, ceiling
+        d3 = self.d3 = min(3, depth)
+        t_deep = truncate(g, d3 + 1, ceiling)
+        # truncate numbers breadth first, so depth d3 is a tier prefix
+        t = self.t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
+        self.n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
+        # below d3 = 3 the tower's last radius is one tier past the covers' tree
+        self.trees = [positive_part(tree) for tree in ((t,) if self.n_bonds == d3 else (t, t_deep))]
+        # each clone tree is counted, and refused, before any is built
+        self.clones = [sum(clone_orders(tree, ceiling).values()) for tree in self.trees]
+        # branch-components reads only 1-skeletons; ray-multiplier fills t's with faces
+        self.telescopes = [(tree, cw.telescope_graph(tree, ceiling)) for tree in (t, t_deep)]
+        self.nf = null_forest(t)
+        self.heights = (min(height, 3), min(height, 3) + 1)
+        # the cover at the lower height is a prefix of the taller one, cut at these counts
+        self.cuts = [cw.check_cover_size(self.clones[0], self.nf, h, ceiling) for h in self.heights]
+
+    @cached_property
+    def cover_coset(self) -> CosetTree:
+        return lambda_plus(self.trees[0], self.ceiling)
+
+    @cached_property
+    def bonds(self) -> list:
+        coset = self.cover_coset if len(self.trees) == 1 else lambda_plus(self.trees[1], self.ceiling)
+        return list(map(cw.FrontierTower(coset).bond, range(self.n_bonds)))
+
+    @cached_property
+    def faced_telescope(self) -> tuple:
+        base = cw.build_base(self.t, self.ceiling)
+        return base, cw.H1Calculator(base.complex)
+
+    @cached_property
+    def cover(self) -> cw.CW2Complex:
+        return cw.build_cover_graph(self.cover_coset, self.nf, self.heights[1], self.ceiling)
+
+    @cached_property
+    def powers(self) -> dict:
+        """m -> (the m-th power germ, whether its clone counts match the germ's
+        at every m-th tier, one walk of each), or the error that refused it."""
+        powers, walks = {}, {}
+        for m in (2, 3):
+            try:
+                powers[m] = p = germ_power(self.g, m, self.ceiling)
+                walks[m] = walk_counts(p, (p.root,), lambda e: e.label, self.depth // m)
+            except (ValidationFailed, SizeCeilingError) as exc:
+                powers[m] = exc
+        tele = dict.fromkeys(walks, True)
+        for t, count in enumerate(walk_counts(self.g, (self.g.root,), lambda e: e.label, self.depth)):
+            for m, walk in walks.items():
+                if t % m == 0 and next(walk) != count:
+                    tele[m] = False
+        return {m: (p, tele[m]) if m in walks else p for m, p in powers.items()}
+
+    def frontier_rank(self) -> tuple:
+        if self.ends.fixed_end_count != 1:
+            return None, "rank tower needs exactly one fixed end"
+        ranks = list(pro_h1_fixed_end(self.g, self.d3, self.ends).ranks)
+        # a bond's rows and cols are the Betti numbers of its two graphs
+        betti = ([b.rows for b in self.bonds] + [self.bonds[-1].cols])[: self.d3 + 1]
+        return ranks == betti, f"closed form {ranks} vs frontier graphs {betti}"
+
+    def branch_components(self) -> tuple:
+        rows = []
+        for tree, skeleton in self.telescopes:
+            # tier i's neighbourhood of infinity is the full subgraph at level depth - tier <= depth - i
+            counts = skeleton.level_component_counts([tree.depth - n.tier for n in tree.nodes])
+            for i in range(1, min(3, tree.depth) + 1):
+                rows.append((tree.depth, i, counts[tree.depth - i], len(tree.tier_nodes(i))))
+        details = [f"d={d} i={i}: {got} vs {want}" for d, i, got, want in rows]
+        return all(got == want for *_, got, want in rows), "; ".join(details)
+
+    def ray_multiplier(self) -> tuple:
+        if self.ends.fixed_end_count != 1 or self.ray is None:
+            return None, "needs one fixed end and a ray"
+        base, engine = self.faced_telescope
+        ok, details, node_id, prod = True, [], self.t.root.id, 1
+        # the ray's first edges, two at most, whether or not it has a prefix
+        for i, e in enumerate((self.ray.prefix + self.ray.cycle * 2)[: min(2, self.d3)], 1):
+            prod *= self.g.edges[e].label
+            node_id = _tree_child_along(self.g, self.t, node_id, e)
+            mat = engine.induced(cw.branch_selection(base, node_id))
+            mult = math.gcd(*(x for row in mat for x in row))
+            ok = ok and len(mat) == 1 and mult == prod
+            details.append(f"i={i}: multiplier {mult} vs label product {prod}")
+        return ok, "; ".join(details)
+
+    def cover_connected(self) -> tuple:
+        parts = dict(zip(self.heights, self.cover.prefix_component_counts(self.cuts)))
+        details = [f"height {h}: {n} component(s)" for h, n in parts.items()]
+        return set(parts.values()) == {1}, "; ".join(details)
+
+    def two_ended_split(self) -> tuple:
+        if not self.g.is_trivial:
+            return None, "only meaningful for the one-vertex germ"
+        cover, splits = self.cover, []
+        mid = cw.cover_vertex(self.cover_coset.root_index, 0, self.clones[0], self.nf)
+        for nv, ne in self.cuts:
+            # the cover at each height with the middle vertex and its edges dropped
+            verts = tuple(v for v in range(nv) if v != mid)
+            edges = tuple(e for e in range(ne) if mid not in (cover.tails[e], cover.heads[e]))
+            splits.append(cover.component_count(cw.CellSelection(verts, edges, ())))
+        details = [f"height {h}: middle vertex splits into {n}" for h, n in zip(self.heights, splits)]
+        return splits == [2, 2], "; ".join(details)
+
+    def null_growth(self) -> tuple:
+        counts = null_path_counts(self.g, 12)
+        gc = growth_class(counts)
+        if self.ends.null_ends is Cardinality.EMPTY:
+            ok, want = all(c == 0 for c in counts), "all-zero counts"
+        elif self.ends.null_ends is Cardinality.UNCOUNTABLE:
+            ok, want = gc is GrowthClass.EXPONENTIAL, "exponential"
+        else:
+            ok, want = gc is GrowthClass.POLYNOMIAL, "polynomial"
+        return ok, f"counts {counts[:6]}, class {gc.value}, expected {want}"
+
+    def power_invariance(self, m: int) -> tuple:
+        if isinstance(self.powers[m], Exception):
+            return None, f"power germ unavailable: {self.powers[m]}"
+        powered, tele = self.powers[m]
+        same = classify_ends(powered) == self.ends
+        return same and tele, f"class match {same}, frontier telescoping {tele}"
+
+    def collapse_surjective(self) -> tuple:
+        if self.ends.fixed_end_count != 1:
+            return None, "needs exactly one fixed end"
+        onto = [bond.surjective() for bond in self.bonds]
+        return all(onto), "; ".join(f"i={i}: {'onto' if x else 'not onto'}" for i, x in enumerate(onto))
+
+    def ray_stable_label1(self) -> tuple:
+        if self.ray is None:
+            return None, "no ray"
+        seq = pro_pi1_ray(self.g, self.ray)
+        if any(k != 1 for k in seq.cycle):
+            return None, "ray cycle labels are not all 1"
+        cert = ladder_search(seq, MultSequence((), (1,)), depth=4, bound=8)
+        return cert is not None, "ladder to the constant tower " + ("missing" if cert is None else "found")
+
+
+# The battery in report order: each check's name and its function of the
+# context, which returns (True or False, detail), or (None, why it skips).
+CHECKS = (
+    ("frontier-rank", BatteryContext.frontier_rank),
+    ("branch-components", BatteryContext.branch_components),
+    ("ray-multiplier", BatteryContext.ray_multiplier),
+    ("cover-connected", BatteryContext.cover_connected),
+    ("two-ended-split", BatteryContext.two_ended_split),
+    ("null-growth", BatteryContext.null_growth),
+    ("power-invariance-2", lambda battery: battery.power_invariance(2)),
+    ("power-invariance-3", lambda battery: battery.power_invariance(3)),
+    ("collapse-surjective", BatteryContext.collapse_surjective),
+    ("ray-stable-label1", BatteryContext.ray_stable_label1),
+)
 
 
 def cross_checks(
@@ -341,174 +504,11 @@ def cross_checks(
     """Dual-route battery on a valid germ.  The claims under test, checked
     against cell complexes or brute-force counting and never derived again,
     are ``ends``, the end report of ``g``, and ``ray``, its default ray.
-    The rank tower is walked afresh to ``min(3, depth)``, the battery's
-    window.  Checks that do not apply to the germ's class are reported as
-    skips, never silently dropped."""
-    if depth < 1 or height < 1:
-        raise DomainError("depth and height must be at least 1")
-    results: list = []
-
-    def add(name: str, ok: bool, detail: str) -> None:
-        results.append(CheckResult(name, "pass" if ok else "fail", detail))
-
-    def skip(name: str, detail: str) -> None:
-        results.append(CheckResult(name, "skip", detail))
-
-    # One window for every cell-complex check.  Each object below is built
-    # once, and every ceiling is checked before the clone trees are built,
-    # so a SizeCeilingError names the first stage that overflows
-    # (truncation, clone trees, telescopes, then covers) and comes before
-    # any work the covers' size bounds.  The covers read the depth-d3 clone
-    # tree and the frontier tower radii up to the bond count, so at d3 = 3
-    # the two share one tree, whose frontier graphs have fewer cells than
-    # the taller cover; below that the tower gets a tree one tier deeper.
-    d3 = min(3, depth)
-    t_deep = truncate(g, d3 + 1, ceiling)
-    # truncate numbers breadth first, so depth d3 is a tier prefix
-    t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
-    n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
-    trees = [positive_part(t)] if n_bonds == d3 else [positive_part(t), positive_part(t_deep)]
-    # each clone tree is counted, and refused, before any is built
-    clones = [sum(clone_orders(pos, ceiling).values()) for pos in trees]
-    # branch-components reads only 1-skeletons; ray-multiplier builds t's with faces
-    telescopes = [(tree, cw.telescope_graph(tree, ceiling)) for tree in (t, t_deep)]
-    nf = null_forest(t)
-    hc = min(height, 3)
-    # the cover at hc is a prefix of the one at hc + 1, cut at these counts
-    cuts = [cw.check_cover_size(clones[0], nf, h, ceiling) for h in (hc, hc + 1)]
-    cosets = [lambda_plus(pos, ceiling) for pos in trees]
-    cov_coset, coset = cosets[0], cosets[-1]
-
-    if ends.fixed_end_count == 1:
-        ranks = pro_h1_fixed_end(g, d3, ends)
-        bonds = list(map(cw.FrontierTower(coset).bond, range(n_bonds)))
-        # a bond's rows and cols are the Betti numbers of its two graphs
-        betti = ([b.rows for b in bonds] + [bonds[-1].cols])[: d3 + 1]
-        add(
-            "frontier-rank",
-            list(ranks.ranks) == betti,
-            f"closed form {list(ranks.ranks)} vs frontier graphs {betti}",
-        )
-    else:
-        skip("frontier-rank", "rank tower needs exactly one fixed end")
-
-    ok = True
-    details = []
-    for tree, skeleton in telescopes:
-        # the neighbourhood of infinity at tier i is the full subgraph on
-        # the vertices at tier >= i, that is, of level depth - tier <= depth - i
-        counts = skeleton.level_component_counts([tree.depth - n.tier for n in tree.nodes])
-        for i in range(1, min(3, tree.depth) + 1):
-            got = counts[tree.depth - i]
-            want = len(tree.tier_nodes(i))
-            if got != want:
-                ok = False
-            details.append(f"d={tree.depth} i={i}: {got} vs {want}")
-    add("branch-components", ok, "; ".join(details))
-
-    if ends.fixed_end_count == 1 and ray is not None:
-        ok = True
-        details = []
-        node_id = t.root.id
-        prod = 1
-        steps = ray.prefix + ray.cycle * 2  # at least the ray's first two edges
-        base = cw.build_base(t, ceiling)
-        engine = cw.H1Calculator(base.complex)
-        for i in range(1, min(2, d3) + 1):
-            e_idx = steps[i - 1]
-            prod *= g.edges[e_idx].label
-            node_id = _tree_child_along(g, t, node_id, e_idx)
-            mat = engine.induced(cw.branch_selection(base, node_id))
-            entries = [abs(x) for row in mat for x in row if x != 0]
-            mult = math.gcd(*entries) if entries else 0
-            if len(mat) != 1 or mult != prod:
-                ok = False
-            details.append(f"i={i}: multiplier {mult} vs label product {prod}")
-        add("ray-multiplier", ok, "; ".join(details))
-    else:
-        skip("ray-multiplier", "needs one fixed end and a ray")
-
-    # Both cover checks read only the 1-skeleton of the taller cover, and
-    # the one at hc as its prefix.
-    cover = cw.build_cover_graph(cov_coset, nf, hc + 1, ceiling)
-    parts = dict(zip((hc, hc + 1), cover.prefix_component_counts(cuts)))
-    details = [f"height {h}: {n} component(s)" for h, n in parts.items()]
-    add("cover-connected", set(parts.values()) == {1}, "; ".join(details))
-
-    if g.is_trivial:
-        ok = True
-        details = []
-        mid = cw.cover_vertex(cov_coset.root_index, 0, clones[0], nf)
-        for h, (nv, ne) in zip((hc, hc + 1), cuts):
-            # the cover at h with the middle vertex and its edges dropped
-            verts = tuple(v for v in range(nv) if v != mid)
-            edges = tuple(e for e in range(ne) if mid not in (cover.tails[e], cover.heads[e]))
-            n = cover.component_count(cw.CellSelection(verts, edges, ()))
-            if n != 2:
-                ok = False
-            details.append(f"height {h}: middle vertex splits into {n}")
-        add("two-ended-split", ok, "; ".join(details))
-    else:
-        skip("two-ended-split", "only meaningful for the one-vertex germ")
-
-    counts = null_path_counts(g, 12)
-    gc = growth_class(counts)
-    if ends.null_ends is Cardinality.EMPTY:
-        ok = all(c == 0 for c in counts)
-        want = "all-zero counts"
-    elif ends.null_ends is Cardinality.UNCOUNTABLE:
-        ok = gc is GrowthClass.EXPONENTIAL
-        want = "exponential"
-    else:
-        ok = gc is GrowthClass.POLYNOMIAL
-        want = "polynomial"
-    add("null-growth", ok, f"counts {counts[:6]}, class {gc.value}, expected {want}")
-
-    # clone counts over each tier (frontier_count), one walk per germ, read
-    # in step: tier t of the germ against tier t/m of its m-th power
-    powers, walks = {}, {}
-    for m in (2, 3):
-        try:
-            powers[m] = p = germ_power(g, m, ceiling)
-            walks[m] = walk_counts(p, (p.root,), lambda e: e.label, depth // m)
-        except (ValidationFailed, SizeCeilingError) as exc:
-            powers[m] = exc
-    tele = dict.fromkeys(walks, True)
-    for t, count in enumerate(walk_counts(g, (g.root,), lambda e: e.label, depth)):
-        for m, walk in walks.items():
-            if t % m == 0 and next(walk) != count:
-                tele[m] = False
-    for m, powered in powers.items():
-        name = f"power-invariance-{m}"
-        if m not in walks:
-            skip(name, f"power germ unavailable: {powered}")
-            continue
-        same = classify_ends(powered) == ends
-        add(name, same and tele[m], f"class match {same}, frontier telescoping {tele[m]}")
-
-    if ends.fixed_end_count == 1:
-        onto = [bond.surjective() for bond in bonds]
-        details = [f"i={i}: {'onto' if x else 'not onto'}" for i, x in enumerate(onto)]
-        add("collapse-surjective", all(onto), "; ".join(details))
-    else:
-        skip("collapse-surjective", "needs exactly one fixed end")
-
-    if ray is not None:
-        seq = pro_pi1_ray(g, ray)
-        if all(k == 1 for k in seq.cycle):
-            cert = ladder_search(seq, MultSequence((), (1,)), depth=4, bound=8)
-            add(
-                "ray-stable-label1",
-                cert is not None,
-                "ladder to the constant tower "
-                + ("found" if cert is not None else "missing"),
-            )
-        else:
-            skip("ray-stable-label1", "ray cycle labels are not all 1")
-    else:
-        skip("ray-stable-label1", "no ray")
-
-    return results
+    Checks that do not apply to the germ's class are reported as skips,
+    never silently dropped."""
+    battery = BatteryContext(g, ends, ray, depth, height, ceiling)
+    verdicts = [(name, *check(battery)) for name, check in CHECKS]
+    return [CheckResult(n, "skip" if ok is None else "pass" if ok else "fail", d) for n, ok, d in verdicts]
 
 
 @dataclass

@@ -543,9 +543,9 @@ class TestReports:
             ("classify_ends", "full_report", g),
             ("pro_h1_fixed_end", "full_report", g),  # at the report's depth
             ("default_ray", "full_report", g),
-            ("pro_h1_fixed_end", "cross_checks", g),  # at the battery's window
-            ("classify_ends", "cross_checks", powers[0]),
-            ("classify_ends", "cross_checks", powers[1]),
+            ("pro_h1_fixed_end", "frontier_rank", g),  # at the battery's window
+            ("classify_ends", "power_invariance", powers[0]),
+            ("classify_ends", "power_invariance", powers[1]),
         ]
         calls.clear()
         germ_file = tmp_path / "two_loops.germ"
@@ -554,7 +554,7 @@ class TestReports:
         assert [(name, caller) for name, caller, h in calls if h == g] == [
             ("classify_ends", "_cmd_oracle"),
             ("default_ray", "_cmd_oracle"),
-            ("pro_h1_fixed_end", "cross_checks"),
+            ("pro_h1_fixed_end", "frontier_rank"),
         ]
 
     def test_power_telescoping_walks_each_germ_once(self, monkeypatch):
