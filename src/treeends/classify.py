@@ -334,7 +334,8 @@ class BatteryContext:
     """What the oracle battery's checks read.  The constructor is the size plan:
     it fixes one window (depth ``min(3, depth)``, heights ``min(3, height)`` and
     one more) and refuses in stage order, truncation, clone trees, telescopes,
-    then covers, before any clone tree is built; the rest is built on first read."""
+    covers, then the frontier tower, before any clone tree is built; the rest
+    is built on first read."""
 
     def __init__(self, g: GermGraph, ends: EndReport, ray, depth: int, height: int, ceiling: int):
         if depth < 1 or height < 1:
@@ -355,6 +356,10 @@ class BatteryContext:
         self.heights = (min(height, 3), min(height, 3) + 1)
         # the cover at the lower height is a prefix of the taller one, cut at these counts
         self.cuts = [cw.check_cover_size(self.clones[0], self.nf, h, ceiling) for h in self.heights]
+        if ends.fixed_end_count == 1 and len(self.trees) == 2:
+            # the tower's last graph reads past the covers' tree, so they do not
+            # bound it; at depth 3 every frontier graph has fewer cells than the cover
+            cw.check_frontier_size(self.clones[1], self.clones[0], self.n_bonds, ceiling)
 
     @cached_property
     def cover_coset(self) -> CosetTree:

@@ -636,6 +636,21 @@ class FrontierGraph:
         return len(k.tails) - k.num_vertices + k.component_count()
 
 
+def check_frontier_size(ball: int, inner: int, i: int, ceiling: int = DEFAULT_CEILING) -> int:
+    """Refuse the radius-``i`` frontier graph (``i >= 1``) of a clone tree
+    with ``ball`` vertices at tier <= i and ``inner`` at tier <= i - 1 if its
+    cells exceed ``ceiling``, else return that count.  By the layout of
+    ``FrontierGraph`` it has 2 ball + (2i - 1)(ball - inner) vertices and
+    2 (ball - 1) + 2i (ball - inner) edges.  It needs only clone counts
+    (``coset.clone_orders``), so a caller can refuse before the tree is built."""
+    if i < 1:
+        raise DomainError("frontier radius must be at least 1")
+    cells = 4 * ball - 2 + (4 * i - 1) * (ball - inner)
+    if cells > ceiling:
+        raise SizeCeilingError("frontier graph cells", cells, ceiling)
+    return cells
+
+
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")

@@ -167,7 +167,9 @@ class TestCoverCeiling:
 class TestBatteryCloneTree:
     """At the default window the battery builds its clone tree to depth 3,
     the depth its covers and frontier tower read, so the ceiling counts no
-    tier it never reads.  ``classify`` runs the same battery."""
+    tier it never reads.  At ``--depth`` 1 and 2 the tower reads one tier
+    past the covers, and its last frontier graph is counted before any clone
+    tree is built.  ``classify`` runs the same battery."""
 
     def test_runs_when_only_an_unread_tier_is_past_the_ceiling(self, cli, tmp_path, command):
         # tiers 0-3 are one clone each; D's two loops would add 1,200 at tier 4
@@ -206,6 +208,31 @@ class TestBatteryCloneTree:
         code, out, err = cli(command, path)
         assert (code, out) == (3, "")
         assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
+
+    def test_the_frontier_tower_is_counted_at_depth_2(self, cli, command):
+        # the tower's radius-3 graph reads one tier past the depth-2 covers:
+        # 156 clones, 125 of them at tier 3, give 4 * 156 - 2 + 11 * 125 cells
+        code, out, err = cli(command, "--depth", 2, "--ceiling", 1996, GERMS / "two_loops.germ")
+        assert (code, out) == (3, "")
+        assert err == "error: frontier graph cells exceeds the size ceiling (1997 > 1996)\n"
+        code, out, err = cli(command, "--depth", 2, "--ceiling", 1997, GERMS / "two_loops.germ")
+        assert (code, err) == (0, "")
+        assert "check frontier-rank: pass" in out
+
+    def test_the_frontier_tower_is_refused_before_the_clone_trees(
+        self, cli, tmp_path, monkeypatch, command
+    ):
+        # the covers over the 9,901 clones to depth 2 fit; the radius-3
+        # graph over the 980,200 clones to depth 3 does not
+        def unbuilt(self, *args, **kwargs):
+            raise AssertionError("clone tree built before the refusal")
+
+        monkeypatch.setattr(coset.CosetTree, "__init__", unbuilt)
+        path = tmp_path / "loop99.germ"
+        path.write_text("root A\nedge A A 99\n")
+        code, out, err = cli(command, "--depth", 2, path)
+        assert (code, out) == (3, "")
+        assert err == "error: frontier graph cells exceeds the size ceiling (14594087 > 1000000)\n"
 
     def test_covers_are_refused_before_the_clone_tree(self, cli, tmp_path, monkeypatch, command):
         # the covers' size follows from the 980,200 clones that the depth-3

@@ -26,6 +26,7 @@ from treeends.cw import (
     build_cover_graph,
     build_frontier_graph,
     check_cover_size,
+    check_frontier_size,
     collapse_h1_matrix,
     cover_vertex,
     h1,
@@ -676,6 +677,23 @@ class TestFrontier:
 
     def test_plain_ray_has_no_cycles(self):
         assert build_frontier_graph(coset_for("ray1", 3), 2).betti == 0
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_size_check_counts_every_cell(self, name):
+        # the count reads only the ball sizes, which clone_orders gives
+        # before the clone tree is built
+        c = coset_for(name, 3)
+        for i in range(1, 4):
+            k = build_frontier_graph(c, i).complex
+            cells = k.num_vertices + len(k.tails)
+            ball, inner = c.ball_size(i), c.ball_size(i - 1)
+            assert check_frontier_size(ball, inner, i, cells) == cells
+            with pytest.raises(SizeCeilingError, match=rf"^frontier graph cells .*\({cells} > {cells - 1}\)$"):
+                check_frontier_size(ball, inner, i, cells - 1)
+
+    def test_size_check_needs_a_positive_radius(self):
+        with pytest.raises(DomainError):
+            check_frontier_size(1, 1, 0)
 
     @pytest.mark.parametrize("name,radius", [("bs2", 2), ("two_loops", 2), ("spin", 2)])
     def test_betti_agrees_with_cover_route(self, name, radius):
