@@ -2,8 +2,25 @@
 
 The closed-form answers (end counts, rays, rank towers, sequence flags) are
 computed once per report.  The battery receives the claims under test and
-checks them against the cell-complex machinery or brute-force counting, so
-every claim in a report is backed by at least one independent route.
+checks them against the cell-complex machinery or brute-force counting.  Its
+rows (``CHECKS``) and the ``Report`` fields they check:
+
+- ``frontier-rank``: ``ranks``, against frontier graph Betti numbers;
+- ``ray-multiplier``: ``ray_sequence``, up to its first two labels, against
+  the multipliers of the telescope's branch maps;
+- ``ray-stable-label1``: ``flags``, for a ray whose cycle labels are all 1,
+  by a ladder to the constant tower;
+- ``null-growth``: ``ends.null_ends``, against null path counts;
+- ``two-ended-split``: ``ends.end_class``, on the one-vertex germ only;
+- ``power-invariance-2`` and ``-3``: all of ``ends``, but only against the
+  same closed form on the power germ;
+- ``branch-components``, ``cover-connected`` and ``collapse-surjective``:
+  no field; they check the telescope's tiers, the cover's connectedness and
+  the frontier tower's bonds.
+
+Two fields have no route of their own: ``ends.fixed_end_count`` and
+``ends.gamma_plus_finite``, on which the rank rows are only gated.  The
+``limit`` field is not checked either.
 """
 
 from __future__ import annotations
@@ -337,7 +354,9 @@ class BatteryContext:
     covers, then the frontier tower, before any clone tree is built; the rest
     is built on first read."""
 
-    def __init__(self, g: GermGraph, ends: EndReport, ray, depth: int, height: int, ceiling: int):
+    def __init__(
+        self, g: GermGraph, ends: EndReport, ray: RaySpec | None, depth: int, height: int, ceiling: int
+    ):
         if depth < 1 or height < 1:
             raise DomainError("depth and height must be at least 1")
         self.g, self.ends, self.ray, self.depth, self.ceiling = g, ends, ray, depth, ceiling
@@ -357,8 +376,9 @@ class BatteryContext:
         # the cover at the lower height is a prefix of the taller one, cut at these counts
         self.cuts = [cw.check_cover_size(self.clones[0], self.nf, h, ceiling) for h in self.heights]
         if ends.fixed_end_count == 1 and len(self.trees) == 2:
-            # the tower's last graph reads past the covers' tree, so they do not
-            # bound it; at depth 3 every frontier graph has fewer cells than the cover
+            # the tower's last graph reads one tier past the covers' tree, whose
+            # clones are its inner ball; at d3 = 3 the taller cover outsizes every
+            # frontier graph, so the cover check bounds the tower
             cw.check_frontier_size(self.clones[1], self.clones[0], self.n_bonds, ceiling)
 
     @cached_property
