@@ -377,8 +377,10 @@ class BatteryContext:
         self.cuts = [cw.check_cover_size(self.clones[0], self.nf, h, ceiling) for h in self.heights]
         if ends.fixed_end_count == 1 and len(self.trees) == 2:
             # the tower's last graph reads one tier past the covers' tree, whose
-            # clones are its inner ball; at d3 = 3 the taller cover outsizes every
-            # frontier graph, so the cover check bounds the tower
+            # clones are its inner ball.  Any other radius's graph lies over a
+            # ball of nb <= c of the covers' c clones and has 4 nb - 2 + (nb - f0)
+            # <= 5c - 2 cells, fewer than the 18c - 9 or more of the taller
+            # cover (height >= 2), so the cover check bounds it at every radius
             cw.check_frontier_size(self.clones[1], self.clones[0], self.n_bonds, ceiling)
 
     @cached_property

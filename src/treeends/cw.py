@@ -9,6 +9,9 @@ sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 
 Every H1 route reads cycles off one BFS spanning forest; a ``FrontierTower``
 builds each radius's graph and forest once and reads its bonds off them.
+A frontier graph is the boundary of a clone ball times [-i, i]: two sheets
+of the ball joined by one edge per frontier column, with no vertex at the
+inner heights, so its cells grow with the ball and not with the radius.
 One ``H1Calculator`` serves every induced map into its complex, and
 ``CW2Complex.level_component_counts`` counts a whole nested family of full
 subgraphs, such as a telescope's neighbourhoods of infinity, in one
@@ -617,15 +620,16 @@ def build_cover(
 
 @dataclass
 class FrontierGraph:
-    """Two sheets of the radius-``i`` clone ball at heights +-i, joined by a
-    length-2i vertical column over every distance-exactly-i vertex.
+    """Two sheets of the radius-``i`` clone ball at heights +-i, joined by one
+    vertical column edge over every distance-exactly-i vertex.
 
     The ball is the coset prefix ``range(nb)`` and its frontier the suffix
     ``range(f0, nb)`` (``nb = c.ball_size(i)``, ``f0 = c.ball_size(i - 1)``).
-    Vertex (vi, i) is vi, (vi, -i) is nb + vi, and the inner heights
-    -i+1..i-1 of each frontier column follow, column by column.  Edges come
-    as the tree edges vi -> parent of sheet +i (vi = 1..nb-1), then those of
-    sheet -i, then each column's 2i edges from height -i up."""
+    Vertex (vi, i) is vi and (vi, -i) is nb + vi.  Edges come as the tree
+    edges vi -> parent of sheet +i (vi = 1..nb-1), then those of sheet -i,
+    then each frontier column (vi, -i) -> (vi, i) in vi order.  A column
+    needs no inner vertices: no check reads a height strictly between -i
+    and i, and a subdivided column has the same homotopy type."""
 
     complex: CW2Complex
 
@@ -640,12 +644,12 @@ def check_frontier_size(ball: int, inner: int, i: int, ceiling: int = DEFAULT_CE
     """Refuse the radius-``i`` frontier graph (``i >= 1``) of a clone tree
     with ``ball`` vertices at tier <= i and ``inner`` at tier <= i - 1 if its
     cells exceed ``ceiling``, else return that count.  By the layout of
-    ``FrontierGraph`` it has 2 ball + (2i - 1)(ball - inner) vertices and
-    2 (ball - 1) + 2i (ball - inner) edges.  It needs only clone counts
+    ``FrontierGraph`` it has 2 ball vertices and 2 (ball - 1) + (ball - inner)
+    edges, whatever the radius.  It needs only clone counts
     (``coset.clone_orders``), so a caller can refuse before the tree is built."""
     if i < 1:
         raise DomainError("frontier radius must be at least 1")
-    cells = 4 * ball - 2 + (4 * i - 1) * (ball - inner)
+    cells = 4 * ball - 2 + (ball - inner)
     if cells > ceiling:
         raise SizeCeilingError("frontier graph cells", cells, ceiling)
     return cells
@@ -658,18 +662,10 @@ def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
         return FrontierGraph(CW2Complex(1, [], [], []))
     nb, f0 = c.ball_size(i), c.ball_size(i - 1)
     parents = c.parent_idx[1:nb]
-    tails = [*range(1, nb), *range(nb + 1, 2 * nb)]
-    heads = parents + [nb + p for p in parents]
-    inner = 2 * i - 1
-    at = 2 * nb  # the current column's first inner vertex
-    for vi in range(f0, nb):
-        # (vi, -i) up through the inner heights to (vi, i)
-        tails.append(nb + vi)
-        tails += range(at, at + inner)
-        heads += range(at, at + inner)
-        heads.append(vi)
-        at += inner
-    return FrontierGraph(CW2Complex(at, tails, heads, []))
+    # sheet +i, sheet -i, then the columns from (vi, -i) up to (vi, i)
+    tails = [*range(1, nb), *range(nb + 1, 2 * nb), *range(nb + f0, 2 * nb)]
+    heads = [*parents, *[nb + p for p in parents], *range(f0, nb)]
+    return FrontierGraph(CW2Complex(2 * nb, tails, heads, []))
 
 
 def _spanning_forest(k: CW2Complex):
@@ -777,8 +773,8 @@ class FrontierTower:
         return self._levels[i]
 
     def bond(self, i: int) -> CollapseBond:
-        """Collapse sheets by ancestor, clamp column heights, and push the
-        deep frontier graph's cycle basis into the shallow one's coordinates."""
+        """Collapse sheets and columns by ancestor, and push the deep frontier
+        graph's cycle basis into the shallow one's coordinates."""
         c = self.coset
         if i + 1 > c.depth:
             raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
@@ -790,18 +786,16 @@ class FrontierTower:
 
         # Each deep edge lands on at most one shallow edge, read off the two
         # layouts (see FrontierGraph).  A sheet edge over a vertex of the
-        # radius-i ball keeps its sheet.  The column over a deep frontier
-        # vertex lands, past its bottom edge and below its top one, on the
-        # column of its parent.  Everything else contracts.
+        # radius-i ball keeps its sheet, and the column over a deep frontier
+        # vertex lands on the column of its parent.  Everything else
+        # contracts, and at radius 0, a point, everything does.
         nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
         row_of = [None] * len(deep.complex.tails)
-        row_of[: nb - 1] = shallow_row[: nb - 1]
-        row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
-        at = 2 * (nb_deep - 1) + 1
-        for up in c.parent_idx[nb:nb_deep]:
-            to = 2 * (nb - 1) + (up - f0) * 2 * i
-            row_of[at : at + 2 * i] = shallow_row[to : to + 2 * i]
-            at += 2 * (i + 1)
+        if i:
+            row_of[: nb - 1] = shallow_row[: nb - 1]
+            row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
+            shallow_columns = shallow_row[2 * (nb - 1) :]  # the column over vi is vi - f0
+            row_of[2 * (nb_deep - 1) :] = [shallow_columns[up - f0] for up in c.parent_idx[nb:nb_deep]]
         columns = _cycle_columns(deep.complex, forest, row_of)
         return CollapseBond(tuple(columns), rows=len(non_tree_shallow), cols=len(columns))
 

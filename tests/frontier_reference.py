@@ -1,5 +1,6 @@
 """Reference for ``cw.build_frontier_graph`` and ``cw.collapse_h1_matrix``:
-the key-indexed frontier graph and its collapse bond.
+the key-indexed frontier graph and its collapse bond, in the package's
+layout and in the former subdivided one.
 
 It numbers every vertex through a dict keyed by (coset vertex, height),
 names every edge by a ('tree', child vertex, height) or ('col', vertex,
@@ -7,6 +8,14 @@ height) key, and maps each deep edge to a shallow one by rewriting its key.
 The package reads both graphs' numberings off the coset tree's tier layout
 instead; the tests check on random germs that both give the same graphs,
 edge for edge and in the same order, and the same bonds.
+
+The package lays each frontier column out as one edge from height -i to i.
+The former layout, kept here as ``subdivided_frontier_graph`` and
+``subdivided_collapse``, cut it into 2i edges through the inner heights.
+Both are the same space up to homotopy: ``subdivision_map`` sends each
+former column's bottom edge onto the column and contracts the rest.  The
+tests check that it carries each former bond onto the package's, and that
+both bonds have the same shape and the same cokernel.
 
 The cycle basis here is the package's former one, kept apart from it: a BFS
 forest over (neighbour, edge, sign) adjacency tuples, and each fundamental
@@ -70,8 +79,23 @@ def fundamental_cycles(k):
     return non_tree, chains
 
 
-def keyed_frontier_graph(c, i):
-    """(complex, edge key -> edge index) of the radius-``i`` frontier graph."""
+def _pushed(chains, row_of):
+    """Each edge chain as a sparse column on the rows ``row_of`` gives its
+    edges (an edge with no row drops out), zeros left out."""
+    columns = []
+    for chain in chains:
+        col = {}
+        for e, x in chain.items():
+            r = row_of.get(e)
+            if r is not None:
+                col[r] = col.get(r, 0) + x
+        columns.append({r: x for r, x in col.items() if x})
+    return columns
+
+
+def _keyed_graph(c, i, column_heights):
+    """(complex, edge key -> edge index) of the radius-``i`` frontier graph
+    whose frontier columns pass through ``column_heights`` from -i up to i."""
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
     if i == 0:
@@ -84,7 +108,7 @@ def keyed_frontier_graph(c, i):
     for vi in ball:
         vertex_index[(vi, -i)] = len(vertex_index)
     for vi in frontier:
-        for h in range(-i + 1, i):
+        for h in column_heights[1:-1]:
             vertex_index[(vi, h)] = len(vertex_index)
     edges = []
     edge_index = {}
@@ -96,19 +120,21 @@ def keyed_frontier_graph(c, i):
             edge_index[("tree", vi, h)] = len(edges)
             edges.append((vertex_index[(vi, h)], vertex_index[(parent, h)]))
     for vi in frontier:
-        for h in range(-i, i):
-            edge_index[("col", vi, h)] = len(edges)
-            edges.append((vertex_index[(vi, h)], vertex_index[(vi, h + 1)]))
+        for lo, hi in zip(column_heights, column_heights[1:]):
+            edge_index[("col", vi, lo)] = len(edges)
+            edges.append((vertex_index[(vi, lo)], vertex_index[(vi, hi)]))
     return CW2Complex(len(vertex_index), [t for t, _ in edges], [h for _, h in edges], []), edge_index
 
 
-def keyed_collapse(c, i):
-    """Collapse sheets by ancestor, clamp column heights, and push the deep
-    frontier graph's cycle basis into the shallow one's coordinates."""
+def _keyed_bond(c, i, build, column_image):
+    """Push the deep graph's walked cycles through ``build``'s keyed layouts:
+    a sheet edge over the radius-i ball keeps its sheet, a column key goes
+    where ``column_image(vi, h)`` sends it (None: contracts), and the other
+    sheet edges contract."""
     if i + 1 > c.depth:
         raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
-    deep, deep_index = keyed_frontier_graph(c, i + 1)
-    shallow, shallow_index = keyed_frontier_graph(c, i)
+    deep, deep_index = build(c, i + 1)
+    shallow, shallow_index = build(c, i)
 
     def edge_image(key):
         kind = key[0]
@@ -118,10 +144,7 @@ def keyed_collapse(c, i):
                 return None  # contracts into the ancestor vertex
             return ("tree", child, i if h > 0 else -i)
         _, vi, h = key
-        lo, hi = max(h, -i), min(h + 1, i)
-        if lo >= hi:
-            return None  # clamped flat
-        return ("col", vi if c.tier(vi) <= i else c.parent_idx[vi], lo)
+        return column_image(vi if c.tier(vi) <= i else c.parent_idx[vi], h)
 
     non_tree_deep, cycles_deep = fundamental_cycles(deep)
     non_tree_shallow = spanning_forest(shallow)[2]
@@ -134,16 +157,53 @@ def keyed_collapse(c, i):
             if row is not None:
                 row_of[idx] = row
 
-    columns = []
-    for chain in cycles_deep:
-        col = {}
-        for e_idx, coef in chain.items():
-            row = row_of.get(e_idx)
-            if row is not None:
-                col[row] = col.get(row, 0) + coef
-        columns.append({r: x for r, x in col.items() if x})
     return CollapseBond(
-        columns=tuple(columns),
+        columns=tuple(_pushed(cycles_deep, row_of)),
         rows=len(non_tree_shallow),
         cols=len(non_tree_deep),
     )
+
+
+def keyed_frontier_graph(c, i):
+    """(complex, edge key -> edge index) of the radius-``i`` frontier graph,
+    each column one edge ('col', vi, -i) from height -i to i."""
+    return _keyed_graph(c, i, (-i, i))
+
+
+def keyed_collapse(c, i):
+    """Collapse sheets and columns by ancestor, and push the deep frontier
+    graph's cycle basis into the shallow one's coordinates."""
+    return _keyed_bond(c, i, keyed_frontier_graph, lambda vi, h: ("col", vi, -i) if i else None)
+
+
+def subdivided_frontier_graph(c, i):
+    """The former layout: each column cut into 2i edges ('col', vi, h) from
+    height h to h + 1, through 2i - 1 inner vertices."""
+    return _keyed_graph(c, i, tuple(range(-i, i + 1)))
+
+
+def subdivided_collapse(c, i):
+    """The former bond: collapse sheets by ancestor, clamp column heights to
+    [-i, i], and push the deep cycle basis into the shallow coordinates."""
+
+    def clamped(vi, h):
+        lo, hi = max(h, -i), min(h + 1, i)
+        return ("col", vi, lo) if lo < hi else None  # None: clamped flat
+
+    return _keyed_bond(c, i, subdivided_frontier_graph, clamped)
+
+
+def subdivision_map(c, i):
+    """H1 of the subdivided radius-``i`` graph into the package layout's, as
+    sparse columns: each former fundamental cycle carried over by the
+    cellular map that keeps the sheets, sends a column's bottom edge
+    ('col', vi, -i) onto the column and contracts its other edges, read in
+    the package layout's fundamental-cycle coordinates."""
+    sub, sub_index = subdivided_frontier_graph(c, i)
+    new, new_index = keyed_frontier_graph(c, i)
+    row = {e: r for r, e in enumerate(spanning_forest(new)[2])}
+    row_of = {}
+    for key, idx in sub_index.items():
+        if key[0] == "tree" or key[2] == -i:
+            row_of[idx] = row.get(new_index[key])
+    return _pushed(fundamental_cycles(sub)[1], row_of)

@@ -26,7 +26,7 @@ from treeends.classify import (
     render_text,
     to_json_dict,
 )
-from treeends import classify, cli, coset, cw, germ, unfold
+from treeends import classify, cli, coset, cw, germ, intmat, unfold
 from treeends.errors import DomainError
 from treeends.germ import germ_from_edges, parse_germ, render_germ
 from treeends.proseq import block_compress
@@ -397,6 +397,21 @@ class TestCrossChecks:
 
 
 class TestReports:
+    @pytest.mark.parametrize("depth, height", [(4, 4), (2, 1)])
+    def test_no_report_reaches_the_dense_smith_core(self, monkeypatch, depth, height):
+        """Unit-pivot elimination leaves an empty core on every presentation
+        of these reports, so dense Smith normal form never runs: each
+        telescope face has its own loop at coefficient +1, and every bond
+        here pivots away.  A change that reaches the dense core fails here."""
+
+        def dense(a):
+            raise AssertionError(f"dense Smith core reached on a {len(a)}-row matrix")
+
+        monkeypatch.setattr(intmat, "smith_normal_form", dense)
+        paths = sorted(p for p in GERMS.glob("*.germ") if not p.name.startswith("bad_"))
+        for g in [*CORPUS.values(), *(parse_germ(p.read_text()) for p in paths)]:
+            full_report(g, depth, height)
+
     def test_each_germ_value_is_validated_once(self, monkeypatch):
         calls = []
         validate = germ.validate_germ

@@ -198,7 +198,7 @@ class TestBatteryCloneTree:
         self, cli, tmp_path, monkeypatch, command
     ):
         # 980,200 clones to depth 3 fit the ceiling, but their radius-3
-        # frontier graph alone would have about 14.6 million cells
+        # frontier graph alone would have about 4.9 million cells
         def unbounded(c, i):
             raise AssertionError(f"frontier graph of radius {i} built before the refusal")
 
@@ -209,13 +209,15 @@ class TestBatteryCloneTree:
         assert (code, out) == (3, "")
         assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
 
-    def test_the_frontier_tower_is_counted_at_depth_2(self, cli, command):
+    def test_the_frontier_tower_is_counted_at_depth_2(self, cli, tmp_path, command):
         # the tower's radius-3 graph reads one tier past the depth-2 covers:
-        # 156 clones, 125 of them at tier 3, give 4 * 156 - 2 + 11 * 125 cells
-        code, out, err = cli(command, "--depth", 2, "--ceiling", 1996, GERMS / "two_loops.germ")
+        # 303 clones, 300 of them at tier 3, give 4 * 303 - 2 + 300 cells
+        path = tmp_path / "chain300.germ"
+        path.write_text("root A\nvertex B\nvertex C\nedge A B 1\nedge B C 1\nedge C C 300\n")
+        code, out, err = cli(command, "--depth", 2, "--ceiling", 1509, path)
         assert (code, out) == (3, "")
-        assert err == "error: frontier graph cells exceeds the size ceiling (1997 > 1996)\n"
-        code, out, err = cli(command, "--depth", 2, "--ceiling", 1997, GERMS / "two_loops.germ")
+        assert err == "error: frontier graph cells exceeds the size ceiling (1510 > 1509)\n"
+        code, out, err = cli(command, "--depth", 2, "--ceiling", 1510, path)
         assert (code, err) == (0, "")
         assert "check frontier-rank: pass" in out
 
@@ -232,7 +234,7 @@ class TestBatteryCloneTree:
         path.write_text("root A\nedge A A 99\n")
         code, out, err = cli(command, "--depth", 2, path)
         assert (code, out) == (3, "")
-        assert err == "error: frontier graph cells exceeds the size ceiling (14594087 > 1000000)\n"
+        assert err == "error: frontier graph cells exceeds the size ceiling (4891097 > 1000000)\n"
 
     def test_covers_are_refused_before_the_clone_tree(self, cli, tmp_path, monkeypatch, command):
         # the covers' size follows from the 980,200 clones that the depth-3
@@ -246,6 +248,30 @@ class TestBatteryCloneTree:
         code, out, err = cli(command, path)
         assert (code, out) == (3, "")
         assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
+
+
+@pytest.mark.parametrize("command", ["oracle", "classify"])
+class TestPowerGermCeiling:
+    """The battery builds its power germs under the same ceiling.  A refused
+    power germ skips its own check, and the run goes on."""
+
+    def test_a_refused_power_germ_skips_its_check(self, cli, tmp_path, command):
+        # a chain into twelve label-1 loops: the cube germ's edges pass 1,000
+        path = tmp_path / "power.germ"
+        path.write_text(
+            "root A\nvertex B\nvertex C\nvertex D\nvertex E\n"
+            "edge A B 1\nedge B C 1\nedge C D 1\nedge D E 1\n" + "edge E E 1\n" * 12
+        )
+        code, out, err = cli(command, "--ceiling", 1000, path)
+        assert (code, err) == (0, "")
+        assert (
+            "check power-invariance-3: skip (power germ unavailable: powered germ edges"
+            " exceeds the size ceiling (1001 > 1000))\n"
+        ) in out
+        # with room for it, the cube germ is built, and its validation skips the check
+        code, out, err = cli(command, "--ceiling", 2000, path)
+        assert (code, err) == (0, "")
+        assert "check power-invariance-3: skip (power germ unavailable: invalid germ: " in out
 
 
 class TestUnfold:

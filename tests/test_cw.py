@@ -10,7 +10,14 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import CORPUS
 from cover_reference import keyed_cover
 from dense import boundary1, boundary2, full_selection, mat_mul, mat_vec
-from frontier_reference import fundamental_cycles, keyed_collapse, keyed_frontier_graph
+from frontier_reference import (
+    fundamental_cycles,
+    keyed_collapse,
+    keyed_frontier_graph,
+    subdivided_collapse,
+    subdivided_frontier_graph,
+    subdivision_map,
+)
 from test_classify import valid_germs
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
@@ -37,7 +44,7 @@ from treeends.cw import (
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, validate_germ
-from treeends.intmat import smith_normal_form
+from treeends.intmat import smith_normal_form, unit_pivot_presentation
 from treeends.reduce import elementary_reduction
 from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 
@@ -666,9 +673,9 @@ class TestFrontier:
     def test_doubling_pins(self):
         c = coset_for("bs2", 4)
         one = build_frontier_graph(c, 1)
-        assert (one.complex.num_vertices, len(one.complex.edges), one.betti) == (8, 8, 1)
+        assert (one.complex.num_vertices, len(one.complex.edges), one.betti) == (6, 6, 1)
         three = build_frontier_graph(c, 3)
-        assert (three.complex.num_vertices, len(three.complex.edges), three.betti) == (70, 76, 7)
+        assert (three.complex.num_vertices, len(three.complex.edges), three.betti) == (30, 36, 7)
 
     def test_two_loops_pins(self):
         c = coset_for("two_loops", 3)
@@ -690,6 +697,22 @@ class TestFrontier:
             assert check_frontier_size(ball, inner, i, cells) == cells
             with pytest.raises(SizeCeilingError, match=rf"^frontier graph cells .*\({cells} > {cells - 1}\)$"):
                 check_frontier_size(ball, inner, i, cells - 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_a_cover_outsizes_every_graph_over_its_tree(self, g, depth):
+        """The battery counts only the frontier graph that reads past its
+        covers' clone tree: over c clones any other has at most 5c - 2
+        cells, and a cover of height 2 or more at least 18c - 9."""
+        t = truncate(g, depth)
+        try:
+            c = CosetTree(positive_part(t), ceiling=1500)
+            k = build_cover(c, null_forest(t), 2, 20000).complex
+        except SizeCeilingError:
+            return
+        cover = k.num_vertices + len(k.tails) + len(k.faces)
+        for i in range(1, c.depth + 1):
+            assert check_frontier_size(c.ball_size(i), c.ball_size(i - 1), i) < cover
 
     def test_size_check_needs_a_positive_radius(self):
         with pytest.raises(DomainError):
@@ -734,6 +757,36 @@ class TestFrontier:
                 ref_bond.columns,
                 ref_bond.rows,
                 ref_bond.cols,
+            )
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_bonds_match_the_subdivided_layout(self, g, depth):
+        """Each bond against the former layout, whose columns pass through
+        every inner height.  The subdivision map carries the former bond
+        onto this one, and both have the same shape and the same cokernel,
+        so the same onto-ness."""
+        try:
+            c = CosetTree(positive_part(truncate(g, depth)), ceiling=1500)
+        except SizeCeilingError:
+            return
+        maps = [subdivision_map(c, i) for i in range(c.depth + 1)]
+
+        def apply(columns, vector):
+            out = {}
+            for j, x in vector.items():
+                for r, y in columns[j].items():
+                    out[r] = out.get(r, 0) + x * y
+            return {r: x for r, x in out.items() if x}
+
+        for i in range(c.depth):
+            bond, old = collapse_h1_matrix(c, i), subdivided_collapse(c, i)
+            assert (bond.rows, bond.cols) == (old.rows, old.cols)
+            # the square commutes: the former bond then the map equals the map then the bond
+            for j, column in enumerate(old.columns):
+                assert apply(maps[i], column) == apply(bond.columns, maps[i + 1][j])
+            assert sorted(unit_pivot_presentation(bond.rows, bond.columns).factors) == sorted(
+                unit_pivot_presentation(old.rows, old.columns).factors
             )
 
 
