@@ -350,9 +350,9 @@ def _tree_child_along(g: GermGraph, t: TruncatedTree, node_id: int, edge_idx: in
 class BatteryContext:
     """What the oracle battery's checks read.  The constructor is the size plan:
     it fixes one window (depth ``min(3, depth)``, heights ``min(3, height)`` and
-    one more) and refuses in stage order, truncation, clone trees, telescopes,
-    covers, then the frontier tower, before any clone tree is built; the rest
-    is built on first read."""
+    one more) and refuses in stage order, truncation, the clone tree,
+    telescopes, then covers, before the clone tree is built; the rest is built
+    on first read.  The covers and the frontier tower share that one tree."""
 
     def __init__(
         self, g: GermGraph, ends: EndReport, ray: RaySpec | None, depth: int, height: int, ceiling: int
@@ -364,33 +364,28 @@ class BatteryContext:
         t_deep = truncate(g, d3 + 1, ceiling)
         # truncate numbers breadth first, so depth d3 is a tier prefix
         t = self.t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
-        self.n_bonds = min(2, d3) + 1  # bond i reads radii i and i + 1
-        # below d3 = 3 the tower's last radius is one tier past the covers' tree
-        self.trees = [positive_part(tree) for tree in ((t,) if self.n_bonds == d3 else (t, t_deep))]
-        # each clone tree is counted, and refused, before any is built
-        self.clones = [sum(clone_orders(tree, ceiling).values()) for tree in self.trees]
+        self.tree = positive_part(t)
+        # the clone tree is counted, and refused, before it is built
+        self.clones = sum(clone_orders(self.tree, ceiling).values())
         # branch-components reads only 1-skeletons; ray-multiplier fills t's with faces
         self.telescopes = [(tree, cw.telescope_graph(tree, ceiling)) for tree in (t, t_deep)]
         self.nf = null_forest(t)
         self.heights = (min(height, 3), min(height, 3) + 1)
-        # the cover at the lower height is a prefix of the taller one, cut at these counts
-        self.cuts = [cw.check_cover_size(self.clones[0], self.nf, h, ceiling) for h in self.heights]
-        if ends.fixed_end_count == 1 and len(self.trees) == 2:
-            # the tower's last graph reads one tier past the covers' tree, whose
-            # clones are its inner ball.  Any other radius's graph lies over a
-            # ball of nb <= c of the covers' c clones and has 4 nb - 2 + (nb - f0)
-            # <= 5c - 2 cells, fewer than the 18c - 9 or more of the taller
-            # cover (height >= 2), so the cover check bounds it at every radius
-            cw.check_frontier_size(self.clones[1], self.clones[0], self.n_bonds, ceiling)
+        # the cover at the lower height is a prefix of the taller one, cut at
+        # these counts.  The frontier tower needs no entry of its own: its
+        # radius-i graph lies over a ball of nb <= c clones and has
+        # 4 nb - 2 + (nb - f0) <= 5c - 2 cells, fewer than the 18c - 9 or
+        # more of the taller cover (height >= 2)
+        self.cuts = [cw.check_cover_size(self.clones, self.nf, h, ceiling) for h in self.heights]
 
     @cached_property
     def cover_coset(self) -> CosetTree:
-        return lambda_plus(self.trees[0], self.ceiling)
+        return lambda_plus(self.tree, self.ceiling)
 
     @cached_property
     def bonds(self) -> list:
-        coset = self.cover_coset if len(self.trees) == 1 else lambda_plus(self.trees[1], self.ceiling)
-        return list(map(cw.FrontierTower(coset).bond, range(self.n_bonds)))
+        # bond i reads radii i and i + 1, so the bonds span radii 0 to d3
+        return list(map(cw.FrontierTower(self.cover_coset).bond, range(self.d3)))
 
     @cached_property
     def faced_telescope(self) -> tuple:
@@ -424,7 +419,7 @@ class BatteryContext:
             return None, "rank tower needs exactly one fixed end"
         ranks = list(pro_h1_fixed_end(self.g, self.d3, self.ends).ranks)
         # a bond's rows and cols are the Betti numbers of its two graphs
-        betti = ([b.rows for b in self.bonds] + [self.bonds[-1].cols])[: self.d3 + 1]
+        betti = [b.rows for b in self.bonds] + [self.bonds[-1].cols]
         return ranks == betti, f"closed form {ranks} vs frontier graphs {betti}"
 
     def branch_components(self) -> tuple:
@@ -461,7 +456,7 @@ class BatteryContext:
         if not self.g.is_trivial:
             return None, "only meaningful for the one-vertex germ"
         cover, splits = self.cover, []
-        mid = cw.cover_vertex(self.cover_coset.root_index, 0, self.clones[0], self.nf)
+        mid = cw.cover_vertex(self.cover_coset.root_index, 0, self.clones, self.nf)
         for nv, ne in self.cuts:
             # the cover at each height with the middle vertex and its edges dropped
             verts = tuple(v for v in range(nv) if v != mid)

@@ -640,21 +640,6 @@ class FrontierGraph:
         return len(k.tails) - k.num_vertices + k.component_count()
 
 
-def check_frontier_size(ball: int, inner: int, i: int, ceiling: int = DEFAULT_CEILING) -> int:
-    """Refuse the radius-``i`` frontier graph (``i >= 1``) of a clone tree
-    with ``ball`` vertices at tier <= i and ``inner`` at tier <= i - 1 if its
-    cells exceed ``ceiling``, else return that count.  By the layout of
-    ``FrontierGraph`` it has 2 ball vertices and 2 (ball - 1) + (ball - inner)
-    edges, whatever the radius.  It needs only clone counts
-    (``coset.clone_orders``), so a caller can refuse before the tree is built."""
-    if i < 1:
-        raise DomainError("frontier radius must be at least 1")
-    cells = 4 * ball - 2 + (ball - inner)
-    if cells > ceiling:
-        raise SizeCeilingError("frontier graph cells", cells, ceiling)
-    return cells
-
-
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
@@ -785,17 +770,16 @@ class FrontierTower:
             shallow_row[idx] = r
 
         # Each deep edge lands on at most one shallow edge, read off the two
-        # layouts (see FrontierGraph).  A sheet edge over a vertex of the
-        # radius-i ball keeps its sheet, and the column over a deep frontier
-        # vertex lands on the column of its parent.  Everything else
-        # contracts, and at radius 0, a point, everything does.
-        nb_deep, nb, f0 = c.ball_size(i + 1), c.ball_size(i), c.ball_size(i - 1)
+        # layouts (see FrontierGraph): a sheet edge over a vertex of the
+        # radius-i ball keeps its sheet, the column over a deep frontier
+        # vertex lands on its parent's column, and everything else contracts.
+        # Only sheet -i edges are rows: BFS from the root, vertex 0 on sheet
+        # +i, reaches each (vi, -i) first up its own column, so every column
+        # and every sheet +i edge is a forest edge.  At radius 0, a point,
+        # the slice is empty.
+        nb_deep, nb = c.ball_size(i + 1), c.ball_size(i)
         row_of = [None] * len(deep.complex.tails)
-        if i:
-            row_of[: nb - 1] = shallow_row[: nb - 1]
-            row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
-            shallow_columns = shallow_row[2 * (nb - 1) :]  # the column over vi is vi - f0
-            row_of[2 * (nb_deep - 1) :] = [shallow_columns[up - f0] for up in c.parent_idx[nb:nb_deep]]
+        row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
         columns = _cycle_columns(deep.complex, forest, row_of)
         return CollapseBond(tuple(columns), rows=len(non_tree_shallow), cols=len(columns))
 

@@ -74,45 +74,37 @@ def stage_counts() -> dict:
 
 
 DIGESTS = {
-    "corpus/bs2": "5a15fdd9e262e98933ee13ff53caca7af75bd1f55cac969b693e971a44ac7e85",
-    "corpus/bs3": "a48a1a605247c0148ed62f62d05d90ec9d37204ff40d0268e61f9e8e118f31f0",
-    "corpus/deep_null_entry": "ca442c103244c1447ba0f460f36ea870540354387404fe7152f9b586190222c3",
-    "corpus/mixed": "ab6f531de4482c3113668be130e1bf954a876e515a0d7df224d0c165cf492c1a",
-    "corpus/mixed2": "bedb4a2bea2f9cf02ef185fe290ad3ad88c9f98d3e76c2d908f491b12e337219",
+    "corpus/bs2": "d59333494a9863b1a6e9c52a5541bc2ebe41c2cd0f9f8b8087c7537044ed81c0",
+    "corpus/bs3": "5dbd2be469f6eb02bcb1f6c564a785e6880712a2d9b922567ff93977d9be417a",
+    "corpus/deep_null_entry": "52917be88d8d4f98c507bd4388fb7e074db79f784c67b45378fd3f49c144f088",
+    "corpus/mixed": "dc40bc1a99444440416cedadbfafc3fcefb3c0ad06a4fb8a35510e92cea5079c",
+    "corpus/mixed2": "cc7ad33698a758d2954060ec0bbfe5e41ce9131cdaac5200982eb124e26cb255",
     "corpus/null_binary": "a056306d72c6340da26d89d05a4d17d5e6a4b7a85a1e88ff45ef5b9268f0c348",
     "corpus/null_ray": "74406f8f8001cf0742c1fb8bb4e43a39e967c4abe94b5c9d7328c1f09173006b",
-    "corpus/ray1": "900ec0d7158d9765dbc06506c9c49f191fe54e876f79e6cb717c97c824a362c9",
-    "corpus/spin": "ab824175c7bcf7c29d7eefac0b4cd3331b350282fcb68f569aca55e87e3665cc",
+    "corpus/ray1": "0716ebaa4880a12ee1627e6a67677cd3d174d2f68d8ba7ca75c39cd237aab2df",
+    "corpus/spin": "5ad92ead035d91e6c5b394317f13cd18e33d1fd37d997579c4c08fc58bca45c5",
     "corpus/trivial": "9d52bbf29e5d114f4cf9f8d1b23f657c053ad395ce3eef2070771acbd624a124",
-    "corpus/two_loops": "0221c89ffd3b8ae885b22dbb0298e43e38e50b987bded8c0fc67c347b488c34d",
-    "corpus/uncountable_cycles": "6b4bc49f80c6b47e9ecd2e67af54ff870a848bd659314aefdebe0c89b0b6fbdc",
-    "germs/bs2.germ": "5a15fdd9e262e98933ee13ff53caca7af75bd1f55cac969b693e971a44ac7e85",
-    "germs/mixed.germ": "ab6f531de4482c3113668be130e1bf954a876e515a0d7df224d0c165cf492c1a",
+    "corpus/two_loops": "e2c0e7aabcc9108dd5330101d090f30bb962c855a4e704ac1484a004f6a4893f",
+    "corpus/uncountable_cycles": "717dad45aa33f13f41b882e912695b8bffa149e0ff503a28be77f1384530a240",
+    "germs/bs2.germ": "d59333494a9863b1a6e9c52a5541bc2ebe41c2cd0f9f8b8087c7537044ed81c0",
+    "germs/mixed.germ": "dc40bc1a99444440416cedadbfafc3fcefb3c0ad06a4fb8a35510e92cea5079c",
     "germs/null_binary.germ": "a056306d72c6340da26d89d05a4d17d5e6a4b7a85a1e88ff45ef5b9268f0c348",
     "germs/null_ray.germ": "74406f8f8001cf0742c1fb8bb4e43a39e967c4abe94b5c9d7328c1f09173006b",
-    "germs/spin.germ": "ab824175c7bcf7c29d7eefac0b4cd3331b350282fcb68f569aca55e87e3665cc",
+    "germs/spin.germ": "5ad92ead035d91e6c5b394317f13cd18e33d1fd37d997579c4c08fc58bca45c5",
     "germs/trivial.germ": "9d52bbf29e5d114f4cf9f8d1b23f657c053ad395ce3eef2070771acbd624a124",
-    "germs/two_loops.germ": "0221c89ffd3b8ae885b22dbb0298e43e38e50b987bded8c0fc67c347b488c34d",
+    "germs/two_loops.germ": "e2c0e7aabcc9108dd5330101d090f30bb962c855a4e704ac1484a004f6a4893f",
 }
 
 # runs per outcome, refusing stages in the plan's order
 STAGES = {
-    "battery": 1192,
+    "battery": 1194,
     "truncation at tier 2": 72,
     "truncation at tier 3": 48,
     "truncation at tier 4": 32,
-    "coset tree vertices": 116,
-    "telescope cells": 114,
-    "cover cells": 400,
-    "frontier graph cells": 2,
+    "coset tree vertices": 72,
+    "telescope cells": 146,
+    "cover cells": 412,
 }
-
-# The runs that only the frontier tower's size refuses.  Its last graph reads
-# one tier past the covers' clone tree, which happens at depths 1 and 2 only.
-FRONTIER_REFUSALS = [
-    ("corpus/two_loops", 2, 1, 600),
-    ("germs/two_loops.germ", 2, 1, 600),
-]
 
 
 def test_table_covers_every_germ():
@@ -127,16 +119,6 @@ def test_outcomes_are_frozen(key):
 
 def test_every_stage_refuses_somewhere():
     assert stage_counts() == STAGES
-
-
-def test_frontier_refusals_are_the_shallow_windows():
-    refused = [
-        (key, *point)
-        for key in SWEEP_GERMS
-        for point, (stage, _) in zip(GRID, outcomes(key))
-        if stage == "frontier graph cells"
-    ]
-    assert refused == FRONTIER_REFUSALS
 
 
 def test_runs_that_fit_print_what_the_roomiest_ceiling_prints():

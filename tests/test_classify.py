@@ -503,15 +503,15 @@ class TestReports:
         built.clear()
         subcomplex_callers.clear()
         full_report(CORPUS["two_loops"], depth=2)
-        # at depth 2 the cover reads the depth-2 clone tree and the tower
-        # radii up to 3, so each gets a tree of its own
+        # at depth 2 the cover and the tower share the depth-2 clone tree, so
+        # the tower stops at radius 2: one graph and one forest fewer
         assert calls == {
             "truncate": 1,
-            "CosetTree": 2,
+            "CosetTree": 1,
             "telescope_graph": 2,
             "build_base": 1,
-            "build_frontier_graph": 4,
-            "_spanning_forest": 7,
+            "build_frontier_graph": 3,
+            "_spanning_forest": 6,
             "build_cover_graph": 1,
         }
         calls.clear()
@@ -532,6 +532,23 @@ class TestReports:
         # cover's prefixes without their middle vertex in place
         assert len(built) == 3
         assert subcomplex_callers == []
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5])
+    def test_depth_bounds_the_battery(self, monkeypatch, depth):
+        # the covers and the frontier tower read one clone tree, cut at the
+        # battery's window, on every germ
+        depths = []
+        init = coset.CosetTree.__init__
+
+        def recording_init(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            depths.append(self.base.depth)
+
+        monkeypatch.setattr(coset.CosetTree, "__init__", recording_init)
+        for name, g in sorted(CORPUS.items()):
+            depths.clear()
+            battery(g, depth=depth)
+            assert depths == [min(3, depth)], name
 
     def test_each_closed_form_is_computed_once(self, monkeypatch, tmp_path):
         # (function, caller, germ) per call; the battery receives the end

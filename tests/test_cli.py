@@ -165,11 +165,9 @@ class TestCoverCeiling:
 
 @pytest.mark.parametrize("command", ["oracle", "classify"])
 class TestBatteryCloneTree:
-    """At the default window the battery builds its clone tree to depth 3,
-    the depth its covers and frontier tower read, so the ceiling counts no
-    tier it never reads.  At ``--depth`` 1 and 2 the tower reads one tier
-    past the covers, and its last frontier graph is counted before any clone
-    tree is built.  ``classify`` runs the same battery."""
+    """The battery builds one clone tree, to depth ``min(3, --depth)``, the
+    depth its covers and frontier tower read, so the ceiling counts no tier
+    it never reads.  ``classify`` runs the same battery."""
 
     def test_runs_when_only_an_unread_tier_is_past_the_ceiling(self, cli, tmp_path, command):
         # tiers 0-3 are one clone each; D's two loops would add 1,200 at tier 4
@@ -209,32 +207,33 @@ class TestBatteryCloneTree:
         assert (code, out) == (3, "")
         assert err == "error: cover cells exceeds the size ceiling (25485187 > 1000000)\n"
 
-    def test_the_frontier_tower_is_counted_at_depth_2(self, cli, tmp_path, command):
-        # the tower's radius-3 graph reads one tier past the depth-2 covers:
-        # 303 clones, 300 of them at tier 3, give 4 * 303 - 2 + 300 cells
+    def test_the_covers_bound_the_frontier_tower_at_depth_2(self, cli, tmp_path, command):
+        # the tower stops at radius 2, inside the covers' three clones; the
+        # 300 clones at tier 3 are never built
         path = tmp_path / "chain300.germ"
         path.write_text("root A\nvertex B\nvertex C\nedge A B 1\nedge B C 1\nedge C C 300\n")
-        code, out, err = cli(command, "--depth", 2, "--ceiling", 1509, path)
-        assert (code, out) == (3, "")
-        assert err == "error: frontier graph cells exceeds the size ceiling (1510 > 1509)\n"
-        code, out, err = cli(command, "--depth", 2, "--ceiling", 1510, path)
+        code, out, err = cli(command, "--depth", 2, "--ceiling", 1000, path)
         assert (code, err) == (0, "")
         assert "check frontier-rank: pass" in out
+        assert "check collapse-surjective: pass (i=0: onto; i=1: onto)" in out
 
-    def test_the_frontier_tower_is_refused_before_the_clone_trees(
-        self, cli, tmp_path, monkeypatch, command
-    ):
-        # the covers over the 9,901 clones to depth 2 fit; the radius-3
-        # graph over the 980,200 clones to depth 3 does not
-        def unbuilt(self, *args, **kwargs):
-            raise AssertionError("clone tree built before the refusal")
+    def test_depth_2_builds_one_clone_tree(self, cli, tmp_path, monkeypatch, command):
+        # the 9,901 clones to depth 2 serve the covers and the frontier tower
+        sizes = []
+        init = coset.CosetTree.__init__
 
-        monkeypatch.setattr(coset.CosetTree, "__init__", unbuilt)
+        def counted(self, *args, **kwargs):
+            init(self, *args, **kwargs)
+            sizes.append(len(self.verts))
+
+        monkeypatch.setattr(coset.CosetTree, "__init__", counted)
         path = tmp_path / "loop99.germ"
         path.write_text("root A\nedge A A 99\n")
         code, out, err = cli(command, "--depth", 2, path)
-        assert (code, out) == (3, "")
-        assert err == "error: frontier graph cells exceeds the size ceiling (4891097 > 1000000)\n"
+        assert (code, err) == (0, "")
+        assert sizes == [9901]
+        if command == "oracle":
+            assert out.endswith("oracle: 8 pass, 0 fail, 2 skip\n")
 
     def test_covers_are_refused_before_the_clone_tree(self, cli, tmp_path, monkeypatch, command):
         # the covers' size follows from the 980,200 clones that the depth-3

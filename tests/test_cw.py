@@ -27,13 +27,13 @@ from treeends.cw import (
     CollapseBond,
     H1Calculator,
     H1Summary,
+    _spanning_forest,
     branch_selection,
     build_base,
     build_cover,
     build_cover_graph,
     build_frontier_graph,
     check_cover_size,
-    check_frontier_size,
     collapse_h1_matrix,
     cover_vertex,
     h1,
@@ -687,36 +687,60 @@ class TestFrontier:
 
     @pytest.mark.parametrize("name", sorted(CORPUS))
     def test_size_check_counts_every_cell(self, name):
-        # the count reads only the ball sizes, which clone_orders gives
-        # before the clone tree is built
-        c = coset_for(name, 3)
-        for i in range(1, 4):
-            k = build_frontier_graph(c, i).complex
-            cells = k.num_vertices + len(k.tails)
-            ball, inner = c.ball_size(i), c.ball_size(i - 1)
-            assert check_frontier_size(ball, inner, i, cells) == cells
-            with pytest.raises(SizeCeilingError, match=rf"^frontier graph cells .*\({cells} > {cells - 1}\)$"):
-                check_frontier_size(ball, inner, i, cells - 1)
+        # the battery's only size check on the tower is its covers': it counts
+        # every cell of a cover from clone counts, and the cover at height 2
+        # outsizes every frontier graph over the same clone tree
+        t = truncate(CORPUS[name], 3)
+        c, nf = CosetTree(positive_part(t)), null_forest(t)
+        k = build_cover(c, nf, 2).complex
+        cells = k.num_vertices + len(k.tails) + len(k.faces)
+        assert check_cover_size(len(c.verts), nf, 2, cells) == (k.num_vertices, len(k.tails))
+        with pytest.raises(SizeCeilingError, match=rf"^cover cells .*\({cells} > {cells - 1}\)$"):
+            check_cover_size(len(c.verts), nf, 2, cells - 1)
+        for i in range(c.depth + 1):
+            graph = build_frontier_graph(c, i).complex
+            assert graph.num_vertices + len(graph.tails) < cells
 
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(1, 4))
     def test_a_cover_outsizes_every_graph_over_its_tree(self, g, depth):
-        """The battery counts only the frontier graph that reads past its
-        covers' clone tree: over c clones any other has at most 5c - 2
-        cells, and a cover of height 2 or more at least 18c - 9."""
+        """The battery counts no frontier graph: over c clones each has at
+        most 5c - 2 cells, and a cover of height 2 or more at least 18c - 9,
+        so the covers' size check bounds the whole tower."""
         t = truncate(g, depth)
         try:
             c = CosetTree(positive_part(t), ceiling=1500)
             k = build_cover(c, null_forest(t), 2, 20000).complex
         except SizeCeilingError:
             return
+        clones = len(c.verts)
         cover = k.num_vertices + len(k.tails) + len(k.faces)
-        for i in range(1, c.depth + 1):
-            assert check_frontier_size(c.ball_size(i), c.ball_size(i - 1), i) < cover
+        assert cover >= 18 * clones - 9
+        for i in range(c.depth + 1):
+            graph = build_frontier_graph(c, i).complex
+            assert graph.num_vertices + len(graph.tails) <= 5 * clones - 2
 
-    def test_size_check_needs_a_positive_radius(self):
-        with pytest.raises(DomainError):
-            check_frontier_size(1, 1, 0)
+    @staticmethod
+    def assert_rows_come_from_sheet_minus_i(c):
+        # BFS from the root, on sheet +i, climbs each column before it walks
+        # sheet -i, so only sheet -i edges close cycles (see FrontierTower.bond)
+        for i in range(1, c.depth + 1):
+            nb = c.ball_size(i)
+            _, _, non_tree = _spanning_forest(build_frontier_graph(c, i).complex)
+            assert all(nb - 1 <= e < 2 * (nb - 1) for e in non_tree), i
+
+    @pytest.mark.parametrize("name", sorted(CORPUS))
+    def test_only_sheet_minus_i_edges_leave_the_forest(self, name):
+        self.assert_rows_come_from_sheet_minus_i(coset_for(name, 3))
+
+    @settings(max_examples=150, deadline=None)
+    @given(valid_germs(), st.integers(1, 3))
+    def test_only_sheet_minus_i_edges_leave_the_forest_of_any_germ(self, g, depth):
+        try:
+            c = CosetTree(positive_part(truncate(g, depth)), ceiling=1500)
+        except SizeCeilingError:
+            return
+        self.assert_rows_come_from_sheet_minus_i(c)
 
     @pytest.mark.parametrize("name,radius", [("bs2", 2), ("two_loops", 2), ("spin", 2)])
     def test_betti_agrees_with_cover_route(self, name, radius):

@@ -88,11 +88,11 @@ GOLDEN = {
     "bs2.germ oracle text": "3a70b1d3f45f2776be0f15b07843508d35f538f167c1c1ef089fce2579bfa4ab",
     "bs2.germ oracle json": "534dfac211d71962339296f550887ea23439b7ff26a7479fc9f6b53c54ddc06e",
     "bs2.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "bs2.germ oracle_depth1 text": "acced0daaeb73bba1b5feb1840ce8090b8d5ea9da67e512b1ae75e2e6123774a",
-    "bs2.germ oracle_depth1 json": "cddf99d1f55d77893f75168106553ebbef3ba67ac12464bda622325144314008",
+    "bs2.germ oracle_depth1 text": "834c672bf5acb5e7a6360443998bdea4c980580d0d090847e692a283ef105cb0",
+    "bs2.germ oracle_depth1 json": "14b3713fc635aae1db6ab16232cc1eeb590dbad2fd1d7cf708cf922ef58ad66b",
     "bs2.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "bs2.germ oracle_depth2 text": "7ada59cfac77b4a5239317670c118ba6a065020d87ca7da174344fe8f7b38958",
-    "bs2.germ oracle_depth2 json": "31e3e70a0b1c0231833f1eeb9c4516b75ad5810d75d0702647b4b2c14e43e4fe",
+    "bs2.germ oracle_depth2 text": "9cb47676218de4b32f5fdcc454b1d6f6e8fdae1b2466f26e1b5f47ed02afe8aa",
+    "bs2.germ oracle_depth2 json": "dbe1957f392beda282f727423d5fd79eaf653ee03711758008770e1836d9cd7e",
     "bs2.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "bs2.germ oracle_height1 text": "c818907b1fb1756577beb399c197e39b6981a3b383b9dc4aa09543cd63598d6e",
     "bs2.germ oracle_height1 json": "f8189e9afe607d01ef409899ab3d389b408f5a2cd4cb20309042fe980d234b11",
@@ -118,11 +118,11 @@ GOLDEN = {
     "mixed.germ oracle text": "f081dd816cbd2f74d4e615582f5b6b19fac5108a3e09e5e7e512033e822228a3",
     "mixed.germ oracle json": "dfd3bd45bc084f8e02b055787115a33af13a79e4e91c92215199c403e6d3c168",
     "mixed.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "mixed.germ oracle_depth1 text": "8a00371b488d5fd3c03185a0b24a0ba76ee60d47dbe621169e258a0281bbb7f0",
-    "mixed.germ oracle_depth1 json": "72d5af7e9342fa2521e70a1b6276e9646161d4fbdc1e926051a532d2359056a8",
+    "mixed.germ oracle_depth1 text": "05e4c15c5448307c314b43414aede93fa7176594543c17c6052b81a53c6d0d6a",
+    "mixed.germ oracle_depth1 json": "080150c47c95c06d3604bced8d25a156fa554849bc7bda73aafb022652852712",
     "mixed.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "mixed.germ oracle_depth2 text": "61d288684bb97861a7a932efbb09ba2a29ea91fda046ac39a4214a0a14372331",
-    "mixed.germ oracle_depth2 json": "466dbf6fba12859ed9f6fad23be9dd964884f208505a3353a1ac791fdc7ab89b",
+    "mixed.germ oracle_depth2 text": "8dfc9d3ad973647a7957af1cf2623016077d8002cce01d16e7dc61b96aedc48b",
+    "mixed.germ oracle_depth2 json": "72fae8d4df0f88a43dbb77c821e1f1ccd61513cee7372325da1f330048d49c6c",
     "mixed.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "mixed.germ oracle_height1 text": "e3d99a6781d0cdff74f173b73074d12aac91e540eb21849665e6048983a3de7a",
     "mixed.germ oracle_height1 json": "efa6b4a2882486e5412e5d305b4ecb86407ae5068d1026b35e3e81abb2fa80c5",
@@ -208,11 +208,11 @@ GOLDEN = {
     "spin.germ oracle text": "772bba5e41ba51c36cb33e54d5c32b9c6587f43456a6c1610aa0b204559bcd8e",
     "spin.germ oracle json": "2cbc1020113428a928751f95f1b31f6c1bc1676ecc52cbf2072c82b9d2361ef9",
     "spin.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "spin.germ oracle_depth1 text": "404c1e7ca582a63bfc965551357f8781377612f8c112356160d9dd8953a3e34b",
-    "spin.germ oracle_depth1 json": "269eed2394849eb68751d62c9ad0fa31af48c9a9b529990bc23b74b33c709bfc",
+    "spin.germ oracle_depth1 text": "d5b69257b2b6a250773cbcceaf0c615d29dc11916936c9f47fcebb6bb4076fcf",
+    "spin.germ oracle_depth1 json": "d14f1a05158b757ee4749cc5a995eee0a3d193e349f0bd82312d7d854481dd24",
     "spin.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "spin.germ oracle_depth2 text": "dcd4bfac9432fd4c0cebe1f6a54f6e04ce248a641aa1dcf8d6a6a64436f82c25",
-    "spin.germ oracle_depth2 json": "37982ee0342a33bb5213443c0660dcf485356adfc12cc5a2592d5a18d2f81d8c",
+    "spin.germ oracle_depth2 text": "d270889b2568ab7d58b2f11cdac3456f387d652f2f07a649fb06abc16fc752e8",
+    "spin.germ oracle_depth2 json": "714b4ab7dd63cd588e09d999fc898295d2643e9a013f062ceaeebeb366ff1f32",
     "spin.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "spin.germ oracle_height1 text": "474ce3ffe74c2cb2400ac91d7029a08c62d64fb6c95a3d3629336aa6a0bf080a",
     "spin.germ oracle_height1 json": "3dca368221b7f58085887e079a59a208309b36fe1be73a22901593ce30e46619",
@@ -268,11 +268,11 @@ GOLDEN = {
     "two_loops.germ oracle text": "4a34ae830492074383764498c1dd39ce2de851b2c6efc3f1ceb59a6ded874b57",
     "two_loops.germ oracle json": "9cf6c01f764a719ee189721fc17097ec47fa704fd3db89b25b4f3727fa6a4ebf",
     "two_loops.germ oracle dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "two_loops.germ oracle_depth1 text": "bf4f556a7d6c0470db94d2af34438e8e34f8363fb7f998da771b3cfb75dd64a5",
-    "two_loops.germ oracle_depth1 json": "d370457b630e05daad7c4bf3e2289c63c8cbe47b27fb34cfd022cdec91f22d60",
+    "two_loops.germ oracle_depth1 text": "b2660fb8cc9adbc2a832166328dd067f4b33a3b603f46fc1be87acd5495ed048",
+    "two_loops.germ oracle_depth1 json": "732d3f944c2c32ff6d98944e820e2462a89ab6e065f598cb6ebee6c824394936",
     "two_loops.germ oracle_depth1 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
-    "two_loops.germ oracle_depth2 text": "aeaa1ddb47a249a3fa0fd38487a52cd83718457f8e5f27171f020d33308a9eca",
-    "two_loops.germ oracle_depth2 json": "c2461221e838d82baaee84dbab5a95ad6753f9b6e2b958de19ca9dfb387c1121",
+    "two_loops.germ oracle_depth2 text": "198052d499c98fcd5338b985b90f856949da73b9548ee8ae15e44991f7ec70a8",
+    "two_loops.germ oracle_depth2 json": "454710608f74742208d61ff0d6fc1c2408d83473e98203583e0536b45a66e23c",
     "two_loops.germ oracle_depth2 dot": "4d58e900c538598a49a9d2ac59afbc977aede56c501118b637c8ba93412dfd96",
     "two_loops.germ oracle_height1 text": "4ddf944d3b756efc600cb3d9f180f723bdcdbd6b5799baf31c7c25b4e8d46112",
     "two_loops.germ oracle_height1 json": "2db4f4ddeb49c6c59b09adae9141ed1484d49f7a632adcbc52562f00008eb2cf",
