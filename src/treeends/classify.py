@@ -7,7 +7,8 @@ rows (``CHECKS``) and the ``Report`` fields they check:
 
 - ``frontier-rank``: ``ranks``, against frontier graph Betti numbers;
 - ``ray-multiplier``: ``ray_sequence``, up to its first two labels, against
-  the multipliers of the telescope's branch maps;
+  the multipliers of the telescope's branch maps, read off the classes of
+  each branch's loops in the telescope's H1;
 - ``ray-stable-label1``: ``flags``, for a ray whose cycle labels are all 1,
   by a ladder to the constant tower;
 - ``null-growth``: ``ends.null_ends``, against null path counts;
@@ -436,14 +437,17 @@ class BatteryContext:
         if self.ends.fixed_end_count != 1 or self.ray is None:
             return None, "needs one fixed end and a ray"
         base, engine = self.faced_telescope
+        k, rank = base.complex, len(engine.presentation.slots)
         ok, details, node_id, prod = True, [], self.t.root.id, 1
         # the ray's first edges, two at most, whether or not it has a prefix
         for i, e in enumerate((self.ray.prefix + self.ray.cycle * 2)[: min(2, self.d3)], 1):
             prod *= self.g.edges[e].label
             node_id = _tree_child_along(self.g, self.t, node_id, e)
-            mat = engine.induced(cw.branch_selection(base, node_id))
-            mult = math.gcd(*(x for row in mat for x in row))
-            ok = ok and len(mat) == 1 and mult == prod
+            # a branch is a subtree plus one loop per positive node, so its
+            # loops' classes span the image of its H1 in the telescope's
+            loops = [f for f in cw.branch_selection(base, node_id).edges if k.tails[f] == k.heads[f]]
+            mult = math.gcd(*(x for loop in loops for x in engine.fundamental_class(loop)))
+            ok = ok and rank == 1 and mult == prod
             details.append(f"i={i}: multiplier {mult} vs label product {prod}")
         return ok, "; ".join(details)
 

@@ -13,9 +13,13 @@ A frontier graph is the boundary of a clone ball times [-i, i]: two sheets
 of the ball joined by one edge per frontier column, with no vertex at the
 inner heights, so its cells grow with the ball and not with the radius.
 One ``H1Calculator`` serves every induced map into its complex, and
-``CW2Complex.level_component_counts`` counts a whole nested family of full
-subgraphs, such as a telescope's neighbourhoods of infinity, in one
-union-find sweep.
+``H1Calculator.fundamental_class`` reads the class of one non-tree edge's
+cycle, such as a telescope loop's, without an edge vector.  Its
+presentation comes from ``intmat.unit_pivot_presentation``, whose passes
+skip the relations no elimination changed, in the same order, so the
+generators are the same.  ``CW2Complex.level_component_counts`` counts a
+whole nested family of full subgraphs, such as a telescope's neighbourhoods
+of infinity, in one union-find sweep.
 
 Checks that read only vertices and edges build 1-skeletons:
 ``telescope_graph`` is the face-free telescope, which ``build_base`` fills
@@ -28,6 +32,7 @@ of every such prefix in one union-find pass.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import compress
 
@@ -242,6 +247,17 @@ class H1Calculator:
         """Class of a cycle on the nontrivial summands, torsion reduced."""
         coords = self.cycle_coords(edge_vector)
         return self.presentation.coords({r: c for r, c in enumerate(coords) if c})
+
+    def fundamental_class(self, e: int) -> list:
+        """Class of non-tree edge ``e``'s fundamental cycle, ``e`` closed up
+        by the forest path from its head back to its tail: the class of its
+        one coordinate, torsion reduced.  A loop is never a forest edge."""
+        if not 0 <= e < len(self.complex.tails):
+            raise DomainError(f"edge {e} is not in range({len(self.complex.tails)})")
+        r = bisect_left(self._non_tree, e)
+        if r == len(self._non_tree) or self._non_tree[r] != e:
+            raise DomainError(f"edge {e} is a forest edge")
+        return self.presentation.coords({r: 1})
 
     def induced(self, sel: CellSelection) -> Matrix:
         """Matrix of H1(selection) -> H1(k) on Smith-basis generators.
@@ -764,10 +780,7 @@ class FrontierTower:
         if i + 1 > c.depth:
             raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
         deep, forest = self.level(i + 1)
-        shallow, (_, _, non_tree_shallow) = self.level(i)
-        shallow_row = [None] * len(shallow.complex.tails)
-        for r, idx in enumerate(non_tree_shallow):
-            shallow_row[idx] = r
+        _, (_, _, non_tree_shallow) = self.level(i)
 
         # Each deep edge lands on at most one shallow edge, read off the two
         # layouts (see FrontierGraph): a sheet edge over a vertex of the
@@ -775,11 +788,14 @@ class FrontierTower:
         # vertex lands on its parent's column, and everything else contracts.
         # Only sheet -i edges are rows: BFS from the root, vertex 0 on sheet
         # +i, reaches each (vi, -i) first up its own column, so every column
-        # and every sheet +i edge is a forest edge.  At radius 0, a point,
-        # the slice is empty.
+        # and every sheet +i edge is a forest edge.  So shallow row r, sheet
+        # -i edge nb - 1 + j, goes straight to deep sheet -i edge
+        # nb_deep - 1 + j.  At radius 0, a point, there are no rows.
         nb_deep, nb = c.ball_size(i + 1), c.ball_size(i)
+        assert all(nb - 1 <= idx < 2 * nb - 2 for idx in non_tree_shallow), "a row off sheet -i"
         row_of = [None] * len(deep.complex.tails)
-        row_of[nb_deep - 1 : nb_deep + nb - 2] = shallow_row[nb - 1 : 2 * nb - 2]
+        for r, idx in enumerate(non_tree_shallow):
+            row_of[idx + nb_deep - nb] = r
         columns = _cycle_columns(deep.complex, forest, row_of)
         return CollapseBond(tuple(columns), rows=len(non_tree_shallow), cols=len(columns))
 

@@ -7,6 +7,8 @@ Matrices are lists of row lists; an m x 0 matrix is m empty rows.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
+from heapq import heapify, heappop, heappush
 
 Matrix = list  # list[list[int]]
 
@@ -159,16 +161,30 @@ class Presentation:
     u: Matrix  # the core's Smith row transform, and its inverse
     u_inv: Matrix
 
+    @cached_property
+    def _step(self) -> dict:
+        """Each eliminated row's position in the log."""
+        return {p: i for i, (p, _) in enumerate(self.log)}
+
     def coords(self, vec: dict) -> list:
         """Class of a sparse vector {row: coeff} on the generators, each
-        torsion coordinate reduced modulo its factor."""
-        y = dict(vec)
-        for p, sub in self.log:
-            a = y.pop(p, 0)
+        torsion coordinate reduced modulo its factor.  The eliminations run
+        in log order but only on rows the vector reaches: a substitution
+        names only rows eliminated after it or never, so a heap of log
+        positions visits them in order."""
+        y = {r: x for r, x in vec.items() if x}
+        step = self._step
+        heap = [step[r] for r in y if r in step]
+        heapify(heap)
+        while heap:
+            p, sub = self.log[heappop(heap)]
+            a = y.pop(p, 0)  # 0 if the row cancelled out, or was pushed twice
             if a:
                 for q, x in sub.items():
                     z = y.get(q, 0) + a * x
                     if z:
+                        if q not in y and q in step:
+                            heappush(heap, step[q])
                         y[q] = z
                     else:
                         del y[q]
@@ -201,10 +217,12 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
     {row: coeff}: eliminate every +-1 pivot sparsely, then run Smith on the
     residual core only.
 
-    Relations are visited from the last one backwards, repeating until none
-    has a +-1 entry.  The row eliminated is the +-1 entry that occurs in the
-    fewest live relations, ties going to the largest row index; the choice
-    is deterministic, so generator signs downstream are too.
+    Relations are visited from the last one backwards, in passes until none
+    has a +-1 entry.  A pass skips each relation that no elimination has
+    changed since its last visit: it still has no +-1 entry, or is dead.
+    The row eliminated is the +-1 entry that occurs in the fewest live
+    relations, ties going to the largest row index; the choice is
+    deterministic, so generator signs downstream are too.
     """
     cols = [{r: x for r, x in rel.items() if x} for rel in relations]
     occ: list = [set() for _ in range(n)]
@@ -212,36 +230,43 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
         for r in col:
             occ[r].add(j)
     log = []
-    changed = True
-    while changed:
-        changed = False
-        for j in range(len(cols) - 1, -1, -1):
-            col = cols[j]
-            units = [r for r, x in col.items() if x == 1 or x == -1]
-            if not units:
-                continue
-            p = min(units, key=lambda r: (len(occ[r]), -r))
-            s = col.pop(p)
-            sub = {q: -s * x for q, x in col.items()}
-            log.append((p, sub))
-            cols[j] = {}  # an empty relation is a dead one
-            for q in col:
-                occ[q].discard(j)
-            occ[p].discard(j)
-            for k in occ[p]:
-                other = cols[k]
-                a = other.pop(p)
-                for q, x in sub.items():
-                    y = other.get(q, 0) + a * x
-                    if y:
-                        if q not in other:
-                            occ[q].add(k)
-                        other[q] = y
-                    else:
-                        del other[q]
-                        occ[q].discard(k)
-            occ[p] = set()
-            changed = True
+    dirty = bytearray(b"\x01") * len(cols)  # changed since its last visit
+    j = len(cols)
+    while True:
+        # the next relation to visit in this pass, else the first of the next
+        j = dirty.rfind(1, 0, j)
+        if j < 0:
+            j = dirty.rfind(1)
+            if j < 0:
+                break
+        dirty[j] = 0
+        col = cols[j]
+        units = [r for r, x in col.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        p = units[0] if len(units) == 1 else min(units, key=lambda r: (len(occ[r]), -r))
+        s = col.pop(p)
+        # e_p = -s * (the rest), so at s == -1 the rest is the substitution
+        sub = col if s == -1 else {q: -x for q, x in col.items()}
+        log.append((p, sub))
+        cols[j] = {}  # an empty relation is a dead one
+        for q in col:
+            occ[q].discard(j)
+        occ[p].discard(j)
+        for k in occ[p]:
+            dirty[k] = 1
+            other = cols[k]
+            a = other.pop(p)
+            for q, x in sub.items():
+                y = other.get(q, 0) + a * x
+                if y:
+                    if q not in other:
+                        occ[q].add(k)
+                    other[q] = y
+                else:
+                    del other[q]
+                    occ[q].discard(k)
+        occ[p] = set()
     eliminated = {p for p, _ in log}
     rows = [r for r in range(n) if occ[r]]
     free = [r for r in range(n) if not occ[r] and r not in eliminated]

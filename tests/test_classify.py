@@ -481,7 +481,7 @@ class TestReports:
         # skeletons at depths 3 and 4, and the depth-3 one filled with faces
         # for the ray-multiplier; the frontier tower's graphs at radii 0 to
         # 3, one forest each, plus one for the ray-multiplier's H1 engine of
-        # the faced telescope and one for each of its two branches; one
+        # the faced telescope, which reads both branches' loops; one
         # face-free cover at height 4, whose prefix is the one at height 3
         assert calls == {
             "truncate": 1,
@@ -489,15 +489,15 @@ class TestReports:
             "telescope_graph": 2,
             "build_base": 1,
             "build_frontier_graph": 4,
-            "_spanning_forest": 7,
+            "_spanning_forest": 5,
             "build_cover_graph": 1,
         }
         assert cover_faces == [0]
         # the telescopes' neighbourhoods are counted in one sweep each, with
-        # no selection; only the ray-multiplier's induced maps restrict to a
-        # subcomplex
-        assert len(built) == 10
-        assert subcomplex_callers == ["induced", "induced"]
+        # no selection, and the branches are read off the telescope's own
+        # engine, so nothing restricts to a subcomplex
+        assert len(built) == 8
+        assert subcomplex_callers == []
         calls.clear()
         cover_faces.clear()
         built.clear()
@@ -511,9 +511,11 @@ class TestReports:
             "telescope_graph": 2,
             "build_base": 1,
             "build_frontier_graph": 3,
-            "_spanning_forest": 6,
+            "_spanning_forest": 4,
             "build_cover_graph": 1,
         }
+        assert len(built) == 7
+        assert subcomplex_callers == []
         calls.clear()
         cover_faces.clear()
         built.clear()

@@ -1,5 +1,6 @@
 """Tests for 2-complexes, telescope bases, strip covers, and frontier graphs."""
 
+import math
 from collections import deque
 from fractions import Fraction
 from pathlib import Path
@@ -28,6 +29,7 @@ from treeends.cw import (
     H1Calculator,
     H1Summary,
     _spanning_forest,
+    _tree_path_chain,
     branch_selection,
     build_base,
     build_cover,
@@ -343,6 +345,30 @@ class TestSparseEngine:
         for j in range(len(k.faces)):
             assert calc.h1_coords([row[j] for row in d2]) == [0] * n
 
+    @settings(max_examples=150, deadline=None)
+    @given(random_complexes())
+    def test_fundamental_class_is_the_class_of_the_cycle(self, k):
+        """Each non-tree edge's class against its fundamental cycle's edge
+        vector pushed through ``h1_coords``; forest edges are refused."""
+        calc = H1Calculator(k)
+        parent, depth, non_tree = _spanning_forest(k)
+        for e in range(len(k.tails)):
+            if e not in non_tree:
+                with pytest.raises(DomainError, match=f"edge {e} is a forest edge"):
+                    calc.fundamental_class(e)
+                continue
+            vec = [0] * len(k.tails)
+            vec[e] += 1
+            for idx, x in _tree_path_chain(parent, depth, k.heads[e], k.tails[e]).items():
+                vec[idx] += x
+            assert calc.fundamental_class(e) == calc.h1_coords(vec)
+
+    @pytest.mark.parametrize("e", [-1, 3])
+    def test_fundamental_class_range_checked(self, e):
+        calc = H1Calculator(CW2Complex(2, [0, 0, 1], [1, 0, 1], []))
+        with pytest.raises(DomainError, match=rf"edge {e} is not in range\(3\)"):
+            calc.fundamental_class(e)
+
 
 class TestSelections:
     def test_full_selection_is_the_identity(self):
@@ -381,6 +407,26 @@ class TestSelections:
         engine = H1Calculator(b.complex)
         assert [engine.induced(sel) for sel in sels] == want
         assert [engine.induced(sel) for sel in reversed(sels)] == want[::-1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(valid_germs(), st.integers(1, 3))
+    def test_branch_loops_span_the_branch_image(self, g, depth):
+        """A branch is a subtree plus one loop per positive node, so the gcd
+        of its loops' classes in the telescope's H1 is the gcd of the
+        entries of its induced map, at every node: the ray-multiplier reads
+        the former off the telescope's one engine."""
+        try:
+            b = build_base(truncate(g, depth, 3000), 3000)
+        except SizeCeilingError:
+            return
+        engine = H1Calculator(b.complex)
+        loops = set(b.loop_of_node.values())
+        for node in b.tree.nodes:
+            sel = branch_selection(b, node.id)
+            mat = engine.induced(sel)
+            classes = [x for e in sel.edges if e in loops for x in engine.fundamental_class(e)]
+            assert math.gcd(*classes) == math.gcd(*(x for row in mat for x in row))
+            assert len(mat) == len(engine.presentation.slots)
 
     def test_neighborhood_tier_range_checked(self):
         b = base_for("bs2", 2)
