@@ -341,7 +341,7 @@ class CheckResult:
 
 def _tree_child_along(g: GermGraph, t: TruncatedTree, node_id: int, edge_idx: int) -> int:
     """Child of a tree node reached by one germ edge, matched by position."""
-    vertex = t.node(node_id).germ_vertex
+    vertex = t.vertex[t.position(node_id)]
     for kid, (gi, _) in zip(t.children(node_id), g.out_edges(vertex)):
         if gi == edge_idx:
             return kid
@@ -363,8 +363,7 @@ class BatteryContext:
         self.g, self.ends, self.ray, self.depth, self.ceiling = g, ends, ray, depth, ceiling
         d3 = self.d3 = min(3, depth)
         t_deep = truncate(g, d3 + 1, ceiling)
-        # truncate numbers breadth first, so depth d3 is a tier prefix
-        t = self.t = TruncatedTree(d3, t_deep.nodes[: t_deep.tier_starts[d3 + 1]])
+        t = self.t = t_deep.prefix(d3)
         self.tree = positive_part(t)
         # the clone tree is counted, and refused, before it is built
         self.clones = sum(clone_orders(self.tree, ceiling).values())
@@ -400,14 +399,16 @@ class BatteryContext:
     @cached_property
     def powers(self) -> dict:
         """m -> (the m-th power germ, whether its clone counts match the germ's
-        at every m-th tier, one walk of each), or the error that refused it."""
+        at every m-th tier, one walk of each), or the message of the error
+        that refused it.  The message, not the error: its traceback holds
+        this context, which would then wait for the cyclic collector."""
         powers, walks = {}, {}
         for m in (2, 3):
             try:
                 powers[m] = p = germ_power(self.g, m, self.ceiling)
                 walks[m] = walk_counts(p, (p.root,), lambda e: e.label, self.depth // m)
             except (ValidationFailed, SizeCeilingError) as exc:
-                powers[m] = exc
+                powers[m] = str(exc)
         tele = dict.fromkeys(walks, True)
         for t, count in enumerate(walk_counts(self.g, (self.g.root,), lambda e: e.label, self.depth)):
             for m, walk in walks.items():
@@ -427,9 +428,10 @@ class BatteryContext:
         rows = []
         for tree, skeleton in self.telescopes:
             # tier i's neighbourhood of infinity is the full subgraph at level depth - tier <= depth - i
-            counts = skeleton.level_component_counts([tree.depth - n.tier for n in tree.nodes])
+            counts = skeleton.level_component_counts([tree.depth - tier for tier in tree.tiers()])
+            starts = tree.tier_starts
             for i in range(1, min(3, tree.depth) + 1):
-                rows.append((tree.depth, i, counts[tree.depth - i], len(tree.tier_nodes(i))))
+                rows.append((tree.depth, i, counts[tree.depth - i], starts[i + 1] - starts[i]))
         details = [f"d={d} i={i}: {got} vs {want}" for d, i, got, want in rows]
         return all(got == want for *_, got, want in rows), "; ".join(details)
 
@@ -438,7 +440,7 @@ class BatteryContext:
             return None, "needs one fixed end and a ray"
         base, engine = self.faced_telescope
         k, rank = base.complex, len(engine.presentation.slots)
-        ok, details, node_id, prod = True, [], self.t.root.id, 1
+        ok, details, node_id, prod = True, [], self.t.ids[0], 1
         # the ray's first edges, two at most, whether or not it has a prefix
         for i, e in enumerate((self.ray.prefix + self.ray.cycle * 2)[: min(2, self.d3)], 1):
             prod *= self.g.edges[e].label
@@ -481,7 +483,7 @@ class BatteryContext:
         return ok, f"counts {counts[:6]}, class {gc.value}, expected {want}"
 
     def power_invariance(self, m: int) -> tuple:
-        if isinstance(self.powers[m], Exception):
+        if isinstance(self.powers[m], str):
             return None, f"power germ unavailable: {self.powers[m]}"
         powered, tele = self.powers[m]
         same = classify_ends(powered) == self.ends

@@ -19,7 +19,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from operator import attrgetter
 
 from .classify import classify_ends, cross_checks, default_ray, full_report, render_text, to_json_dict
 from .coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
@@ -68,7 +67,7 @@ def _reject_format(fmt: str, command: str) -> int:
 
 def render_tree_text(t: TruncatedTree) -> str:
     lines = [f"depth {t.depth}"]
-    for i, tier, parent, vertex, label, positive in t.nodes:
+    for i, tier, parent, vertex, label, positive in t.rows():
         if parent is None:
             lines.append(f"node {i} tier 0 root {vertex}")
         else:
@@ -108,24 +107,21 @@ def tree_json_dict(t: TruncatedTree) -> str:
             f'      "vertex": {quoted[vertex]},\n'
             f'      "label": {"null" if label is None else label},\n'
             f'      "positive": {"true" if positive else "false"}\n    }}'
-            for i, tier, parent, vertex, label, positive in t.nodes
+            for i, tier, parent, vertex, label, positive in t.rows()
         ],
     )
 
 
-def _emit_dot(name: str, nodes, field: str, looks: dict) -> str:
-    """DOT text of a tree: node ``n`` is drawn as ``looks[n.<field>]``, the
-    pair of its color and the style of the edge into it."""
-    look = attrgetter(field)
+def _emit_dot(name: str, ids, parents, vertices, labels, looks) -> str:
+    """DOT text of a tree given its node columns in id order, ``looks``
+    holding each node's color and the style of the edge into it."""
     lines = [f"digraph {name} {{"]
-    for node in nodes:
-        lines.append(f'  n{node.id} [label="{node.germ_vertex}", color={looks[look(node)][0]}];')
-    for node in nodes:
-        if node.parent is not None:
-            lines.append(
-                f'  n{node.parent} -> n{node.id} '
-                f'[label="{node.label}", style={looks[look(node)][1]}];'
-            )
+    edges = []
+    for i, parent, vertex, label, (color, style) in zip(ids, parents, vertices, labels, looks):
+        lines.append(f'  n{i} [label="{vertex}", color={color}];')
+        if parent is not None:
+            edges.append(f'  n{parent} -> n{i} [label="{label}", style={style}];')
+    lines += edges
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -136,11 +132,12 @@ _CLONE_LOOKS = {None: _SOLID, BLACK: _SOLID, GRAY: ("gray", "solid"), DASHED: ("
 
 
 def emit_dot(t: TruncatedTree, name: str = "unfold") -> str:
-    return _emit_dot(name, t.nodes, "positive", _TREE_LOOKS)
+    return _emit_dot(name, t.ids, t.parent, t.vertex, t.label, map(_TREE_LOOKS.__getitem__, t.positive))
 
 
 def emit_dot_colored(ct: ColoredTree) -> str:
-    return _emit_dot("clone_tree", ct.nodes, "color", _CLONE_LOOKS)
+    ids, parents, colors, _, vertices, labels, _ = zip(*ct.nodes)
+    return _emit_dot("clone_tree", ids, parents, vertices, labels, map(_CLONE_LOOKS.__getitem__, colors))
 
 
 def colored_tree_text(ct) -> str:

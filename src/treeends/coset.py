@@ -37,8 +37,9 @@ class CosetTree:
     Each base node's residues form one run of consecutive vertices, and the
     runs come in tier order: vertex (b, r) is ``start[b] + r`` and its parent
     is ``start[parent] + r % order_of[parent]``.  ``runs`` lists each base
-    node with its start and order.  So vertex 0 is the root, and the
-    vertices at tier <= i are the prefix ``range(ball_size(i))``.
+    node's start and order, in the base tree's position order.  So vertex 0
+    is the root, and the vertices at tier <= i are the prefix
+    ``range(ball_size(i))``.
     """
 
     def __init__(self, base: TruncatedTree, ceiling: int = DEFAULT_CEILING):
@@ -49,17 +50,17 @@ class CosetTree:
         verts: list = []
         tiers: list = []
         parent_idx: list = []
-        for node in base.nodes:  # tier order, so parents first
-            order = order_of[node.id]
-            start[node.id] = len(verts)
-            runs.append((node, len(verts), order))
-            verts += zip(repeat(node.id, order), range(order))
-            tiers += repeat(node.tier, order)
-            if node.parent is None:
+        for node_id, tier, parent, _, label, _ in base.rows():  # tier order, so parents first
+            order = order_of[node_id]
+            start[node_id] = len(verts)
+            runs.append((len(verts), order))
+            verts += zip(repeat(node_id, order), range(order))
+            tiers += repeat(tier, order)
+            if parent is None:
                 parent_idx += repeat(None, order)
             else:
-                first = start[node.parent]
-                parent_idx += list(range(first, first + order_of[node.parent])) * node.label
+                first = start[parent]
+                parent_idx += list(range(first, first + order_of[parent])) * label
         self.runs: tuple = tuple(runs)
         self.verts: tuple = tuple(verts)
         self._tiers: tuple = tuple(tiers)
@@ -79,7 +80,7 @@ class CosetTree:
 
     @property
     def root_index(self) -> int:
-        return self.index[(self.base.root.id, 0)]
+        return self.index[(self.base.ids[0], 0)]
 
 
 def clone_orders(base: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> dict:
@@ -88,16 +89,14 @@ def clone_orders(base: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> dict:
     is the size of the clone tree over ``base``, so a caller knows that size
     before the tree is built.  Raises SizeCeilingError as soon as the
     running sum passes ``ceiling``."""
-    for node in base.nodes:
-        if not node.positive:
-            raise DomainError(
-                f"coset model needs a positive base tree; node {node.id} is not"
-            )
+    if False in base.positive:
+        node_id = base.ids[base.positive.index(False)]
+        raise DomainError(f"coset model needs a positive base tree; node {node_id} is not")
     order_of: dict = {}
     total = 0
-    for node in base.nodes:  # BFS order, parents first
-        order = 1 if node.parent is None else order_of[node.parent] * node.label
-        order_of[node.id] = order
+    for node_id, parent, label in zip(base.ids, base.parent, base.label):  # BFS order, parents first
+        order = 1 if parent is None else order_of[parent] * label
+        order_of[node_id] = order
         total += order
         if total > ceiling:
             raise SizeCeilingError("coset tree vertices", total, ceiling)
@@ -190,10 +189,9 @@ def wedge_expansion(
     is gray with no dashed part.  A base node's children are read from
     ``tree`` once, however many copies it has."""
     new = tuple.__new__
-    root = tree.root
-    nodes = [new(ColoredNode, (0, None, None, True, root.germ_vertex, 0, None))]
+    nodes = [new(ColoredNode, (0, None, None, True, tree.vertex[0], 0, None))]
     append = nodes.append
-    base_ids = [root.id]  # the base node each colored node copies
+    base_ids = [tree.ids[0]]  # the base node each colored node copies
     # base id -> each child's id, vertex, label and the (color, original) of
     # its copies under an original and under a clone
     kids: dict = {}
@@ -201,10 +199,12 @@ def wedge_expansion(
         children = kids.get(base_id)
         if children is None:
             children = kids[base_id] = []
-            for c in map(tree.node, tree.children(base_id)):
-                gray = [(GRAY, False)] * c.label
-                under_original = [(BLACK, True)] + gray[1:] if c.label else [(DASHED, True)]
-                children.append((c.id, c.germ_vertex, c.label, under_original, gray))
+            for child_id in tree.children(base_id):
+                p = tree.position(child_id)
+                label = tree.label[p]
+                gray = [(GRAY, False)] * label
+                under_original = [(BLACK, True)] + gray[1:] if label else [(DASHED, True)]
+                children.append((child_id, tree.vertex[p], label, under_original, gray))
         for child_id, vertex, label, under_original, under_clone in children:
             looks = under_original if parent_original else under_clone
             nid = len(nodes)
@@ -226,12 +226,11 @@ def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
     parent_idx = coset.parent_idx
     nodes: list = []
     append = nodes.append
-    for node, first, order in coset.runs:
-        vertex = node.germ_vertex
-        if node.parent is None:
+    base = coset.base
+    for (first, order), parent, vertex, label in zip(coset.runs, base.parent, base.vertex, base.label):
+        if parent is None:
             append(new(ColoredNode, (first, None, None, True, vertex, 0, 0)))
             continue
-        label = node.label
         append(new(ColoredNode, (first, parent_idx[first], BLACK, True, vertex, label, 0)))
         for residue in range(1, order):
             i = first + residue

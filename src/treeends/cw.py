@@ -379,15 +379,16 @@ def _telescope_edges(t: TruncatedTree, ceiling: int) -> tuple:
     loops, one per positive node, are given by their nodes' vertices in
     node order, and the heads follow the same order.  Refuses a telescope
     whose cells, faces included, exceed ``ceiling``."""
-    nodes = t.nodes
-    vertex_of = {node.id: i for i, node in enumerate(nodes)}
-    climbs = [i for i, node in enumerate(nodes) if node.parent is not None]
-    loops = [i for i, node in enumerate(nodes) if node.positive]
-    n_faces = sum(nodes[i].parent is not None for i in loops)
-    total = len(nodes) + len(climbs) + len(loops) + n_faces
+    parent = t.parent
+    n = len(parent)
+    vertex_of = dict(zip(t.ids, range(n)))
+    climbs = [i for i, up in enumerate(parent) if up is not None]
+    loops = list(compress(range(n), t.positive))
+    n_faces = sum(parent[i] is not None for i in loops)
+    total = n + len(climbs) + len(loops) + n_faces
     if total > ceiling:
         raise SizeCeilingError("telescope cells", total, ceiling)
-    return vertex_of, climbs, loops, [vertex_of[nodes[i].parent] for i in climbs] + loops
+    return vertex_of, climbs, loops, [vertex_of[parent[i]] for i in climbs] + loops
 
 
 def telescope_graph(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CW2Complex:
@@ -396,27 +397,27 @@ def telescope_graph(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CW2Comp
     then one loop per positive node.  It refuses the trees that
     ``build_base`` refuses, with the same count, faces included."""
     _, climbs, loops, heads = _telescope_edges(t, ceiling)
-    return CW2Complex(len(t.nodes), climbs + loops, heads, [])
+    return CW2Complex(len(t.ids), climbs + loops, heads, [])
 
 
 def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
     """The skeleton ``telescope_graph(t, ceiling)`` with its faces and cell
     registries."""
     vertex_of, climbs, loops, heads = _telescope_edges(t, ceiling)
-    nodes = t.nodes
-    tree_edge_of = {nodes[i].id: e for e, i in enumerate(climbs)}
-    loop_of = {nodes[i].id: e for e, i in enumerate(loops, len(climbs))}
+    ids = t.ids
+    tree_edge_of = {ids[i]: e for e, i in enumerate(climbs)}
+    loop_of = {ids[i]: e for e, i in enumerate(loops, len(climbs))}
     faces: list = []
     face_of: dict = {}
-    for node in nodes:
-        if node.positive and node.parent is not None:
-            word = [(loop_of[node.id], 1), (tree_edge_of[node.id], 1)]
-            word.extend([(loop_of[node.parent], -1)] * node.label)
-            word.append((tree_edge_of[node.id], -1))
-            face_of[node.id] = len(faces)
+    for node_id, parent, label, positive in zip(ids, t.parent, t.label, t.positive):
+        if positive and parent is not None:
+            word = [(loop_of[node_id], 1), (tree_edge_of[node_id], 1)]
+            word.extend([(loop_of[parent], -1)] * label)
+            word.append((tree_edge_of[node_id], -1))
+            face_of[node_id] = len(faces)
             faces.append(word)
     return BaseComplex(
-        complex=CW2Complex(len(nodes), climbs + loops, heads, faces),
+        complex=CW2Complex(len(ids), climbs + loops, heads, faces),
         tree=t,
         vertex_of_node=vertex_of,
         tree_edge_of_node=tree_edge_of,
@@ -431,14 +432,16 @@ def infinity_neighborhood_base(b: BaseComplex, i: int) -> CellSelection:
     t = b.tree
     if not (0 <= i <= t.depth):
         raise DomainError(f"tier {i} outside 0..{t.depth}")
-    outer = t.nodes[t.tier_starts[i] :]
-    deeper = t.nodes[t.tier_starts[i + 1] :]  # non-root, so each has a tree edge
+    lo, hi = t.tier_starts[i], t.tier_starts[i + 1]
+    outer = t.ids[lo:]
+    deeper = t.ids[hi:]  # non-root, so each has a tree edge
     # build_base numbers every kind of cell in node order, tree edges before
     # loops, so the lists come out sorted
+    loops = [b.loop_of_node[n] for n in compress(outer, t.positive[lo:])]
     return CellSelection(
-        tuple([b.vertex_of_node[n.id] for n in outer]),
-        tuple([b.tree_edge_of_node[n.id] for n in deeper] + [b.loop_of_node[n.id] for n in outer if n.positive]),
-        tuple([b.face_of_node[n.id] for n in deeper if n.positive]),
+        tuple([b.vertex_of_node[n] for n in outer]),
+        tuple([b.tree_edge_of_node[n] for n in deeper] + loops),
+        tuple([b.face_of_node[n] for n in compress(deeper, t.positive[hi:])]),
     )
 
 
@@ -451,17 +454,16 @@ def branch_selection(b: BaseComplex, branch_root: int) -> CellSelection:
         cur = stack.pop()
         ids.append(cur)
         stack.extend(t.children(cur))
-    id_set = set(ids)
     verts = [b.vertex_of_node[x] for x in ids]
     edges = []
     faces = []
     for x in ids:
-        node = t.node(x)
-        if node.positive:
+        positive = t.positive[t.position(x)]
+        if positive:
             edges.append(b.loop_of_node[x])
-        if x != branch_root and node.parent in id_set:
+        if x != branch_root:  # the walk reached x from its parent
             edges.append(b.tree_edge_of_node[x])
-            if node.positive:
+            if positive:
                 faces.append(b.face_of_node[x])
     return CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
 

@@ -280,13 +280,18 @@ def ladder_search(a, b, depth: int = 4, bound: int = 8):
                     return found
         return None
 
-    for i_0 in range(0, min(start_a, win_a - t_count) + 1):
-        for j_0 in range(0, min(start_b, win_b - (t_count - 1)) + 1):
-            for u_0 in coeffs:
-                found = search_top(1, [i_0], [j_0], [u_0], [])
-                if found is not None:
-                    return found
-    return None
+    try:
+        for i_0 in range(0, min(start_a, win_a - t_count) + 1):
+            for j_0 in range(0, min(start_b, win_b - (t_count - 1)) + 1):
+                for u_0 in coeffs:
+                    found = search_top(1, [i_0], [j_0], [u_0], [])
+                    if found is not None:
+                        return found
+        return None
+    finally:
+        # the two searches close over each other; emptying their cells frees
+        # them without the cyclic collector
+        del search_top, search_bottom
 
 
 def epi_normal_form(s: MultSequence):

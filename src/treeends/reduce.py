@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermEdge, GermGraph, check_label, require_valid
-from .unfold import DEFAULT_CEILING, TreeNode, TruncatedTree
+from .unfold import DEFAULT_CEILING, TruncatedTree
 
 
 def elementary_reduction(t: TruncatedTree, i: int, j: int) -> TruncatedTree:
@@ -14,40 +14,29 @@ def elementary_reduction(t: TruncatedTree, i: int, j: int) -> TruncatedTree:
     """
     if not (0 <= i < j <= t.depth):
         raise DomainError(f"need 0 <= i < j <= {t.depth}, got i={i}, j={j}")
-    removed = j - i - 1
-    kept = []
-    for node in t.nodes:
-        if i < node.tier < j:
-            continue
-        new_tier = node.tier if node.tier <= i else node.tier - removed
-        kept.append((new_tier, node))
-    kept.sort(key=lambda pair: (pair[0], pair[1].id))
-
-    new_id = {node.id: idx for idx, (_, node) in enumerate(kept)}
-    rebuilt: list[TreeNode] = []
-    positive_of: dict[int, bool] = {}
-    for new_tier, node in kept:
-        if node.parent is None:
-            rebuilt.append(TreeNode(0, 0, None, node.germ_vertex, None, True))
-            positive_of[0] = True
-            continue
-        if node.tier == j:
-            # Walk up to the tier-i ancestor, multiplying labels on the way.
-            label = 1
-            cur = node
-            while cur.tier > i:
-                label *= cur.label
-                cur = t.node(cur.parent)
-            label = check_label(label)
-            parent = new_id[cur.id]
-        else:
-            label = node.label
-            parent = new_id[node.parent]
-        positive = positive_of[parent] and label > 0
-        nid = new_id[node.id]
-        rebuilt.append(TreeNode(nid, new_tier, parent, node.germ_vertex, label, positive))
-        positive_of[nid] = positive
-    return TruncatedTree(t.depth - removed, tuple(rebuilt))
+    starts = t.tier_starts
+    # tiers i+1..j-1 sit at positions inner..outer-1, tier j up to below
+    inner, outer, below = starts[i + 1], starts[j], starts[j + 1]
+    gap = outer - inner
+    up = [None, *map(t.position, t.parent[1:])]  # each parent's position
+    parent = up[:inner]
+    label = t.label[:inner]
+    for p in range(outer, below):
+        # walk up to the tier-i ancestor, multiplying labels on the way
+        product, cur = 1, p
+        while cur >= inner:
+            product *= t.label[cur]
+            cur = up[cur]
+        parent.append(cur)
+        label.append(check_label(product))
+    parent += [q - gap for q in up[below:]]
+    label += t.label[below:]
+    # a product of nonnegative labels is positive exactly when every factor
+    # is, so each kept node keeps its flag
+    return TruncatedTree(
+        t.depth - (j - i - 1), (*starts[: i + 1], *(s - gap for s in starts[j:])), range(len(parent)),
+        parent, t.vertex[:inner] + t.vertex[outer:], label, t.positive[:inner] + t.positive[outer:],
+    )
 
 
 def germ_power_detailed(

@@ -1,16 +1,19 @@
 """Explicit truncations of the tree a germ unfolds to.
 
 Nodes are numbered breadth first, tier by tier, children in edge declaration
-order, so equal germs always unfold to identical node tables.
+order, so equal germs always unfold to identical node tables.  A truncation
+is kept as flat columns, one entry per node; the ``TreeNode`` records are a
+view built only when read.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
-from operator import attrgetter
+from itertools import accumulate, chain, compress, pairwise, repeat
+from operator import not_, sub
 from typing import NamedTuple
 
 from .errors import DomainError, SizeCeilingError
@@ -29,60 +32,108 @@ class TreeNode(NamedTuple):
 
 
 class TruncatedTree:
-    """A depth-``d`` truncation.  Node ids are stable under filtering, and
-    every constructor keeps ``nodes`` in nondecreasing tier order, so each
-    tier is a slice.  The id and child maps and the tier offsets are built
-    on first use: exporting a tree reads only ``nodes``."""
+    """A depth-``d`` truncation, kept as flat columns indexed by position.
 
-    def __init__(self, depth: int, nodes: tuple[TreeNode, ...]) -> None:
+    Position p holds node ``ids[p]``: the id ``parent[p]`` of its parent
+    (None at the root), its germ vertex ``vertex[p]``, the label ``label[p]``
+    of the edge into it (None at the root) and its flag ``positive[p]``.
+    Positions run in nondecreasing tier order, tier k being the slice
+    ``tier_starts[k] : tier_starts[k + 1]``.  Ids are stable under
+    filtering: ``ids`` is a range for a full truncation and a list after
+    ``positive_part``.  ``nodes``, the tuple of ``TreeNode`` records, is a
+    read-only view built on first read and cached; the package reads the
+    columns and never builds it.  The position and child maps behind
+    ``node`` and ``children`` are also built on first use."""
+
+    def __init__(
+        self, depth: int, tier_starts, ids, parent: list, vertex: list, label: list, positive: list
+    ) -> None:
         self.depth = depth
-        self.nodes = nodes
+        self.tier_starts: tuple[int, ...] = tuple(tier_starts)  # tiers 0..depth+1
+        self.ids = ids
+        self.parent = parent
+        self.vertex = vertex
+        self.label = label
+        self.positive = positive
+
+    def tiers(self):
+        """Each node's tier, in position order."""
+        starts = self.tier_starts
+        return chain.from_iterable(map(repeat, range(self.depth + 1), map(sub, starts[1:], starts)))
+
+    def rows(self):
+        """Each node's fields in ``TreeNode`` order, as plain tuples, in
+        position order."""
+        return zip(self.ids, self.tiers(), self.parent, self.vertex, self.label, self.positive)
 
     @cached_property
-    def _by_id(self) -> dict[int, TreeNode]:
-        return {n.id: n for n in self.nodes}
+    def _nodes(self) -> tuple[TreeNode, ...]:
+        return tuple(map(TreeNode._make, self.rows()))
+
+    @property
+    def nodes(self) -> tuple[TreeNode, ...]:
+        """Every node as a ``TreeNode``, in position order."""
+        return self._nodes
 
     @cached_property
-    def tier_starts(self) -> tuple[int, ...]:
-        """Index of the first node at each tier or deeper, tiers 0..depth+1."""
-        return tuple(bisect_left(self.nodes, k, key=attrgetter("tier")) for k in range(self.depth + 2))
+    def position(self):
+        """Node id -> its position in the columns: ``range.index`` on a range
+        of ids, a dict lookup on a list."""
+        ids = self.ids
+        return ids.index if isinstance(ids, range) else dict(zip(ids, range(len(ids)))).__getitem__
 
     @cached_property
     def _children(self) -> dict[int, list[int]]:
-        children: dict[int, list[int]] = {n.id: [] for n in self.nodes}
-        for n in self.nodes:
-            if n.parent is not None:
-                children[n.parent].append(n.id)
+        children: dict[int, list[int]] = {i: [] for i in self.ids}
+        for i, p in zip(self.ids, self.parent):
+            if p is not None:
+                children[p].append(i)
         return children
 
     def node(self, node_id: int) -> TreeNode:
-        return self._by_id[node_id]
+        p = self.position(node_id)
+        tier = bisect_right(self.tier_starts, p) - 1
+        return TreeNode(node_id, tier, self.parent[p], self.vertex[p], self.label[p], self.positive[p])
 
     def children(self, node_id: int) -> tuple[int, ...]:
         return tuple(self._children[node_id])
 
     @property
     def root(self) -> TreeNode:
-        return self.nodes[0]
+        return self.node(self.ids[0])
 
     def tier_nodes(self, tier: int) -> tuple[TreeNode, ...]:
         if not 0 <= tier <= self.depth:
             return ()
-        return self.nodes[self.tier_starts[tier] : self.tier_starts[tier + 1]]
+        s = slice(self.tier_starts[tier], self.tier_starts[tier + 1])
+        columns = (self.parent[s], self.vertex[s], self.label[s], self.positive[s])
+        return tuple(map(TreeNode._make, zip(self.ids[s], repeat(tier), *columns)))
+
+    def prefix(self, depth: int) -> TruncatedTree:
+        """The truncation at ``depth`` <= ``self.depth``: a tier prefix of
+        every column."""
+        n = self.tier_starts[depth + 1]
+        return TruncatedTree(
+            depth, self.tier_starts[: depth + 2], self.ids[:n],
+            self.parent[:n], self.vertex[:n], self.label[:n], self.positive[:n],
+        )
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, TruncatedTree)
             and self.depth == other.depth
-            and self.nodes == other.nodes
+            and self.tier_starts == other.tier_starts
+            and list(self.ids) == list(other.ids)
+            and (self.parent, self.vertex, self.label, self.positive)
+            == (other.parent, other.vertex, other.label, other.positive)
         )
 
     def __repr__(self) -> str:
-        return f"TruncatedTree(depth={self.depth}, nodes={len(self.nodes)})"
+        return f"TruncatedTree(depth={self.depth}, nodes={len(self.ids)})"
 
 
 def truncate(g: GermGraph, depth: int, ceiling: int = DEFAULT_CEILING) -> TruncatedTree:
-    """Unfold ``g`` to tiers 0..depth.
+    """Unfold ``g`` to tiers 0..depth, filling the columns tier by tier.
 
     Raises SizeCeilingError naming the first offending tier if the node count
     would pass ``ceiling``; a tier is counted from its parents' out-degrees
@@ -91,30 +142,45 @@ def truncate(g: GermGraph, depth: int, ceiling: int = DEFAULT_CEILING) -> Trunca
     require_valid(g)
     if depth < 0:
         raise DomainError("depth must be nonnegative")
-    # germ vertex -> (dst, label, label > 0) per out-edge, in declaration order
-    kids = {v: [(e.dst, e.label, e.label > 0) for _, e in g.out_edges(v)] for v in g.vertices}
-    new = tuple.__new__
-    nodes = [new(TreeNode, (0, 0, None, g.root, None, True))]
-    frontier = nodes
+    # germ vertex -> its out-degree, and its children's columns in declaration
+    # order: vertices, labels, and positive flags under a positive parent and
+    # under a null one
+    degree: dict = {}
+    kids: dict = {}
+    for v in g.vertices:
+        out = [e for _, e in g.out_edges(v)]
+        degree[v] = len(out)
+        kids[v] = ([e.dst for e in out], [e.label for e in out], [e.label > 0 for e in out], [False] * len(out))
+    parent: list = [None]
+    vertex: list = [g.root]
+    label: list = [None]
+    positive: list = [True]
+    starts = [0, 1]
     for tier in range(1, depth + 1):
-        size = len(nodes) + sum(len(kids[parent.germ_vertex]) for parent in frontier)
+        first = starts[-2]
+        size = starts[-1] + sum(map(degree.__getitem__, vertex[first:]))
         if size > ceiling:
             raise SizeCeilingError(f"truncation at tier {tier}", size, ceiling)
-        nid = len(nodes)
-        next_nodes: list[TreeNode] = []
-        append = next_nodes.append
-        for pid, _, _, vertex, _, positive in frontier:
-            for dst, label, label_positive in kids[vertex]:
-                append(new(TreeNode, (nid, tier, pid, dst, label, positive and label_positive)))
-                nid += 1
-        nodes += next_nodes
-        frontier = next_nodes
-    return TruncatedTree(depth, tuple(nodes))
+        for pid in range(first, starts[-1]):
+            dsts, labels, flags, nulls = kids[vertex[pid]]
+            parent += repeat(pid, len(dsts))
+            vertex += dsts
+            label += labels
+            positive += flags if positive[pid] else nulls
+        starts.append(size)
+    return TruncatedTree(depth, starts, range(starts[-1]), parent, vertex, label, positive)
 
 
 def positive_part(t: TruncatedTree) -> TruncatedTree:
     """Restriction to nodes whose root path has no 0 label.  Ids survive."""
-    return TruncatedTree(t.depth, tuple(n for n in t.nodes if n.positive))
+    keep = t.positive
+    counts = (keep[lo:hi].count(True) for lo, hi in pairwise(t.tier_starts))
+    ids = list(compress(t.ids, keep))
+    return TruncatedTree(
+        t.depth, accumulate(counts, initial=0), ids,
+        list(compress(t.parent, keep)), list(compress(t.vertex, keep)), list(compress(t.label, keep)),
+        [True] * len(ids),
+    )
 
 
 @dataclass(frozen=True)
@@ -131,20 +197,22 @@ class NullForest:
 def null_forest(t: TruncatedTree) -> NullForest:
     """Connected components of the non-positive part of ``t``.
 
-    One pass in id order, parents before children: a non-positive node
-    starts a component when its parent is positive and joins its parent's
-    component otherwise."""
+    One pass over the null positions, tier by tier, parents before
+    children: a non-positive node starts a component when its parent is
+    positive and joins its parent's component otherwise."""
+    new = tuple.__new__
     roots: list = []
     members: dict = {}  # non-positive node id -> its component's node list
-    for n in t.nodes:
-        if n.positive:
-            continue
-        comp = members.get(n.parent)
-        if comp is None:
-            comp = []
-            roots.append(n.id)
-        comp.append(n)
-        members[n.id] = comp
+    ids, parent, vertex, label = t.ids, t.parent, t.vertex, t.label
+    for tier, (lo, hi) in enumerate(pairwise(t.tier_starts)):
+        for p in compress(range(lo, hi), map(not_, t.positive[lo:hi])):
+            node_id, up = ids[p], parent[p]
+            comp = members.get(up)
+            if comp is None:
+                comp = []
+                roots.append(node_id)
+            comp.append(new(TreeNode, (node_id, tier, up, vertex[p], label[p], False)))
+            members[node_id] = comp
     return NullForest(
         tuple(NullComponent(root, tuple(members[root])) for root in roots)
     )

@@ -1,6 +1,7 @@
 """Tests for end classification, rays, rank towers, and the oracle battery."""
 
 import dataclasses
+import gc
 import sys
 import time
 import tracemalloc
@@ -411,6 +412,22 @@ class TestReports:
         paths = sorted(p for p in GERMS.glob("*.germ") if not p.name.startswith("bad_"))
         for g in [*CORPUS.values(), *(parse_germ(p.read_text()) for p in paths)]:
             full_report(g, depth, height)
+
+    def test_the_battery_leaves_no_cyclic_garbage(self):
+        """Every object a battery makes is freed by reference counting: no
+        refused power germ keeps its error, whose traceback would hold the
+        battery, and no search leaves closures that refer to each other."""
+        paths = sorted(p for p in GERMS.glob("*.germ") if not p.name.startswith("bad_"))
+        germs = [germ_from_edges("A", [("A", "B", 1), ("B", "A", 1)])]
+        germs += [*(parse_germ(p.read_text()) for p in paths), *CORPUS.values()]
+        gc.collect()
+        gc.disable()
+        try:
+            for g in germs:
+                cross_checks(g, classify_ends(g), default_ray(g))
+                assert gc.collect() == 0, render_germ(g)
+        finally:
+            gc.enable()
 
     def test_each_germ_value_is_validated_once(self, monkeypatch):
         calls = []

@@ -16,12 +16,13 @@ from hypothesis import given, settings, strategies as st
 
 from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
+from tree_reference import tree_from_nodes
 from treeends import cli as cli_module, coset, cw
 from treeends.cli import run
 from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree, lambda_of_coset, lambda_plus
 from treeends.germ import parse_germ, render_germ
 from treeends.reduce import elementary_reduction
-from treeends.unfold import TreeNode, TruncatedTree, null_forest, positive_part, truncate
+from treeends.unfold import TreeNode, null_forest, positive_part, truncate
 
 ROOT = Path(__file__).resolve().parent.parent
 GERMS = ROOT / "germs"
@@ -565,7 +566,7 @@ class TestJsonWriters:
 
     def test_names_that_need_escapes(self):
         # germ files admit only identifiers; a tree built in code may hold any name
-        t = TruncatedTree(0, (TreeNode(0, 0, None, 'q"\\\n%s é', None, True),))
+        t = tree_from_nodes(0, (TreeNode(0, 0, None, 'q"\\\n%s é', None, True),))
         assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
 
     def test_clone_tree_names_that_need_escapes(self):

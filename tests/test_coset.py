@@ -1,10 +1,14 @@
+from bisect import bisect_left
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from test_classify import valid_germs
 from tree_reference import (
     KeyedCosetTree,
+    keyed_elementary_reduction,
     keyed_lambda_of_coset,
+    keyed_null_forest,
     keyed_truncate,
     keyed_wedge_expansion,
     recursive_canonical_key,
@@ -24,6 +28,7 @@ from treeends.coset import (
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ
+from treeends.reduce import elementary_reduction
 from treeends.unfold import DEFAULT_CEILING, null_forest, positive_part, truncate
 from corpus import CORPUS
 
@@ -206,25 +211,55 @@ def _built_or_refused(build, *args):
 CEILINGS = st.one_of(st.integers(1, 3000), st.just(DEFAULT_CEILING))
 
 
+def _assert_columns(t, nodes):
+    """The columns of ``t`` hold the fields of ``nodes``, TreeNode records
+    in tier order, and its view is unbuilt until read."""
+    assert list(t.ids) == [n.id for n in nodes]
+    assert t.parent == [n.parent for n in nodes]
+    assert t.vertex == [n.germ_vertex for n in nodes]
+    assert t.label == [n.label for n in nodes]
+    assert t.positive == [n.positive for n in nodes]
+    tiers = [n.tier for n in nodes]
+    assert t.tier_starts == tuple(bisect_left(tiers, k) for k in range(t.depth + 2))
+    assert "_nodes" not in vars(t)
+    assert t.nodes == nodes
+    assert "_nodes" in vars(t)
+
+
 @settings(max_examples=200, deadline=None)
 @given(valid_germs(), st.integers(0, 5), CEILINGS, CEILINGS)
 def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling):
-    """Truncation, the coset layout and its coloring against the keyed
-    builders of tree_reference: same nodes in the same order, and the same
-    refusal wherever either side refuses.  The coset tree gets its own
-    ceiling, since one that admits the truncation seldom refuses it."""
+    """Truncation, its positive part, null forest and every elementary
+    reduction, the coset layout and its coloring against the keyed builders
+    of tree_reference: the same nodes in the same order, column by column
+    and in the view, and the same refusal, tier and count included,
+    wherever either side refuses.  The coset tree gets its own ceiling,
+    since one that admits the truncation seldom refuses it."""
     t, refused = _built_or_refused(truncate, g, depth, ceiling)
     ref, ref_refused = _built_or_refused(keyed_truncate, g, depth, ceiling)
     assert refused == ref_refused
     if refused:
+        assert refused.startswith("truncation at tier ")
         return
-    assert t.nodes == ref.nodes
-    assert "_by_id" not in vars(t) and "_children" not in vars(t)
+    assert isinstance(t.ids, range)
+    _assert_columns(t, ref.nodes)
+    assert "position" not in vars(t) and "_children" not in vars(t)
     assert [t.node(n.id) for n in ref.nodes] == list(ref.nodes)
-    assert "_by_id" in vars(t) and "_children" not in vars(t)
+    assert "position" in vars(t) and "_children" not in vars(t)
     assert [t.children(n.id) for n in ref.nodes] == [ref.children(n.id) for n in ref.nodes]
+    pos, ref_pos = positive_part(t), ref.positive_part()
+    _assert_columns(pos, ref_pos.nodes)
+    assert [pos.node(n.id) for n in ref_pos.nodes] == list(ref_pos.nodes)
+    assert [pos.children(n.id) for n in ref_pos.nodes] == [ref_pos.children(n.id) for n in ref_pos.nodes]
+    assert null_forest(t) == keyed_null_forest(ref)
+    for i in range(depth):
+        for j in range(i + 1, depth + 1):
+            for tree, ref_tree in ((t, ref), (pos, ref_pos)):
+                reduced, ref_reduced = elementary_reduction(tree, i, j), keyed_elementary_reduction(ref_tree, i, j)
+                assert reduced.depth == ref_reduced.depth
+                _assert_columns(reduced, ref_reduced.nodes)
 
-    c, refused = _built_or_refused(CosetTree, positive_part(t), coset_ceiling)
+    c, refused = _built_or_refused(CosetTree, pos, coset_ceiling)
     ref_c, ref_refused = _built_or_refused(KeyedCosetTree, ref.positive_part(), coset_ceiling)
     assert refused == ref_refused
     if refused:

@@ -1,11 +1,14 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treeends import cw
+from treeends.cli import run
 from treeends.errors import DomainError, SizeCeilingError
-from treeends.germ import germ_from_edges
+from treeends.germ import germ_from_edges, render_germ
 from treeends.unfold import (
     Cardinality,
     GrowthClass,
+    TruncatedTree,
     gamma_plus_is_finite,
     growth_class,
     null_end_class,
@@ -133,9 +136,40 @@ def test_positive_part_matches_positive_path_count(name):
 def test_null_forest_matches_the_keyed_walk(g, depth):
     t = truncate(g, depth)
     nf = null_forest(t)
-    # one pass over the nodes: the id and child maps stay unbuilt
-    assert "_by_id" not in vars(t) and "_children" not in vars(t)
+    # one pass over the columns: the view and the position and child maps stay unbuilt
+    assert "_nodes" not in vars(t) and "position" not in vars(t) and "_children" not in vars(t)
     assert nf == keyed_null_forest(t)
+
+
+def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
+    """The package reads a truncation's columns and never builds its
+    ``nodes`` view: with the view patched to raise, the commands that
+    truncate, the battery on the sample germs and the corpus, and the
+    telescope, its neighbourhoods of infinity and its branches all run."""
+
+    def view(self):
+        raise AssertionError("the nodes view of a truncation was read")
+
+    monkeypatch.setattr(TruncatedTree, "nodes", property(view))
+    files = sorted(str(p) for p in test_classify.GERMS.glob("*.germ") if not p.name.startswith("bad_"))
+    for name, g in sorted(CORPUS.items()):
+        (tmp_path / f"{name}.germ").write_text(render_germ(g))
+        files.append(str(tmp_path / f"{name}.germ"))
+    for path in files:
+        for fmt in ("text", "json", "dot"):
+            for command in (["unfold"], ["lambda"], ["reduce", "--interval", "1", "3"], ["reduce", "--power", "2"]):
+                run([*command, "--format", fmt, path])
+        for command in ("classify", "oracle"):
+            for fmt in ("text", "json"):
+                run([command, "--format", fmt, path])
+    capsys.readouterr()
+    for g in CORPUS.values():
+        t = truncate(g, 3)
+        base = cw.build_base(t)
+        for i in range(t.depth + 1):
+            cw.infinity_neighborhood_base(base, i)
+        for node_id in t.ids:
+            cw.branch_selection(base, node_id)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))

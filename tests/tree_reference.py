@@ -1,25 +1,45 @@
-"""Reference for ``unfold.truncate``, ``unfold.null_forest``,
+"""Reference for ``unfold.truncate``, ``unfold.positive_part``,
+``unfold.null_forest``, ``reduce.elementary_reduction``,
 ``coset.CosetTree``, ``coset.lambda_of_coset``, ``coset.wedge_expansion``
 and ``coset.ColoredTree.canonical_key``: the keyed tree builders.
 
 They make every tree node with a named-tuple call after an out-edge lookup,
-index nodes and children in eagerly built dicts, place each coset vertex by
-a dict keyed by (base node, residue), map coset vertices to colored nodes
-through a dict, walk each null component through the id and child maps,
-copy each wedge child through a per-child list after looking up its parent
-and the child node, and key each colored subtree by recursion.  The package
-builds nodes from a per-call child table, builds the node maps on first
-use, finds the null components in one pass over the nodes, reads each base
-node's children once for all its wedge copies, keys subtrees bottom-up, and
-lays the coset vertices out in residue runs instead; the tests check on
-random germs that both give the same trees, node for node and in the same
-order, and refuse at the same point with the same message.
+index nodes and children in eagerly built dicts, filter and reduce trees
+node record by node record, place each coset vertex by a dict keyed by
+(base node, residue), map coset vertices to colored nodes through a dict,
+walk each null component through the id and child maps, copy each wedge
+child through a per-child list after looking up its parent and the child
+node, and key each colored subtree by recursion.  The package keeps a
+truncation as flat columns filled tier by tier from a per-vertex child
+table, builds the node records and maps only when read, finds the null
+components in one pass over the null positions, reads each base node's
+children once for all its wedge copies, keys subtrees bottom-up, and lays
+the coset vertices out in residue runs instead; the tests check on random
+germs that both give the same trees, node for node and in the same order,
+and refuse at the same point with the same message.
 """
+
+from bisect import bisect_left
 
 from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree
 from treeends.errors import DomainError, SizeCeilingError
-from treeends.germ import require_valid
-from treeends.unfold import DEFAULT_CEILING, NullComponent, NullForest, TreeNode
+from treeends.germ import check_label, require_valid
+from treeends.unfold import DEFAULT_CEILING, NullComponent, NullForest, TreeNode, TruncatedTree
+
+
+def tree_from_nodes(depth, nodes):
+    """The TruncatedTree whose ``nodes`` view is ``nodes``, TreeNode
+    records in nondecreasing tier order."""
+    tiers = [n.tier for n in nodes]
+    return TruncatedTree(
+        depth,
+        [bisect_left(tiers, k) for k in range(depth + 2)],
+        [n.id for n in nodes],
+        [n.parent for n in nodes],
+        [n.germ_vertex for n in nodes],
+        [n.label for n in nodes],
+        [n.positive for n in nodes],
+    )
 
 
 class KeyedTree:
@@ -42,6 +62,46 @@ class KeyedTree:
 
     def positive_part(self):
         return KeyedTree(self.depth, tuple(n for n in self.nodes if n.positive))
+
+
+def keyed_elementary_reduction(t, i, j):
+    """Collapse tiers i+1..j-1 of a KeyedTree: sort the kept nodes by new
+    tier and old id, renumber them through a dict, and climb from each
+    tier-j node to its tier-i ancestor through the id map."""
+    if not (0 <= i < j <= t.depth):
+        raise DomainError(f"need 0 <= i < j <= {t.depth}, got i={i}, j={j}")
+    removed = j - i - 1
+    kept = []
+    for node in t.nodes:
+        if i < node.tier < j:
+            continue
+        new_tier = node.tier if node.tier <= i else node.tier - removed
+        kept.append((new_tier, node))
+    kept.sort(key=lambda pair: (pair[0], pair[1].id))
+    new_id = {node.id: idx for idx, (_, node) in enumerate(kept)}
+    rebuilt = []
+    positive_of = {}
+    for new_tier, node in kept:
+        if node.parent is None:
+            rebuilt.append(TreeNode(0, 0, None, node.germ_vertex, None, True))
+            positive_of[0] = True
+            continue
+        if node.tier == j:
+            label = 1
+            cur = node
+            while cur.tier > i:
+                label *= cur.label
+                cur = t.node(cur.parent)
+            label = check_label(label)
+            parent = new_id[cur.id]
+        else:
+            label = node.label
+            parent = new_id[node.parent]
+        positive = positive_of[parent] and label > 0
+        nid = new_id[node.id]
+        rebuilt.append(TreeNode(nid, new_tier, parent, node.germ_vertex, label, positive))
+        positive_of[nid] = positive
+    return KeyedTree(t.depth - removed, tuple(rebuilt))
 
 
 def keyed_truncate(g, depth, ceiling=DEFAULT_CEILING):
