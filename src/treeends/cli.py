@@ -136,7 +136,8 @@ def emit_dot(t: TruncatedTree, name: str = "unfold") -> str:
 
 
 def emit_dot_colored(ct: ColoredTree) -> str:
-    ids, parents, colors, _, vertices, labels, _ = zip(*ct.nodes)
+    # the node columns; an empty tree has no rows to transpose
+    ids, parents, colors, _, vertices, labels, _ = zip(*ct.nodes) if ct.nodes else ((),) * 7
     return _emit_dot("clone_tree", ids, parents, vertices, labels, map(_CLONE_LOOKS.__getitem__, colors))
 
 

@@ -38,7 +38,8 @@ class TruncatedTree:
     (None at the root), its germ vertex ``vertex[p]``, the label ``label[p]``
     of the edge into it (None at the root) and its flag ``positive[p]``.
     Positions run in nondecreasing tier order, tier k being the slice
-    ``tier_starts[k] : tier_starts[k + 1]``.  Ids are stable under
+    ``tier_starts[k] : tier_starts[k + 1]``, so position 0 holds the root,
+    the one node without a parent.  Ids are stable under
     filtering: ``ids`` is a range for a full truncation and a list after
     ``positive_part``.  ``nodes``, the tuple of ``TreeNode`` records, is a
     read-only view built on first read and cached; the package reads the

@@ -370,6 +370,11 @@ class TestLambda:
         assert "digraph" in out
         assert "style=dashed" in out
 
+    def test_dot_of_trees_with_one_node_and_none(self):
+        t = truncate(parse_germ("root A\nedge A A 2\n"), 0)
+        assert cli_module.emit_dot(t) == 'digraph unfold {\n  n0 [label="A", color=black];\n}\n'
+        assert cli_module.emit_dot_colored(ColoredTree([])) == "digraph clone_tree {\n}\n"
+
 
 class TestCosetCeiling:
     """two_loops at depth 5 has 3,906 coset vertices.  The coset tree counts
