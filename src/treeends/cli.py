@@ -73,7 +73,8 @@ def render_tree_text(t: TruncatedTree) -> str:
         else:
             kind = "positive" if positive else "null"
             lines.append(f"node {i} tier {tier} parent {parent} vertex {vertex} label {label} {kind}")
-    return "\n".join(lines) + "\n"
+    lines.append("")  # the final newline, without copying the joined text
+    return "\n".join(lines)
 
 
 class _Quoted(dict):
@@ -91,7 +92,11 @@ def _json_nodes(head: dict, records: list) -> str:
     text = json.dumps(head, indent=2)[:-2]  # drop the closing "\n}"
     if not records:
         return text + ',\n  "nodes": []\n}'
-    return text + ',\n  "nodes": [\n' + ",\n".join(records) + "\n  ]\n}"
+    # the head and the tail ride on the first and last records, so the
+    # output is made by one join and never copied whole
+    records[0] = text + ',\n  "nodes": [\n' + records[0]
+    records[-1] += "\n  ]\n}"
+    return ",\n".join(records)
 
 
 def tree_json_dict(t: TruncatedTree) -> str:
@@ -122,8 +127,8 @@ def _emit_dot(name: str, ids, parents, vertices, labels, looks) -> str:
         if parent is not None:
             edges.append(f'  n{parent} -> n{i} [label="{label}", style={style}];')
     lines += edges
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines.append("}\n")
+    return "\n".join(lines)
 
 
 _SOLID = ("black", "solid")
@@ -152,7 +157,8 @@ def colored_tree_text(ct) -> str:
             f"node {i} parent {parent} color {color} vertex {vertex} "
             f"label {label} residue {residue} {kind}"
         )
-    return "\n".join(lines) + "\n"
+    lines.append("")
+    return "\n".join(lines)
 
 
 def colored_tree_json_dict(ct: ColoredTree) -> str:
