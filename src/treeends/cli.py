@@ -12,6 +12,9 @@ Edges run parent to child carrying the multiplication label as the edge
 label, drawn solid into positive nodes and dashed into null ones.  In
 clone trees the same rules apply, with clone copies gray and null copies
 reached by dashed edges.
+
+The tree writers read a truncation's or a clone tree's columns row by row
+and build no per-node record.
 """
 
 from __future__ import annotations
@@ -141,14 +144,13 @@ def emit_dot(t: TruncatedTree, name: str = "unfold") -> str:
 
 
 def emit_dot_colored(ct: ColoredTree) -> str:
-    # the node columns; an empty tree has no rows to transpose
-    ids, parents, colors, _, vertices, labels, _ = zip(*ct.nodes) if ct.nodes else ((),) * 7
-    return _emit_dot("clone_tree", ids, parents, vertices, labels, map(_CLONE_LOOKS.__getitem__, colors))
+    looks = map(_CLONE_LOOKS.__getitem__, ct.color)
+    return _emit_dot("clone_tree", range(len(ct)), ct.parent, ct.vertex, ct.label, looks)
 
 
-def colored_tree_text(ct) -> str:
+def colored_tree_text(ct: ColoredTree) -> str:
     lines = [f"nodes {len(ct)}"]
-    for i, parent, color, original, vertex, label, residue in ct.nodes:
+    for i, parent, color, original, vertex, label, residue in ct.rows():
         parent = "-" if parent is None else parent
         color = "root" if color is None else color
         residue = "-" if residue is None else residue
@@ -175,7 +177,7 @@ def colored_tree_json_dict(ct: ColoredTree) -> str:
             f'      "original": {"true" if original else "false"},\n'
             f'      "vertex": {quoted[vertex]},\n      "label": {label},\n'
             f'      "residue": {"null" if residue is None else residue}\n    }}'
-            for i, parent, color, original, vertex, label, residue in ct.nodes
+            for i, parent, color, original, vertex, label, residue in ct.rows()
         ],
     )
 

@@ -5,15 +5,17 @@ root path multiplies to n contributes residues 0..n-1, and the shift-by-one
 map on residues is the odometer.  The wedge model grows the same tree by
 copying subtrees child by child, coloring each vertex by how it arose.
 Both constructions are deterministic, and ``colored_trees_isomorphic``
-checks they agree as colored rooted trees.
+checks they agree as colored rooted trees.  A colored tree is kept as flat
+columns indexed by node id, like a truncation; neither construction makes a
+per-node record.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import islice, repeat
-from typing import NamedTuple
+from itertools import chain, count, islice, repeat
+from operator import not_
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, walk_counts
@@ -130,47 +132,49 @@ def frontier_count(germ: GermGraph, tier: int) -> int:
     return next(islice(walk_counts(germ, (germ.root,), lambda e: e.label, tier), tier, None))
 
 
-class ColoredNode(NamedTuple):
-    id: int
-    parent: int | None
-    color: str | None  # None at the root, else BLACK / GRAY / DASHED
-    original: bool
-    germ_vertex: str
-    label: int  # label of the edge from the parent; 0 at the root
-    residue: int | None  # set in the coset construction, None in the wedge
-
-
 class ColoredTree:
-    """Colored nodes in id order; every child has a larger id than its
-    parent."""
+    """A colored clone tree, kept as flat columns indexed by node id.
 
-    def __init__(self, nodes: list):
-        self.nodes: tuple = tuple(nodes)
+    Node i has the parent ``parent[i]`` (None at the root), the color
+    ``color[i]`` (None at the root, else BLACK, GRAY or DASHED), the flag
+    ``original[i]``, the germ vertex ``vertex[i]``, the label ``label[i]`` of
+    the edge from its parent (0 at the root) and the residue ``residue[i]``
+    (set in the coset construction, None in the wedge).  Every child has a
+    larger id than its parent."""
+
+    def __init__(self, parent: list, color: list, original: list, vertex: list, label: list, residue: list):
+        self.parent = parent
+        self.color = color
+        self.original = original
+        self.vertex = vertex
+        self.label = label
+        self.residue = residue
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.parent)
 
-    def canonical_key(self, node_id: int = 0):
-        """(color, original, germ vertex, label, sorted child keys) of the
-        subtree at ``node_id``."""
-        return _canonical_key(self, node_id, {})
+    def rows(self):
+        """Each node's id and fields, in id order, as plain tuples."""
+        return zip(count(), self.parent, self.color, self.original, self.vertex, self.label, self.residue)
 
 
 def _canonical_key(tree: ColoredTree, node_id: int, interned: dict):
-    """Canonical key of a subtree, built bottom-up: children have larger
-    ids than their parent, so depth costs no recursion.  Keys made through
-    one ``interned`` table are one object whenever they are equal, so they
+    """(color, original, germ vertex, label, sorted child keys) of the
+    subtree at ``node_id``, built bottom-up: children have larger ids than
+    their parent, so depth costs no recursion.  Keys made through one
+    ``interned`` table are one object whenever they are equal, so they
     compare by identity however deep they nest."""
-    kids: list = [[] for _ in tree.nodes]
-    for node in reversed(tree.nodes[node_id:]):
-        children = kids[node.id]
+    parent = tree.parent
+    kids: list = [[] for _ in parent]
+    fields = list(zip(tree.color, tree.original, tree.vertex, tree.label))
+    for i in range(len(parent) - 1, node_id - 1, -1):
+        children = kids[i]
         children.sort()
-        fields = (node.color, node.original, node.germ_vertex, node.label)
-        key = fields + (tuple(children),)
-        key = interned.setdefault((fields, tuple(map(id, children))), key)
-        if node.id == node_id:
+        key = fields[i] + (tuple(children),)
+        key = interned.setdefault((fields[i], tuple(map(id, children))), key)
+        if i == node_id:
             return key
-        kids[node.parent].append(key)
+        kids[parent[i]].append(key)
 
 
 def colored_trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
@@ -180,74 +184,84 @@ def colored_trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
     return _canonical_key(a, 0, interned) is _canonical_key(b, 0, interned)
 
 
+def _wedge_copies(tree: TruncatedTree, base_id: int, original: bool) -> tuple:
+    """The columns that the children of base node ``base_id`` add under a
+    colored copy of it, an original one or a clone: each copy's base node,
+    color, original flag, germ vertex and label."""
+    columns: tuple = ([], [], [], [], [])
+    bases, colors, originals, vertices, labels = columns
+    for child_id in tree.children(base_id):
+        p = tree.position(child_id)
+        label = tree.label[p]
+        if original:
+            looks = [BLACK] + [GRAY] * (label - 1) if label else [DASHED]
+        else:
+            looks = [GRAY] * label
+        n = len(looks)
+        bases += repeat(child_id, n)
+        colors += looks
+        originals += (color != GRAY for color in looks)
+        vertices += repeat(tree.vertex[p], n)
+        labels += repeat(label, n)
+    return columns
+
+
 def wedge_expansion(
     tree: TruncatedTree, ceiling: int = DEFAULT_CEILING
 ) -> ColoredTree:
     """Grow the clone tree by copying: positive children of an original
     vertex contribute one black copy and label-1 gray copies, zero-label
     children contribute one dashed copy, and every copy under a gray vertex
-    is gray with no dashed part.  A base node's children are read from
-    ``tree`` once, however many copies it has."""
-    new = tuple.__new__
-    nodes = [new(ColoredNode, (0, None, None, True, tree.vertex[0], 0, None))]
-    append = nodes.append
-    base_ids = [tree.ids[0]]  # the base node each colored node copies
-    # base id -> each child's id, vertex, label and the (color, original) of
-    # its copies under an original and under a clone
-    kids: dict = {}
-    for (colored_id, _, _, parent_original, _, _, _), base_id in zip(nodes, base_ids):
-        children = kids.get(base_id)
-        if children is None:
-            children = kids[base_id] = []
-            for child_id in tree.children(base_id):
-                p = tree.position(child_id)
-                label = tree.label[p]
-                gray = [(GRAY, False)] * label
-                under_original = [(BLACK, True)] + gray[1:] if label else [(DASHED, True)]
-                children.append((child_id, tree.vertex[p], label, under_original, gray))
-        for child_id, vertex, label, under_original, under_clone in children:
-            looks = under_original if parent_original else under_clone
-            nid = len(nodes)
-            if nid + len(looks) > ceiling:  # refuse before making any copy
-                raise SizeCeilingError("wedge tree vertices", max(nid, ceiling) + 1, ceiling)
-            for color, original in looks:
-                append(new(ColoredNode, (nid, colored_id, color, original, vertex, label, None)))
-                nid += 1
-            base_ids += repeat(child_id, len(looks))
-    return ColoredTree(nodes)
+    is gray with no dashed part.  The columns grow once per colored node,
+    by copies read from ``tree`` once per (base node, original flag)."""
+    parent, color, original, vertex, label = [None], [None], [True], [tree.vertex[0]], [0]
+    bases = [tree.ids[0]]  # the base node each colored node copies
+    copies: dict = {}
+    for colored_id, base_id, is_original in zip(count(), bases, original):
+        key = (base_id, is_original)
+        columns = copies.get(key)
+        if columns is None:
+            columns = copies[key] = _wedge_copies(tree, base_id, is_original)
+        n = len(columns[0])
+        if not n:
+            continue
+        if len(parent) + n > ceiling:  # refuse before making any copy
+            raise SizeCeilingError("wedge tree vertices", max(len(parent), ceiling) + 1, ceiling)
+        parent += repeat(colored_id, n)
+        for column, extra in zip((bases, color, original, vertex, label), columns):
+            column += extra
+    return ColoredTree(parent, color, original, vertex, label, [None] * len(parent))
 
 
 def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
     """Color the coset model: residue-0 vertices are the original copy
     (black edges into them), other residues are gray, and each null
     component hangs dashed off the residue-0 copy of its attach point.
-    Colored node i is coset vertex i; the null components follow."""
-    new = tuple.__new__
-    parent_idx = coset.parent_idx
-    nodes: list = []
-    append = nodes.append
+    Colored node i is coset vertex i; the null nodes follow in the null
+    forest's order."""
     base = coset.base
-    for (first, order), parent, vertex, label in zip(coset.runs, base.parent, base.vertex, base.label):
-        if parent is None:
-            append(new(ColoredNode, (first, None, None, True, vertex, 0, 0)))
-            continue
-        append(new(ColoredNode, (first, parent_idx[first], BLACK, True, vertex, label, 0)))
-        for residue in range(1, order):
-            i = first + residue
-            append(new(ColoredNode, (i, parent_idx[i], GRAY, False, vertex, label, residue)))
-    for comp in null_parts.components:
-        colored_of_node: dict = {}
-        for tnode in comp.nodes:
-            if tnode.id == comp.root_id:
-                parent_colored = coset.index[(tnode.parent, 0)]
-            else:
-                parent_colored = colored_of_node[tnode.parent]
-            nid = len(nodes)
-            colored_of_node[tnode.id] = nid
-            nodes.append(
-                ColoredNode(nid, parent_colored, DASHED, True, tnode.germ_vertex, tnode.label, None)
-            )
-    return ColoredTree(nodes)
+    orders = [order for _, order in coset.runs]
+    residue = [r for _, r in coset.verts]
+    original = list(map(not_, residue))
+    color = [BLACK if first else GRAY for first in original]
+    vertex = list(chain.from_iterable(map(repeat, base.vertex, orders)))
+    label = list(chain.from_iterable(map(repeat, base.label, orders)))
+    color[0], label[0] = None, 0  # the root
+    parent = list(coset.parent_idx)
+    # the null nodes: a component root hangs off the residue-0 copy of its
+    # positive parent, every other null node off its parent's copy
+    t, positions, up = null_parts.tree, null_parts.positions, null_parts.tree.parent
+    attach = (up[positions[s]] for s in null_parts.starts[:-1])
+    colored = {a: coset.index[(a, 0)] for a in attach}
+    colored.update(zip(map(t.ids.__getitem__, positions), count(len(residue))))
+    parent += (colored[up[p]] for p in positions)
+    n = len(positions)
+    color += repeat(DASHED, n)
+    original += repeat(True, n)
+    vertex += map(t.vertex.__getitem__, positions)
+    label += map(t.label.__getitem__, positions)
+    residue += repeat(None, n)
+    return ColoredTree(parent, color, original, vertex, label, residue)
 
 
 def clone_tree_models(

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, pairwise
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -493,7 +493,7 @@ def _layout_heights(height: int) -> list:
 def _cover_width(clones: int, nf: NullForest) -> int:
     """Vertices at each height of a cover over a clone tree of ``clones``
     vertices and the null forest ``nf``: the clones, then the null copies."""
-    return clones + sum(len(comp.nodes) for comp in nf.components)
+    return clones + len(nf.positions)
 
 
 def cover_vertex(vi: int, h: int, clones: int, nf: NullForest) -> int:
@@ -555,15 +555,14 @@ def build_cover_graph(
     parents = c.parent_idx[1:]
     # per null component: the attach point's run start and order, and the
     # head of every other node's edge, counted from its height's first vertex
+    ids, up, positions = nf.tree.ids, nf.tree.parent, nf.positions
+    at = dict(zip(map(ids.__getitem__, positions), range(clones, width)))
     null_runs = []
-    at = clones
-    for comp in nf.components:
-        # comp.nodes[0] is the null root; the others hang below it
-        pos = {tnode.id: j for j, tnode in enumerate(comp.nodes, at)}
-        attach = comp.nodes[0].parent
-        inner = [pos[t.parent] for t in comp.nodes[1:]]
+    for lo, hi in pairwise(nf.starts):
+        # positions[lo] is the null root; the others hang below it
+        attach = up[positions[lo]]
+        inner = [at[up[p]] for p in positions[lo + 1 : hi]]
         null_runs.append((c.index[(attach, 0)], c.order_of[attach], inner))
-        at += len(comp.nodes)
     tails: list = []
     heads: list = []
     for shell, h in enumerate(_layout_heights(height)):
@@ -600,7 +599,8 @@ def build_cover(
     product_vertex = {
         (vi, h): shell * width + vi for shell, h in enumerate(heights) for vi in range(clones)
     }
-    null_nodes = [(ci, tnode.id) for ci, comp in enumerate(nf.components) for tnode in comp.nodes]
+    ids, positions = nf.tree.ids, nf.positions
+    null_nodes = [(ci, ids[p]) for ci, (lo, hi) in enumerate(pairwise(nf.starts)) for p in positions[lo:hi]]
     null_vertex = {
         (ci, h, node_id): shell * width + v
         for shell, h in enumerate(heights)

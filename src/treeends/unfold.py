@@ -2,13 +2,12 @@
 
 Nodes are numbered breadth first, tier by tier, children in edge declaration
 order, so equal germs always unfold to identical node tables.  A truncation
-is kept as flat columns, one entry per node; the ``TreeNode`` records are a
-view built only when read.
+is kept as flat columns, one entry per node, and a null forest as positions
+into those columns; the package builds no per-node record.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from functools import cache, cached_property
@@ -43,8 +42,9 @@ class TruncatedTree:
     filtering: ``ids`` is a range for a full truncation and a list after
     ``positive_part``.  ``nodes``, the tuple of ``TreeNode`` records, is a
     read-only view built on first read and cached; the package reads the
-    columns and never builds it.  The position and child maps behind
-    ``node`` and ``children`` are also built on first use."""
+    columns and never builds it, and the view stays only because the
+    benchmark's truncation size hook counts nodes by it.  The position map
+    and the child lists behind ``children`` are built on first use."""
 
     def __init__(
         self, depth: int, tier_starts, ids, parent: list, vertex: list, label: list, positive: list
@@ -91,24 +91,8 @@ class TruncatedTree:
                 children[p].append(i)
         return children
 
-    def node(self, node_id: int) -> TreeNode:
-        p = self.position(node_id)
-        tier = bisect_right(self.tier_starts, p) - 1
-        return TreeNode(node_id, tier, self.parent[p], self.vertex[p], self.label[p], self.positive[p])
-
     def children(self, node_id: int) -> tuple[int, ...]:
         return tuple(self._children[node_id])
-
-    @property
-    def root(self) -> TreeNode:
-        return self.node(self.ids[0])
-
-    def tier_nodes(self, tier: int) -> tuple[TreeNode, ...]:
-        if not 0 <= tier <= self.depth:
-            return ()
-        s = slice(self.tier_starts[tier], self.tier_starts[tier + 1])
-        columns = (self.parent[s], self.vertex[s], self.label[s], self.positive[s])
-        return tuple(map(TreeNode._make, zip(self.ids[s], repeat(tier), *columns)))
 
     def prefix(self, depth: int) -> TruncatedTree:
         """The truncation at ``depth`` <= ``self.depth``: a tier prefix of
@@ -185,37 +169,35 @@ def positive_part(t: TruncatedTree) -> TruncatedTree:
 
 
 @dataclass(frozen=True)
-class NullComponent:
-    root_id: int  # a non-positive node whose parent is positive
-    nodes: tuple[TreeNode, ...]  # the whole non-positive subtree, in id order
-
-
-@dataclass(frozen=True)
 class NullForest:
-    components: tuple[NullComponent, ...]
+    """The non-positive part of ``tree``, as positions into its columns:
+    component k is ``positions[starts[k] : starts[k + 1]]``, in position
+    order, so it starts at its root, a non-positive node whose parent is
+    positive.  The last start is ``len(positions)``."""
+
+    tree: TruncatedTree
+    positions: list
+    starts: tuple
 
 
 def null_forest(t: TruncatedTree) -> NullForest:
     """Connected components of the non-positive part of ``t``.
 
-    One pass over the null positions, tier by tier, parents before
-    children: a non-positive node starts a component when its parent is
-    positive and joins its parent's component otherwise."""
-    new = tuple.__new__
-    roots: list = []
-    members: dict = {}  # non-positive node id -> its component's node list
-    ids, parent, vertex, label = t.ids, t.parent, t.vertex, t.label
-    for tier, (lo, hi) in enumerate(pairwise(t.tier_starts)):
-        for p in compress(range(lo, hi), map(not_, t.positive[lo:hi])):
-            node_id, up = ids[p], parent[p]
-            comp = members.get(up)
-            if comp is None:
-                comp = []
-                roots.append(node_id)
-            comp.append(new(TreeNode, (node_id, tier, up, vertex[p], label[p], False)))
-            members[node_id] = comp
+    One pass over the null positions, parents before children: a
+    non-positive node starts a component when its parent is positive and
+    joins its parent's component otherwise."""
+    components: list = []
+    member_of: dict = {}  # non-positive node id -> its component's positions
+    null = list(map(not_, t.positive))
+    for p, node_id, up in zip(compress(range(len(null)), null), compress(t.ids, null), compress(t.parent, null)):
+        comp = member_of.get(up)
+        if comp is None:
+            comp = []
+            components.append(comp)
+        comp.append(p)
+        member_of[node_id] = comp
     return NullForest(
-        tuple(NullComponent(root, tuple(members[root])) for root in roots)
+        t, list(chain.from_iterable(components)), tuple(accumulate(map(len, components), initial=0))
     )
 
 

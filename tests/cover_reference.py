@@ -8,6 +8,7 @@ package places vertices, edges and faces by index arithmetic instead; the tests 
 complex, cell for cell and in the same order.
 """
 
+from tree_reference import null_components
 from treeends.cw import CoverComplex, CW2Complex
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.unfold import DEFAULT_CEILING
@@ -20,7 +21,8 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
-    null_nodes = sum(len(comp.nodes) for comp in nf.components)
+    components = null_components(nf)
+    null_nodes = sum(len(comp.nodes) for comp in components)
     est_vertices = len(c.verts) * n_heights + null_nodes * n_heights
     est_edges = (
         (len(c.verts) - 1) * n_heights
@@ -43,7 +45,7 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
         for vi in range(len(c.verts)):
             product_vertex[(vi, h)] = vertex_count
             vertex_count += 1
-        for ci, comp in enumerate(nf.components):
+        for ci, comp in enumerate(components):
             for tnode in comp.nodes:
                 null_vertex[(ci, h, tnode.id)] = vertex_count
                 vertex_count += 1
@@ -59,7 +61,7 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
                 continue
             horizontal_edge[(vi, h)] = len(edges)
             edges.append((product_vertex[(vi, h)], product_vertex[(parent, h)]))
-        for ci, comp in enumerate(nf.components):
+        for ci, comp in enumerate(components):
             attach_base = comp.nodes[0].parent
             order = c.order_of[attach_base]
             shifted = c.index[(attach_base, h % order)]

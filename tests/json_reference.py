@@ -6,6 +6,8 @@ definitions, so the tests can compare the writers with
 ``json.dumps(payload, indent=2)``.
 """
 
+from tree_reference import colored_nodes
+
 
 def tree_payload(t) -> dict:
     return {
@@ -38,6 +40,6 @@ def colored_tree_payload(ct) -> dict:
                 "label": n.label,
                 "residue": n.residue,
             }
-            for n in ct.nodes
+            for n in colored_nodes(ct)
         ],
     }

@@ -16,10 +16,10 @@ from hypothesis import given, settings, strategies as st
 
 from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
-from tree_reference import tree_from_nodes
+from tree_reference import ColoredNode, colored_nodes, colored_tree, tree_from_nodes
 from treeends import cli as cli_module, coset, cw
 from treeends.cli import run
-from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree, lambda_of_coset, lambda_plus
+from treeends.coset import BLACK, DASHED, GRAY, lambda_of_coset, lambda_plus
 from treeends.germ import parse_germ, render_germ
 from treeends.reduce import elementary_reduction
 from treeends.unfold import TreeNode, null_forest, positive_part, truncate
@@ -373,7 +373,7 @@ class TestLambda:
     def test_dot_of_trees_with_one_node_and_none(self):
         t = truncate(parse_germ("root A\nedge A A 2\n"), 0)
         assert cli_module.emit_dot(t) == 'digraph unfold {\n  n0 [label="A", color=black];\n}\n'
-        assert cli_module.emit_dot_colored(ColoredTree([])) == "digraph clone_tree {\n}\n"
+        assert cli_module.emit_dot_colored(colored_tree(())) == "digraph clone_tree {\n}\n"
 
 
 class TestCosetCeiling:
@@ -554,7 +554,7 @@ class TestJsonWriters:
         germ_file = tmp_path / "colors.germ"
         germ_file.write_text("root A\nvertex B\nedge A A 1\nedge A A 2\nedge A B 0\nedge B B 0\n")
         ct = _clone_tree(truncate(parse_germ(germ_file.read_text()), 2))
-        assert {n.color for n in ct.nodes} == {None, BLACK, GRAY, DASHED}
+        assert {n.color for n in colored_nodes(ct)} == {None, BLACK, GRAY, DASHED}
         argv = ["lambda", germ_file, "--depth", 2, "--format", "json"]
         assert _stdout(argv) == _dumps(colored_tree_payload(ct))
 
@@ -564,7 +564,7 @@ class TestJsonWriters:
         assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
         ct = _clone_tree(t)
         assert cli_module.colored_tree_json_dict(ct) == json.dumps(colored_tree_payload(ct), indent=2)
-        empty = ColoredTree([])
+        empty = colored_tree(())
         assert cli_module.colored_tree_json_dict(empty) == json.dumps(
             colored_tree_payload(empty), indent=2
         )
@@ -575,7 +575,7 @@ class TestJsonWriters:
         assert cli_module.tree_json_dict(t) == json.dumps(tree_payload(t), indent=2)
 
     def test_clone_tree_names_that_need_escapes(self):
-        ct = ColoredTree(
+        ct = colored_tree(
             [
                 ColoredNode(0, None, None, True, 'q"\\\n%s é', 0, 0),
                 ColoredNode(1, 0, BLACK, True, "\t%d{}", 2, 0),

@@ -6,12 +6,17 @@ from hypothesis import given, settings, strategies as st
 from test_classify import valid_germs
 from tree_reference import (
     KeyedCosetTree,
+    canonical_key,
+    colored_nodes,
     keyed_elementary_reduction,
     keyed_lambda_of_coset,
     keyed_null_forest,
     keyed_truncate,
     keyed_wedge_expansion,
+    node,
+    null_components,
     recursive_canonical_key,
+    tier_nodes,
 )
 from treeends.coset import (
     BLACK,
@@ -65,20 +70,20 @@ def test_frontier_count_frozen_values():
 def test_vertex_order_products():
     # a vertex's order is the product of the labels on its root path
     t = truncate(CORPUS["bs2"], 3)
-    tier3 = t.tier_nodes(3)
+    tier3 = tier_nodes(t, 3)
     assert [CosetTree(t).order_of[n.id] for n in tier3] == [8]
     t = truncate(CORPUS["spin"], 2)
     # path A -> B (2) -> A (3)
-    b = t.tier_nodes(1)[0]
+    b = tier_nodes(t, 1)[0]
     assert b.germ_vertex == "B"
-    deep = [t.node(c) for c in t.children(b.id)]
+    deep = [node(t, c) for c in t.children(b.id)]
     assert [CosetTree(t).order_of[n.id] for n in deep] == [6]
 
 
 def test_vertex_order_rejects_null_nodes():
     # a null node has no order: the coset tree refuses a base containing one
     t = truncate(CORPUS["null_ray"], 2)
-    null_node = t.tier_nodes(1)[0]
+    null_node = tier_nodes(t, 1)[0]
     with pytest.raises(DomainError, match=f"node {null_node.id} is not"):
         CosetTree(t)
 
@@ -146,20 +151,20 @@ def test_odometer_power_wraps():
 def test_wedge_frozen_counts():
     w = wedge_expansion(truncate(CORPUS["bs2"], 2))
     assert len(w) == 7
-    colors = [n.color for n in w.nodes]
+    colors = [n.color for n in colored_nodes(w)]
     assert (colors.count(BLACK), colors.count(GRAY), colors.count(None)) == (2, 4, 1)
     m = wedge_expansion(truncate(CORPUS["mixed"], 2))
-    assert [n.color for n in m.nodes].count(DASHED) == 3
+    assert [n.color for n in colored_nodes(m)].count(DASHED) == 3
 
 
 def test_lambda_of_coset_marks_residue_zero_original():
     t = truncate(CORPUS["bs2"], 3)
     c = lambda_plus(positive_part(t))
     ct = lambda_of_coset(c, null_forest(t))
-    for node, (bid, residue) in zip(ct.nodes, c.verts):
-        assert node.original == (residue == 0)
-        if node.parent is not None:
-            assert node.color == (BLACK if residue == 0 else GRAY)
+    for n, (bid, residue) in zip(colored_nodes(ct), c.verts):
+        assert n.original == (residue == 0)
+        if n.parent is not None:
+            assert n.color == (BLACK if residue == 0 else GRAY)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -173,7 +178,7 @@ def test_models_agree_as_colored_trees(name, depth):
 def test_canonical_keys_match_the_recursive_keys(name):
     for tree in clone_tree_models(CORPUS[name], 3):
         for node_id in (0, len(tree) // 2, len(tree) - 1):
-            assert tree.canonical_key(node_id) == recursive_canonical_key(tree, node_id)
+            assert canonical_key(tree, node_id) == recursive_canonical_key(colored_nodes(tree), node_id)
 
 
 def test_models_agree_past_the_recursion_limit():
@@ -195,9 +200,10 @@ def test_wedge_null_gets_single_dashed_copy():
     g = germ_from_edges("A", [("A", "A", 2), ("A", "B", 0), ("B", "B", 0)])
     w = wedge_expansion(truncate(g, 2))
     # tier-1 originals: 1 black; clones: 1 gray; null: dashed off originals only
-    dashed = [n for n in w.nodes if n.color == DASHED]
+    nodes = colored_nodes(w)
+    dashed = [n for n in nodes if n.color == DASHED]
     for n in dashed:
-        parent = w.nodes[n.parent]
+        parent = nodes[n.parent]
         assert parent.original
 
 
@@ -244,14 +250,14 @@ def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling
     assert isinstance(t.ids, range)
     _assert_columns(t, ref.nodes)
     assert "position" not in vars(t) and "_children" not in vars(t)
-    assert [t.node(n.id) for n in ref.nodes] == list(ref.nodes)
+    assert [node(t, n.id) for n in ref.nodes] == list(ref.nodes)
     assert "position" in vars(t) and "_children" not in vars(t)
     assert [t.children(n.id) for n in ref.nodes] == [ref.children(n.id) for n in ref.nodes]
     pos, ref_pos = positive_part(t), ref.positive_part()
     _assert_columns(pos, ref_pos.nodes)
-    assert [pos.node(n.id) for n in ref_pos.nodes] == list(ref_pos.nodes)
+    assert [node(pos, n.id) for n in ref_pos.nodes] == list(ref_pos.nodes)
     assert [pos.children(n.id) for n in ref_pos.nodes] == [ref_pos.children(n.id) for n in ref_pos.nodes]
-    assert null_forest(t) == keyed_null_forest(ref)
+    assert null_components(null_forest(t)) == keyed_null_forest(ref)
     for i in range(depth):
         for j in range(i + 1, depth + 1):
             for tree, ref_tree in ((t, ref), (pos, ref_pos)):
@@ -269,21 +275,21 @@ def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling
     assert c.parent_idx == ref_c.parent_idx
     assert tuple(map(c.tier, range(len(c.verts)))) == ref_c.tiers
     assert c.order_of == ref_c.order_of
-    nf = null_forest(t)
-    assert lambda_of_coset(c, nf).nodes == keyed_lambda_of_coset(ref_c, nf)
+    assert colored_nodes(lambda_of_coset(c, null_forest(t))) == keyed_lambda_of_coset(ref_c, keyed_null_forest(ref))
 
 
 @settings(max_examples=200, deadline=None)
-@given(valid_germs(), st.integers(0, 5), st.sampled_from([10, 50, 1000, DEFAULT_CEILING]))
+@given(valid_germs(), st.integers(0, 5), st.sampled_from([0, 1, 10, 50, 1000, DEFAULT_CEILING]))
 def test_wedge_matches_the_keyed_wedge(g, depth, ceiling):
     """The wedge clone tree against the keyed builder of tree_reference:
-    the same nodes in the same order, or the same refusal."""
-    t = truncate(g, depth)
-    got, refused = _built_or_refused(wedge_expansion, t, ceiling)
-    want, want_refused = _built_or_refused(keyed_wedge_expansion, t, ceiling)
+    the same nodes in the same order, or the same refusal.  Ceilings 0 and 1
+    admit no copy, so they refuse every tree but the childless root of
+    depth 0, which both builders return."""
+    got, refused = _built_or_refused(wedge_expansion, truncate(g, depth), ceiling)
+    want, want_refused = _built_or_refused(keyed_wedge_expansion, keyed_truncate(g, depth), ceiling)
     assert refused == want_refused
     if not refused:
-        assert got.nodes == want.nodes
+        assert colored_nodes(got) == want
 
 
 def test_wedge_refuses_at_the_keyed_count():
@@ -291,15 +297,16 @@ def test_wedge_refuses_at_the_keyed_count():
     # passed inside a child's copies, and reported as the ceiling plus one
     t = truncate(CORPUS["two_loops"], 2)
     assert len(wedge_expansion(t, 31)) == 31
-    for build in (wedge_expansion, keyed_wedge_expansion):
+    builds = ((wedge_expansion, t), (keyed_wedge_expansion, keyed_truncate(CORPUS["two_loops"], 2)))
+    for build, tree in builds:
         # below 1 the root alone is over, and the first child is the count
         with pytest.raises(SizeCeilingError, match=r"\(2 > 0\)"):
-            build(t, 0)
+            build(tree, 0)
     for ceiling in range(1, 31):
         message = f"wedge tree vertices exceeds the size ceiling ({ceiling + 1} > {ceiling})"
-        for build in (wedge_expansion, keyed_wedge_expansion):
+        for build, tree in builds:
             with pytest.raises(SizeCeilingError) as exc:
-                build(t, ceiling)
+                build(tree, ceiling)
             assert str(exc.value) == message
 
 

@@ -20,6 +20,7 @@ from frontier_reference import (
     subdivision_map,
 )
 from test_classify import valid_germs
+from tree_reference import null_components, tier_nodes
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
 from treeends.cw import (
@@ -473,7 +474,7 @@ class TestSelections:
         for tree in trees:
             b = build_base(tree)
             for tier in range(-1, tree.depth + 2):
-                assert tree.tier_nodes(tier) == tuple(n for n in tree.nodes if n.tier == tier)
+                assert tier_nodes(tree, tier) == tuple(n for n in tree.nodes if n.tier == tier)
             for i in range(tree.depth + 1):
                 verts = [b.vertex_of_node[n.id] for n in tree.nodes if n.tier >= i]
                 edges = [b.tree_edge_of_node[n.id] for n in tree.nodes if n.tier > i]
@@ -559,7 +560,7 @@ class TestCover:
         cov = build_cover(c, nf, 2)
         ci, comp = next(
             (i, comp)
-            for i, comp in enumerate(nf.components)
+            for i, comp in enumerate(null_components(nf))
             if c.order_of[comp.nodes[0].parent] == 2
         )
         attach = comp.nodes[0].parent

@@ -1,8 +1,9 @@
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treeends import cw
+from treeends import cw, unfold
 from treeends.cli import run
+from treeends.coset import clone_tree_models, colored_trees_isomorphic, lambda_plus
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, render_germ
 from treeends.unfold import (
@@ -19,7 +20,7 @@ from treeends.unfold import (
 )
 from corpus import CORPUS
 import test_classify
-from tree_reference import keyed_null_forest
+from tree_reference import keyed_null_forest, keyed_truncate, node, null_components, root, tier_nodes
 
 
 # Oracle: enumerate root paths directly as edge-index tuples, tier by tier.
@@ -49,7 +50,7 @@ def test_tier_counts_match_path_enumeration(name, depth):
     tiers = enumerate_paths(g, depth)
     t = truncate(g, depth)
     for tier, paths in enumerate(tiers):
-        assert len(t.tier_nodes(tier)) == len(paths)
+        assert len(tier_nodes(t, tier)) == len(paths)
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -58,7 +59,7 @@ def test_tier_labels_match_path_enumeration(name):
     tiers = enumerate_paths(g, 3)
     t = truncate(g, 3)
     for tier in range(1, 4):
-        got = sorted(n.label for n in t.tier_nodes(tier))
+        got = sorted(n.label for n in tier_nodes(t, tier))
         want = sorted(g.edges[path[-1]].label for path in tiers[tier])
         assert got == want
 
@@ -66,7 +67,7 @@ def test_tier_labels_match_path_enumeration(name):
 def test_mixed_depth2_has_six_nodes():
     t = truncate(CORPUS["mixed"], 2)
     assert len(t.nodes) == 6
-    assert [len(t.tier_nodes(i)) for i in range(3)] == [1, 2, 3]
+    assert [len(tier_nodes(t, i)) for i in range(3)] == [1, 2, 3]
 
 
 def test_ids_are_breadth_first():
@@ -82,7 +83,7 @@ def test_ids_are_breadth_first():
 def test_children_keep_declaration_order():
     g = CORPUS["spin"]
     t = truncate(g, 2)
-    root_kids = [t.node(c) for c in t.children(t.root.id)]
+    root_kids = [node(t, c) for c in t.children(root(t).id)]
     # edges out of A in declaration order: A->B label 2, then A->A label 1
     assert [(k.germ_vertex, k.label) for k in root_kids] == [("B", 2), ("A", 1)]
 
@@ -116,7 +117,7 @@ def test_positive_part_keeps_ids_and_positivity(name):
     pos_ids = {n.id for n in pos.nodes}
     assert pos_ids == {n.id for n in t.nodes if n.positive}
     for n in pos.nodes:
-        assert t.node(n.id) == n
+        assert node(t, n.id) == n
         if n.parent is not None:
             assert n.parent in pos_ids
 
@@ -128,7 +129,7 @@ def test_positive_part_matches_positive_path_count(name):
     pos = positive_part(truncate(g, 3))
     for tier in range(4):
         want = sum(1 for path in tiers[tier] if path_is_positive(g, path))
-        assert len(pos.tier_nodes(tier)) == want
+        assert len(tier_nodes(pos, tier)) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -138,19 +139,26 @@ def test_null_forest_matches_the_keyed_walk(g, depth):
     nf = null_forest(t)
     # one pass over the columns: the view and the position and child maps stay unbuilt
     assert "_nodes" not in vars(t) and "position" not in vars(t) and "_children" not in vars(t)
-    assert nf == keyed_null_forest(t)
+    assert null_components(nf) == keyed_null_forest(keyed_truncate(g, depth))
 
 
 def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
     """The package reads a truncation's columns and never builds its
-    ``nodes`` view: with the view patched to raise, the commands that
-    truncate, the battery on the sample germs and the corpus, and the
-    telescope, its neighbourhoods of infinity and its branches all run."""
+    ``nodes`` view or any other per-node record: with the view and the
+    ``TreeNode`` name patched to raise, the commands that truncate, the
+    battery on the sample germs and the corpus, the telescope, its
+    neighbourhoods of infinity and its branches, ``lambda`` on a tree with
+    thousands of null nodes, both clone-tree models and their comparison,
+    and the covers over a null forest all run."""
 
     def view(self):
         raise AssertionError("the nodes view of a truncation was read")
 
+    def record(*args, **kwargs):
+        raise AssertionError("a TreeNode was built")
+
     monkeypatch.setattr(TruncatedTree, "nodes", property(view))
+    monkeypatch.setattr(unfold, "TreeNode", record)
     files = sorted(str(p) for p in test_classify.GERMS.glob("*.germ") if not p.name.startswith("bad_"))
     for name, g in sorted(CORPUS.items()):
         (tmp_path / f"{name}.germ").write_text(render_germ(g))
@@ -170,6 +178,16 @@ def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
             cw.infinity_neighborhood_base(base, i)
         for node_id in t.ids:
             cw.branch_selection(base, node_id)
+        assert colored_trees_isomorphic(*clone_tree_models(g, 3))
+        nf = null_forest(t)
+        coset = lambda_plus(positive_part(t))
+        assert cw.build_cover(coset, nf, 2).complex.heads == cw.build_cover_graph(coset, nf, 2).heads
+    # mixed at depth 130 has 8,515 null nodes in 130 components
+    (tmp_path / "mixed.germ").write_text(render_germ(CORPUS["mixed"]))
+    for fmt in ("text", "json", "dot"):
+        assert run(["lambda", "--depth", "130", "--format", fmt, str(tmp_path / "mixed.germ")]) == 0
+    assert len(null_forest(truncate(CORPUS["mixed"], 130)).positions) == 8515
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
@@ -179,18 +197,18 @@ def test_null_forest_partitions_null_nodes(name):
     nf = null_forest(t)
     null_ids = {n.id for n in t.nodes if not n.positive}
     covered: set = set()
-    for comp in nf.components:
+    for comp in null_components(nf):
         ids = {n.id for n in comp.nodes}
         assert not (ids & covered)
         covered |= ids
-        root = t.node(comp.root_id)
-        assert not root.positive
-        assert root.parent is not None and t.node(root.parent).positive
+        top = node(t, comp.root_id)
+        assert not top.positive
+        assert top.parent is not None and node(t, top.parent).positive
         for nid in ids:
-            node = t.node(nid)
-            assert not node.positive
+            member = node(t, nid)
+            assert not member.positive
             if nid != comp.root_id:
-                assert node.parent in ids
+                assert member.parent in ids
     assert covered == null_ids
 
 
@@ -285,8 +303,8 @@ def test_truncate_matches_oracle_on_random_germs(g, depth):
     tiers = enumerate_paths(g, depth)
     t = truncate(g, depth)
     for tier, paths in enumerate(tiers):
-        assert len(t.tier_nodes(tier)) == len(paths)
+        assert len(tier_nodes(t, tier)) == len(paths)
     pos = positive_part(t)
     for tier, paths in enumerate(tiers):
         want = sum(1 for p in paths if path_is_positive(g, p))
-        assert len(pos.tier_nodes(tier)) == want
+        assert len(tier_nodes(pos, tier)) == want

@@ -1,30 +1,99 @@
 """Reference for ``unfold.truncate``, ``unfold.positive_part``,
 ``unfold.null_forest``, ``reduce.elementary_reduction``,
 ``coset.CosetTree``, ``coset.lambda_of_coset``, ``coset.wedge_expansion``
-and ``coset.ColoredTree.canonical_key``: the keyed tree builders.
+and the canonical keys of ``coset.colored_trees_isomorphic``: the keyed
+tree builders, and the record views the package no longer builds.
 
-They make every tree node with a named-tuple call after an out-edge lookup,
-index nodes and children in eagerly built dicts, filter and reduce trees
-node record by node record, place each coset vertex by a dict keyed by
-(base node, residue), map coset vertices to colored nodes through a dict,
-walk each null component through the id and child maps, copy each wedge
-child through a per-child list after looking up its parent and the child
-node, and key each colored subtree by recursion.  The package keeps a
-truncation as flat columns filled tier by tier from a per-vertex child
-table, builds the node records and maps only when read, finds the null
-components in one pass over the null positions, reads each base node's
-children once for all its wedge copies, keys subtrees bottom-up, and lays
-the coset vertices out in residue runs instead; the tests check on random
-germs that both give the same trees, node for node and in the same order,
-and refuse at the same point with the same message.
+The builders make every tree node with a named-tuple call after an
+out-edge lookup, index nodes and children in eagerly built dicts, filter
+and reduce trees node record by node record, place each coset vertex by a
+dict keyed by (base node, residue), map coset vertices to colored nodes
+through a dict, walk each null component through the id and child maps,
+copy each wedge child through a per-child list after looking up its parent
+and the child node, and key each colored subtree by recursion.  The
+package keeps truncations, null forests and clone trees as flat columns,
+fills the columns tier by tier from a per-vertex child table, finds the
+null components in one pass over the null positions, extends the wedge
+columns once per colored node from copies read once per (base node,
+original flag), keys subtrees bottom-up, and lays the coset vertices out in
+residue runs instead; the tests check on random germs that both give the
+same trees, node for node and in the same order, and refuse at the same
+point with the same message.
+
+The record views turn the package's columns into named tuples, so the
+tests can compare them with the builders here: ``node``, ``root`` and
+``tier_nodes`` of a truncation, ``null_components`` of a null forest and
+``colored_nodes`` of a clone tree; ``tree_from_nodes`` and
+``colored_tree`` go the other way.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
+from itertools import repeat
+from typing import NamedTuple
 
-from treeends.coset import BLACK, DASHED, GRAY, ColoredNode, ColoredTree
+from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, _canonical_key
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import check_label, require_valid
-from treeends.unfold import DEFAULT_CEILING, NullComponent, NullForest, TreeNode, TruncatedTree
+from treeends.unfold import DEFAULT_CEILING, TreeNode, TruncatedTree
+
+
+class ColoredNode(NamedTuple):
+    id: int
+    parent: int | None
+    color: str | None  # None at the root, else BLACK / GRAY / DASHED
+    original: bool
+    germ_vertex: str
+    label: int  # label of the edge from the parent; 0 at the root
+    residue: int | None  # set in the coset construction, None in the wedge
+
+
+class NullComponent(NamedTuple):
+    root_id: int  # a non-positive node whose parent is positive
+    nodes: tuple  # the whole non-positive subtree as TreeNode records, in id order
+
+
+def node(t, node_id):
+    """The TreeNode record of node ``node_id`` of a truncation."""
+    p = t.position(node_id)
+    tier = bisect_right(t.tier_starts, p) - 1
+    return TreeNode(node_id, tier, t.parent[p], t.vertex[p], t.label[p], t.positive[p])
+
+
+def root(t):
+    return node(t, t.ids[0])
+
+
+def tier_nodes(t, tier):
+    """The TreeNode records of one tier of a truncation, in position order."""
+    if not 0 <= tier <= t.depth:
+        return ()
+    s = slice(t.tier_starts[tier], t.tier_starts[tier + 1])
+    columns = (t.parent[s], t.vertex[s], t.label[s], t.positive[s])
+    return tuple(map(TreeNode._make, zip(t.ids[s], repeat(tier), *columns)))
+
+
+def null_components(nf):
+    """Each component of a null forest as a NullComponent of TreeNode
+    records."""
+    t, positions = nf.tree, nf.positions
+    comps = [positions[lo:hi] for lo, hi in zip(nf.starts, nf.starts[1:])]
+    return tuple(NullComponent(t.ids[comp[0]], tuple(node(t, t.ids[p]) for p in comp)) for comp in comps)
+
+
+def colored_nodes(ct):
+    """Every node of a clone tree as a ColoredNode, in id order."""
+    return tuple(map(ColoredNode._make, ct.rows()))
+
+
+def colored_tree(nodes):
+    """The ColoredTree whose ``colored_nodes`` are ``nodes``, ColoredNode
+    records in id order."""
+    return ColoredTree(*([getattr(n, field) for n in nodes] for field in ColoredNode._fields[1:]))
+
+
+def canonical_key(tree, node_id=0):
+    """The package's bottom-up key of the subtree at ``node_id``."""
+    return _canonical_key(tree, node_id, {})
 
 
 def tree_from_nodes(depth, nodes):
@@ -172,7 +241,7 @@ class KeyedCosetTree:
 
 def keyed_lambda_of_coset(coset, null_parts):
     """The colored nodes of the coset model, coset vertices mapped to
-    colored ids through a dict."""
+    colored ids through a dict; ``null_parts`` is a ``keyed_null_forest``."""
     nodes = []
     colored_of_vert = {}
     for i, (bid, residue) in enumerate(coset.verts):
@@ -190,7 +259,7 @@ def keyed_lambda_of_coset(coset, null_parts):
         nodes.append(
             ColoredNode(nid, parent_colored, color, residue == 0, base_node.germ_vertex, label, residue)
         )
-    for comp in null_parts.components:
+    for comp in null_parts:
         colored_of_node = {}
         for tnode in comp.nodes:
             if tnode.id == comp.root_id:
@@ -207,12 +276,12 @@ def keyed_lambda_of_coset(coset, null_parts):
 
 
 def keyed_wedge_expansion(tree, ceiling=DEFAULT_CEILING):
-    """The wedge clone tree, each colored node looked up again to read
-    whether it is an original, and each child's copies listed one by one,
-    the ceiling checked before each copy."""
-    root = tree.root
-    nodes = [ColoredNode(0, None, None, True, root.germ_vertex, 0, None)]
-    queue = [(0, root.id)]
+    """The colored nodes of the wedge clone tree over a KeyedTree, each
+    colored node looked up again to read whether it is an original, and each
+    child's copies listed one by one, the ceiling checked before each copy."""
+    top = tree.nodes[0]
+    nodes = [ColoredNode(0, None, None, True, top.germ_vertex, 0, None)]
+    queue = [(0, top.id)]
     head = 0
     while head < len(queue):
         colored_id, base_id = queue[head]
@@ -242,13 +311,13 @@ def keyed_wedge_expansion(tree, ceiling=DEFAULT_CEILING):
                         raise SizeCeilingError("wedge tree vertices", nid + 1, ceiling)
                     nodes.append(ColoredNode(nid, colored_id, DASHED, True, child.germ_vertex, 0, None))
                     queue.append((nid, child_id))
-    return ColoredTree(nodes)
+    return tuple(nodes)
 
 
 def keyed_null_forest(t):
-    """Connected components of the non-positive part of ``t``: a depth-first
-    walk through the id and child maps from each non-positive node whose
-    parent is positive."""
+    """Connected components of the non-positive part of a KeyedTree, as
+    NullComponents: a depth-first walk through the id and child maps from
+    each non-positive node whose parent is positive."""
     components = []
     for n in t.nodes:
         if n.positive:
@@ -264,14 +333,12 @@ def keyed_null_forest(t):
             stack.extend(reversed(t.children(cur)))
         component_nodes = tuple(t.node(i) for i in sorted(ids))
         components.append(NullComponent(n.id, component_nodes))
-    return NullForest(tuple(components))
+    return tuple(components)
 
 
-def recursive_canonical_key(tree, node_id=0):
-    """(color, original, germ vertex, label, sorted child keys), one call
-    per node."""
-    node = tree.nodes[node_id]
-    kids = sorted(
-        recursive_canonical_key(tree, c.id) for c in tree.nodes if c.parent == node_id
-    )
-    return (node.color, node.original, node.germ_vertex, node.label, tuple(kids))
+def recursive_canonical_key(nodes, node_id=0):
+    """(color, original, germ vertex, label, sorted child keys) of the
+    subtree at ``node_id`` of ColoredNode records, one call per node."""
+    top = nodes[node_id]
+    kids = sorted(recursive_canonical_key(nodes, c.id) for c in nodes if c.parent == node_id)
+    return (top.color, top.original, top.germ_vertex, top.label, tuple(kids))
