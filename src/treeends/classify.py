@@ -401,7 +401,8 @@ class BatteryContext:
         """m -> (the m-th power germ, whether its clone counts match the germ's
         at every m-th tier, one walk of each), or the message of the error
         that refused it.  The message, not the error: its traceback holds
-        this context, which would then wait for the cyclic collector."""
+        this context, which would then wait for the cyclic collector.  A
+        clone count of more digits than a rank may have refuses the battery."""
         powers, walks = {}, {}
         for m in (2, 3):
             try:
@@ -411,6 +412,7 @@ class BatteryContext:
                 powers[m] = str(exc)
         tele = dict.fromkeys(walks, True)
         for t, count in enumerate(walk_counts(self.g, (self.g.root,), lambda e: e.label, self.depth)):
+            check_label(count, "clone count")  # the digit limit that ranks obey
             for m, walk in walks.items():
                 if t % m == 0 and next(walk) != count:
                     tele[m] = False
@@ -462,7 +464,7 @@ class BatteryContext:
         if not self.g.is_trivial:
             return None, "only meaningful for the one-vertex germ"
         cover, splits = self.cover, []
-        mid = cw.cover_vertex(self.cover_coset.root_index, 0, self.clones, self.nf)
+        mid = cw.cover_vertex(0, 0, self.clones, self.nf)  # the root at height 0
         for nv, ne in self.cuts:
             # the cover at each height with the middle vertex and its edges dropped
             verts = tuple(v for v in range(nv) if v != mid)

@@ -14,8 +14,9 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import chain, count, islice, repeat
-from operator import not_
+from operator import itemgetter, not_
 
 from .errors import DomainError, SizeCeilingError
 from .germ import GermGraph, walk_counts
@@ -37,52 +38,64 @@ class CosetTree:
     """Clone tree in residue coordinates over a positive truncation.
 
     Each base node's residues form one run of consecutive vertices, and the
-    runs come in tier order: vertex (b, r) is ``start[b] + r`` and its parent
-    is ``start[parent] + r % order_of[parent]``.  ``runs`` lists each base
-    node's start and order, in the base tree's position order.  So vertex 0
-    is the root, and the vertices at tier <= i are the prefix
-    ``range(ball_size(i))``.
+    runs come in the base tree's position order, so in tier order:
+    ``runs[p]`` is the (start, order) of the node at position p, so vertex
+    (b, r) is ``start + r``, and ``parent_idx``, the one per-vertex column,
+    holds its parent, the parent's start plus ``r % order_of[parent]``.  So
+    vertex 0 is the root, the vertices at tier <= i are the prefix
+    ``range(ball_size(i))``, and ``len(c)`` is the clone count.  ``verts``,
+    the (base node, residue) pair of every vertex, is a view built on first
+    read; the package reads the runs and never builds it, and the view
+    stays only because the benchmark's clone-tree size hook counts vertices
+    by it.
     """
 
     def __init__(self, base: TruncatedTree, ceiling: int = DEFAULT_CEILING):
         self.base = base
         order_of = self.order_of = clone_orders(base, ceiling)
-        start: dict = {}
+        position = base.position
         runs: list = []
-        verts: list = []
-        tiers: list = []
         parent_idx: list = []
-        for node_id, tier, parent, _, label, _ in base.rows():  # tier order, so parents first
+        for node_id, parent, label in zip(base.ids, base.parent, base.label):  # parents first
             order = order_of[node_id]
-            start[node_id] = len(verts)
-            runs.append((len(verts), order))
-            verts += zip(repeat(node_id, order), range(order))
-            tiers += repeat(tier, order)
+            runs.append((len(parent_idx), order))
             if parent is None:
                 parent_idx += repeat(None, order)
             else:
-                first = start[parent]
-                parent_idx += list(range(first, first + order_of[parent])) * label
+                first, up_order = runs[position(parent)]
+                parent_idx += list(range(first, first + up_order)) * label
         self.runs: tuple = tuple(runs)
-        self.verts: tuple = tuple(verts)
-        self._tiers: tuple = tuple(tiers)
-        self.index: dict = dict(zip(self.verts, range(len(verts))))
         self.parent_idx: list = parent_idx
+
+    def __len__(self) -> int:
+        return len(self.parent_idx)
+
+    @cached_property
+    def verts(self) -> tuple:
+        """Every vertex as a (base node id, residue) pair, in index order."""
+        return tuple(
+            chain.from_iterable(zip(repeat(b, n), range(n)) for b, (_, n) in zip(self.base.ids, self.runs))
+        )
 
     @property
     def depth(self) -> int:
         return self.base.depth
 
+    def _run(self, vert_idx: int) -> tuple:
+        """(position, start, order) of the run that holds ``vert_idx``."""
+        if not 0 <= vert_idx < len(self.parent_idx):
+            raise DomainError(f"vertex {vert_idx} is not in range({len(self.parent_idx)})")
+        p = bisect_right(self.runs, vert_idx, key=itemgetter(0)) - 1
+        return (p, *self.runs[p])
+
     def tier(self, vert_idx: int) -> int:
-        return self._tiers[vert_idx]
+        return bisect_right(self.base.tier_starts, self._run(vert_idx)[0]) - 1
 
     def ball_size(self, radius: int) -> int:
-        """Number of vertices at tier <= ``radius``."""
-        return bisect_right(self._tiers, radius)
-
-    @property
-    def root_index(self) -> int:
-        return self.index[(self.base.ids[0], 0)]
+        """Number of vertices at tier <= ``radius``: the start of the first
+        run past that tier."""
+        p = self.base.tier_starts[min(max(radius, -1), self.depth) + 1]
+        return self.runs[p][0] if p < len(self.runs) else len(self.parent_idx)
 
 
 def clone_orders(base: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> dict:
@@ -116,9 +129,8 @@ class OdometerMap:
     coset: CosetTree
 
     def image_index(self, vert_idx: int, power: int = 1) -> int:
-        bid, residue = self.coset.verts[vert_idx]
-        n = self.coset.order_of[bid]
-        return self.coset.index[(bid, (residue + power) % n)]
+        _, start, order = self.coset._run(vert_idx)
+        return start + (vert_idx - start + power) % order
 
 
 def frontier_count(germ: GermGraph, tier: int) -> int:
@@ -241,7 +253,7 @@ def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
     forest's order."""
     base = coset.base
     orders = [order for _, order in coset.runs]
-    residue = [r for _, r in coset.verts]
+    residue = list(chain.from_iterable(map(range, orders)))
     original = list(map(not_, residue))
     color = [BLACK if first else GRAY for first in original]
     vertex = list(chain.from_iterable(map(repeat, base.vertex, orders)))
@@ -252,7 +264,7 @@ def lambda_of_coset(coset: CosetTree, null_parts: NullForest) -> ColoredTree:
     # positive parent, every other null node off its parent's copy
     t, positions, up = null_parts.tree, null_parts.positions, null_parts.tree.parent
     attach = (up[positions[s]] for s in null_parts.starts[:-1])
-    colored = {a: coset.index[(a, 0)] for a in attach}
+    colored = {a: coset.runs[base.position(a)][0] for a in attach}
     colored.update(zip(map(t.ids.__getitem__, positions), count(len(residue))))
     parent += (colored[up[p]] for p in positions)
     n = len(positions)

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from itertools import compress, pairwise
+from itertools import accumulate, compress, pairwise
 
 from .coset import CosetTree
 from .errors import DomainError, SizeCeilingError
@@ -52,7 +52,6 @@ class CW2Complex:
             raise DomainError(f"{len(tails)} edge tails but {len(heads)} heads")
         self.num_vertices = num_vertices
         self.tails, self.heads = tails, heads
-        self.faces = tuple(tuple([(int(e), int(s)) for e, s in word]) for word in faces)
         if tails and (
             min(tails) < 0
             or min(heads) < 0
@@ -63,14 +62,14 @@ class CW2Complex:
                 if not (0 <= t < num_vertices and 0 <= h < num_vertices):
                     raise DomainError(f"edge endpoint out of range: ({t}, {h})")
         n_edges = len(tails)
-        for fi, word in enumerate(self.faces):
-            if not word:
-                raise DomainError(f"face {fi} has an empty attaching word")
+        words: list = []
+        for fi, word in enumerate(faces):
             # One walk checks that the word is a closed path, so its
             # boundary telescopes to zero.
+            steps: list = []
             at = start = None
             for e, s in word:
-                if not (0 <= e < n_edges) or s not in (1, -1):
+                if not (isinstance(e, int) and isinstance(s, int) and 0 <= e < n_edges and s in (1, -1)):
                     raise DomainError(f"face {fi} has a bad step ({e}, {s})")
                 src, dst = (tails[e], heads[e]) if s == 1 else (heads[e], tails[e])
                 if at is None:
@@ -78,8 +77,13 @@ class CW2Complex:
                 elif at != src:
                     raise DomainError(f"face {fi} attaching word is not a path")
                 at = dst
+                steps.append((e, s))
+            if not steps:
+                raise DomainError(f"face {fi} has an empty attaching word")
             if at != start:
                 raise DomainError(f"face {fi} attaching word does not close up")
+            words.append(tuple(steps))
+        self.faces = tuple(words)
 
     @property
     def edges(self) -> tuple:
@@ -356,131 +360,108 @@ def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
 
 @dataclass
 class BaseComplex:
-    """Telescope complex of a truncated tree, with cell registries.
+    """Telescope complex of a truncated tree, its cells numbered by the
+    tree's layout.
 
-    One vertex per node; a tree edge child -> parent for every non-root
-    node; a loop at every positive node; and for every positive non-root
-    node with label k a face whose word walks its own loop once, the tree
-    edge up, the parent loop -k times, and the tree edge back.  Null tree
-    edges stay naked: no loop, no face.
+    Of a tree of n nodes, vertex p is the node at position p; tree edge
+    p - 1 climbs from p > 0 to its parent; loop n - 1 + k is the loop of the
+    k-th positive node; and the positive non-root node whose loop is edge l
+    has face l - n, whose word walks its own loop once, the tree edge up,
+    the parent loop -label times, and the tree edge back.  Null tree edges
+    stay naked: no loop, no face.
     """
 
     complex: CW2Complex
     tree: TruncatedTree
-    vertex_of_node: dict
-    tree_edge_of_node: dict
-    loop_of_node: dict
-    face_of_node: dict
+
+
+def _loop_edges(t: TruncatedTree) -> list:
+    """Entry p is the index of the loop at position p when that node is
+    positive: n - 1 plus the positive nodes before p.  The last entry,
+    one past every loop, is the edge count."""
+    return list(accumulate(t.positive, initial=len(t.parent) - 1))
 
 
 def _telescope_edges(t: TruncatedTree, ceiling: int) -> tuple:
-    """(vertex of each node id, tree edges, loops, heads) of the telescope
-    of ``t``: vertex i is node i, the tree edges child -> parent and the
-    loops, one per positive node, are given by their nodes' vertices in
-    node order, and the heads follow the same order.  Refuses a telescope
-    whose cells, faces included, exceed ``ceiling``."""
+    """(tails, heads) of the telescope of ``t``: the tree edges p -> parent
+    in position order, then one loop per positive node.  Refuses a
+    telescope whose cells, faces included, exceed ``ceiling``.  Position 0
+    is the root, which is positive, so every other loop has a face."""
     parent = t.parent
     n = len(parent)
-    vertex_of = dict(zip(t.ids, range(n)))
-    climbs = [i for i, up in enumerate(parent) if up is not None]
     loops = list(compress(range(n), t.positive))
-    n_faces = sum(parent[i] is not None for i in loops)
-    total = n + len(climbs) + len(loops) + n_faces
+    total = 2 * (n + len(loops) - 1)  # vertices, tree edges, loops, faces
     if total > ceiling:
         raise SizeCeilingError("telescope cells", total, ceiling)
-    return vertex_of, climbs, loops, [vertex_of[parent[i]] for i in climbs] + loops
+    return [*range(1, n), *loops], [*map(t.position, parent[1:]), *loops]
 
 
 def telescope_graph(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> CW2Complex:
-    """The 1-skeleton of the telescope ``build_base(t)``, with no faces:
-    vertex i is node i, the tree edges child -> parent come in node order,
-    then one loop per positive node.  It refuses the trees that
+    """The 1-skeleton of the telescope ``build_base(t)``, with no faces,
+    numbered as ``BaseComplex`` says.  It refuses the trees that
     ``build_base`` refuses, with the same count, faces included."""
-    _, climbs, loops, heads = _telescope_edges(t, ceiling)
-    return CW2Complex(len(t.ids), climbs + loops, heads, [])
+    return CW2Complex(len(t.parent), *_telescope_edges(t, ceiling), [])
 
 
 def build_base(t: TruncatedTree, ceiling: int = DEFAULT_CEILING) -> BaseComplex:
-    """The skeleton ``telescope_graph(t, ceiling)`` with its faces and cell
-    registries."""
-    vertex_of, climbs, loops, heads = _telescope_edges(t, ceiling)
-    ids = t.ids
-    tree_edge_of = {ids[i]: e for e, i in enumerate(climbs)}
-    loop_of = {ids[i]: e for e, i in enumerate(loops, len(climbs))}
-    faces: list = []
-    face_of: dict = {}
-    for node_id, parent, label, positive in zip(ids, t.parent, t.label, t.positive):
-        if positive and parent is not None:
-            word = [(loop_of[node_id], 1), (tree_edge_of[node_id], 1)]
-            word.extend([(loop_of[parent], -1)] * label)
-            word.append((tree_edge_of[node_id], -1))
-            face_of[node_id] = len(faces)
-            faces.append(word)
-    return BaseComplex(
-        complex=CW2Complex(len(ids), climbs + loops, heads, faces),
-        tree=t,
-        vertex_of_node=vertex_of,
-        tree_edge_of_node=tree_edge_of,
-        loop_of_node=loop_of,
-        face_of_node=face_of,
-    )
+    """The skeleton ``telescope_graph(t, ceiling)`` with its faces."""
+    tails, heads = _telescope_edges(t, ceiling)
+    n, loop, position = len(t.parent), _loop_edges(t), t.position
+    faces = [
+        [(loop[p], 1), (p - 1, 1), *[(loop[position(t.parent[p])], -1)] * t.label[p], (p - 1, -1)]
+        for p in compress(range(1, n), t.positive[1:])
+    ]
+    return BaseComplex(CW2Complex(n, tails, heads, faces), t)
 
 
 def infinity_neighborhood_base(b: BaseComplex, i: int) -> CellSelection:
     """Cells at tiers >= i plus the connecting structure: the closure of the
-    complement of the inner tiers, circle cells at tier i included."""
+    complement of the inner tiers, circle cells at tier i included.  Each
+    kind of cell is a run of the layout: the vertices and loops from tier i
+    on, and the tree edges and faces from tier i + 1 on."""
     t = b.tree
     if not (0 <= i <= t.depth):
         raise DomainError(f"tier {i} outside 0..{t.depth}")
+    n = len(t.parent)
     lo, hi = t.tier_starts[i], t.tier_starts[i + 1]
-    outer = t.ids[lo:]
-    deeper = t.ids[hi:]  # non-root, so each has a tree edge
-    # build_base numbers every kind of cell in node order, tree edges before
-    # loops, so the lists come out sorted
-    loops = [b.loop_of_node[n] for n in compress(outer, t.positive[lo:])]
+    loop = _loop_edges(t)
     return CellSelection(
-        tuple([b.vertex_of_node[n] for n in outer]),
-        tuple([b.tree_edge_of_node[n] for n in deeper] + loops),
-        tuple([b.face_of_node[n] for n in compress(deeper, t.positive[hi:])]),
+        tuple(range(lo, n)),
+        (*range(hi - 1, n - 1), *range(loop[lo], loop[n])),
+        tuple(range(loop[hi] - n, loop[n] - n)),
     )
 
 
 def branch_selection(b: BaseComplex, branch_root: int) -> CellSelection:
-    """Cells of the subtree hanging at ``branch_root`` (its own loop included)."""
+    """Cells of the subtree hanging at ``branch_root`` (its own loop included):
+    the positions of the subtree, each below its top with its tree edge, and
+    each positive one with its loop, and with its face below the top."""
     t = b.tree
-    ids = []
-    stack = [branch_root]
+    position, ids, positive = t.position, t.ids, t.positive
+    top = position(branch_root)
+    walked, stack = [], [top]
     while stack:
-        cur = stack.pop()
-        ids.append(cur)
-        stack.extend(t.children(cur))
-    verts = [b.vertex_of_node[x] for x in ids]
-    edges = []
-    faces = []
-    for x in ids:
-        positive = t.positive[t.position(x)]
-        if positive:
-            edges.append(b.loop_of_node[x])
-        if x != branch_root:  # the walk reached x from its parent
-            edges.append(b.tree_edge_of_node[x])
-            if positive:
-                faces.append(b.face_of_node[x])
-    return CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
+        p = stack.pop()
+        walked.append(p)
+        stack += map(position, t.children(ids[p]))
+    inside = sorted(walked)  # the top is the least position
+    below = inside[1:]
+    n, loop = len(ids), _loop_edges(t)
+    return CellSelection(
+        tuple(inside),
+        (*[p - 1 for p in below], *[loop[p] for p in inside if positive[p]]),
+        tuple([loop[p] - n for p in below if positive[p]]),
+    )
 
 
 @dataclass
 class CoverComplex:
-    """Product structure on (clone tree) x [-N, N] plus dangling null copies."""
+    """Product structure on (clone tree) x [-N, N] plus dangling null copies,
+    laid out as ``build_cover_graph`` says."""
 
     complex: CW2Complex
     coset: CosetTree
     height: int
-    product_vertex: dict  # (coset vert index, h) -> vertex
-    null_vertex: dict  # (component index, h, node id) -> vertex
-
-    @property
-    def middle_vertex(self) -> int:
-        return self.product_vertex[(self.coset.root_index, 0)]
 
 
 def _layout_heights(height: int) -> list:
@@ -499,7 +480,8 @@ def _cover_width(clones: int, nf: NullForest) -> int:
 def cover_vertex(vi: int, h: int, clones: int, nf: NullForest) -> int:
     """Index of product vertex (vi, h) in a cover over a clone tree of
     ``clones`` vertices and the null forest ``nf``: height h is at position
-    2|h| - (h < 0) of the layout."""
+    2|h| - (h < 0) of the layout.  Past the clones, vertex (clones + k, h) is
+    the copy at height h of null node ``nf.positions[k]``."""
     return (2 * abs(h) - (h < 0)) * _cover_width(clones, nf) + vi
 
 
@@ -539,16 +521,17 @@ def build_cover_graph(
 
     The heights come in the order 0, -1, 1, ..., -height, height.  Each
     brings its ``width`` vertices: the product vertices (vi, h) in vi order,
-    so (vi, h) is ``cover_vertex(vi, h, clones, nf)``, then the null copies in
-    (component, node) order.  Then come its edges: horizontal
-    (vi, h) -> (parent, h) over every non-root vi; each null node to its
-    parent's copy, where a null root's parent copy is the product vertex
-    that the residue odometer picks at height h; and, but at height 0, the
-    vertical edges (vi, h) -> (vi, h + 1) between h and the next inner
-    height.  No edge reaches out past its own height, so the cover at any
+    then the null copies in the null forest's order, so (vi, h) is
+    ``cover_vertex(vi, h, clones, nf)`` and null node ``nf.positions[k]``'s
+    copy is ``cover_vertex(clones + k, h, clones, nf)``.  Then come its
+    edges: horizontal (vi, h) -> (parent, h) over every non-root vi; each
+    null node to its parent's copy, where a null root's parent copy is the
+    product vertex that the residue odometer picks at height h; and, but at
+    height 0, the vertical edges (vi, h) -> (vi, h + 1) between h and the
+    next inner height.  No edge reaches out past its own height, so the cover at any
     height up to ``height`` is the prefix of this one that
     ``check_cover_size`` counts."""
-    clones = len(c.verts)
+    clones = len(c)
     n_vertices, _ = check_cover_size(clones, nf, height, ceiling)
     width = _cover_width(clones, nf)
     # vertex 0 is the root, the only clone without a parent
@@ -560,9 +543,8 @@ def build_cover_graph(
     null_runs = []
     for lo, hi in pairwise(nf.starts):
         # positions[lo] is the null root; the others hang below it
-        attach = up[positions[lo]]
-        inner = [at[up[p]] for p in positions[lo + 1 : hi]]
-        null_runs.append((c.index[(attach, 0)], c.order_of[attach], inner))
+        run = c.runs[c.base.position(up[positions[lo]])]
+        null_runs.append((*run, [at[up[p]] for p in positions[lo + 1 : hi]]))
     tails: list = []
     heads: list = []
     for shell, h in enumerate(_layout_heights(height)):
@@ -592,20 +574,9 @@ def build_cover(
     Each height but 0 brings the squares between it and the next inner
     height, so the faces nest too."""
     skeleton = build_cover_graph(c, nf, height, ceiling)
-    clones = len(c.verts)
+    clones = len(c)
     width = _cover_width(clones, nf)
     heights = _layout_heights(height)
-    # the skeleton's numbering, height by height
-    product_vertex = {
-        (vi, h): shell * width + vi for shell, h in enumerate(heights) for vi in range(clones)
-    }
-    ids, positions = nf.tree.ids, nf.positions
-    null_nodes = [(ci, ids[p]) for ci, (lo, hi) in enumerate(pairwise(nf.starts)) for p in positions[lo:hi]]
-    null_vertex = {
-        (ci, h, node_id): shell * width + v
-        for shell, h in enumerate(heights)
-        for v, (ci, node_id) in enumerate(null_nodes, clones)
-    }
 
     # The skeleton's edge runs: a height brings ``own`` horizontal and null
     # edges, horizontal edge (vi, h) being the (vi - 1)-th, and past 0 then
@@ -627,13 +598,7 @@ def build_cover(
         )
 
     k = CW2Complex(skeleton.num_vertices, skeleton.tails, skeleton.heads, faces)
-    return CoverComplex(
-        complex=k,
-        coset=c,
-        height=height,
-        product_vertex=product_vertex,
-        null_vertex=null_vertex,
-    )
+    return CoverComplex(complex=k, coset=c, height=height)
 
 
 @dataclass

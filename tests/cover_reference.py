@@ -3,21 +3,36 @@ key-indexed cover builder.
 
 It lays out every vertex and edge through dicts keyed by (coset vertex,
 height) and (component, height, node id), height by height in the order 0,
--1, 1, -2, 2, ..., and builds each square face from those keys.  The
-package places vertices, edges and faces by index arithmetic instead; the tests check on random germs that both give the same
-complex, cell for cell and in the same order.
+-1, 1, -2, 2, ..., over the keyed coset tree of tree_reference, and builds
+each square face from those keys.  The package places vertices, edges and
+faces by index arithmetic instead; the tests check on random germs that
+both give the same complex, cell for cell and in the same order, and that
+``cw.cover_vertex`` finds every key's vertex.
 """
 
+from dataclasses import dataclass
+
 from tree_reference import null_components
-from treeends.cw import CoverComplex, CW2Complex
+from treeends.cw import CW2Complex
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.unfold import DEFAULT_CEILING
 
 
+@dataclass
+class KeyedCover:
+    """A keyed cover: its complex, the vertex of each (coset vertex, height)
+    key and of each (component, height, node id) key."""
+
+    complex: CW2Complex
+    product_vertex: dict
+    null_vertex: dict
+    middle_vertex: int  # the root's copy at height 0
+
+
 def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
-    """Cell the strip over the clone tree with square faces, then hang a
-    copy of every truncated null subtree at each integer height, shifted by
-    the residue odometer."""
+    """Cell the strip over the clone tree ``c``, a ``KeyedCosetTree``, with
+    square faces, then hang a copy of every truncated null subtree at each
+    integer height, shifted by the residue odometer."""
     if height < 1:
         raise DomainError("height bound must be at least 1")
     n_heights = 2 * height + 1
@@ -96,10 +111,5 @@ def keyed_cover(c, nf, height, ceiling=DEFAULT_CEILING):
             faces.append(word)
 
     k = CW2Complex(vertex_count, [t for t, _ in edges], [h for _, h in edges], faces)
-    return CoverComplex(
-        complex=k,
-        coset=c,
-        height=height,
-        product_vertex=product_vertex,
-        null_vertex=null_vertex,
-    )
+    root = c.index[(c.base.nodes[0].id, 0)]
+    return KeyedCover(k, product_vertex, null_vertex, product_vertex[(root, 0)])

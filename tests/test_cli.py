@@ -479,10 +479,11 @@ class TestLabels:
         assert err == "error: rank digits exceeds the size ceiling (4301 > 4300)\n"
         assert peak < 32 * 2**20
 
-    def test_power_telescoping_holds_one_tier_at_a_time(self, cli):
+    def test_power_telescoping_holds_one_tier_at_a_time(self, cli, int_digit_limit):
+        # bs2 clone counts are 2**i, all printable up to tier 14284
         tracemalloc.start()
         try:
-            code, out, err = cli("oracle", "--depth", 20000, GERMS / "bs2.germ")
+            code, out, err = cli("oracle", "--depth", 14000, GERMS / "bs2.germ")
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -490,6 +491,17 @@ class TestLabels:
         for m in (2, 3):
             assert f"check power-invariance-{m}: pass (class match True, frontier telescoping True)\n" in out
         assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("depth", [14284, 14285, 20000])
+    def test_oracle_refuses_clone_counts_where_classify_refuses_ranks(self, cli, int_digit_limit, depth):
+        # tier 14285 has the first 4301-digit clone count 2**i and rank
+        # 2**i - 1, so the battery stops at the tier the rank tower stops at
+        got = {command: cli(command, "--depth", depth, GERMS / "bs2.germ") for command in ("classify", "oracle")}
+        if depth < 14285:
+            assert [code for code, _, _ in got.values()] == [0, 0]
+            return
+        for command, what in (("classify", "rank"), ("oracle", "clone count")):
+            assert got[command] == (3, "", f"error: {what} digits exceeds the size ceiling (4301 > 4300)\n")
 
 
 def _stdout(argv) -> str:

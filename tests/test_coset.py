@@ -271,11 +271,57 @@ def test_tree_builders_match_the_keyed_builders(g, depth, ceiling, coset_ceiling
     if refused:
         return
     assert c.verts == ref_c.verts
-    assert list(c.index.items()) == list(ref_c.index.items())
+    # vertex (b, r) is its run's start plus r
+    assert len(c) == len(ref_c.index)
+    assert [c.runs[pos.position(b)][0] + r for b, r in ref_c.index] == list(ref_c.index.values())
     assert c.parent_idx == ref_c.parent_idx
-    assert tuple(map(c.tier, range(len(c.verts)))) == ref_c.tiers
+    assert tuple(map(c.tier, range(len(c)))) == ref_c.tiers
     assert c.order_of == ref_c.order_of
     assert colored_nodes(lambda_of_coset(c, null_forest(t))) == keyed_lambda_of_coset(ref_c, keyed_null_forest(ref))
+
+
+def _assert_layout_matches_the_keyed_coset_tree(g, depth):
+    """``ball_size`` at every radius from -2 to depth + 1, ``tier`` and
+    ``OdometerMap.image_index`` at powers 0 to 3, read off the runs, against
+    the keyed coset tree's tiers and index, and the odometer's refusal of
+    the indices just outside the tree."""
+    pos = positive_part(truncate(g, depth))
+    c, ref_c = CosetTree(pos), KeyedCosetTree(keyed_truncate(g, depth).positive_part())
+    for radius in range(-2, depth + 2):
+        assert c.ball_size(radius) == sum(tier <= radius for tier in ref_c.tiers)
+    assert [c.tier(vi) for vi in range(len(c))] == list(ref_c.tiers)
+    od = OdometerMap(c)
+    for power in range(4):
+        want = [ref_c.index[(b, (r + power) % ref_c.order_of[b])] for b, r in ref_c.verts]
+        assert [od.image_index(vi, power) for vi in range(len(c))] == want
+    for bad in (len(c), -1):
+        with pytest.raises(DomainError, match=rf"vertex {bad} is not in range\({len(c)}\)"):
+            od.image_index(bad)
+    return pos
+
+
+# germs whose positive part stops short of the depth, so that tier_starts
+# repeats: one positive child, and positive children over two tiers
+FINITE_POSITIVE_PARTS = [
+    [("A", "B", 2), ("B", "B", 0)],
+    [("A", "B", 3), ("A", "C", 1), ("B", "D", 2), ("C", "C", 0), ("D", "D", 0)],
+]
+
+
+@pytest.mark.parametrize("edges", FINITE_POSITIVE_PARTS)
+def test_layout_arithmetic_over_a_finite_positive_part(edges):
+    for depth in range(6):
+        pos = _assert_layout_matches_the_keyed_coset_tree(germ_from_edges("A", edges), depth)
+    assert len(set(pos.tier_starts)) < len(pos.tier_starts)
+
+
+@settings(max_examples=200, deadline=None)
+@given(valid_germs(), st.integers(0, 4))
+def test_layout_arithmetic_matches_the_keyed_coset_tree(g, depth):
+    try:
+        _assert_layout_matches_the_keyed_coset_tree(g, depth)
+    except SizeCeilingError:
+        pass
 
 
 @settings(max_examples=200, deadline=None)

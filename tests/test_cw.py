@@ -20,7 +20,7 @@ from frontier_reference import (
     subdivision_map,
 )
 from test_classify import valid_germs
-from tree_reference import null_components, tier_nodes
+from tree_reference import KeyedCosetTree, keyed_truncate, null_components, tier_nodes
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
 from treeends.cw import (
@@ -110,6 +110,37 @@ def coset_for(name: str, depth: int) -> CosetTree:
     return CosetTree(positive_part(truncate(CORPUS[name], depth)))
 
 
+def telescope_cells(b) -> tuple:
+    """(vertex, tree edge, loop, face) of each node of the telescope ``b``,
+    dicts keyed by node id and read off its complex, not off its layout.  A
+    node's vertex is its place in the tree's nodes view, checked against
+    the complex's tree edges, which run child -> parent; its tree edge is
+    the one non-loop edge out of that vertex, its loop the edge with
+    tail == head there, and its face the one whose word starts on its loop,
+    checked to walk that loop, the tree edge up, the parent loop -label
+    times and the tree edge back."""
+    k, nodes = b.complex, b.tree.nodes
+    vertex = {n.id: v for v, n in enumerate(nodes)}
+    out, at = {}, {}  # vertex -> its non-loop edge, and -> its loop
+    for e, (t, h) in enumerate(k.edges):
+        table = at if t == h else out
+        assert t not in table
+        table[t] = e
+    climbs = [(vertex[n.id], vertex[n.parent]) for n in nodes if n.parent is not None]
+    assert sorted(k.edges[e] for e in out.values()) == sorted(climbs)
+    tree_edge = {n.id: out[vertex[n.id]] for n in nodes if n.parent is not None}
+    loop = {n.id: at[vertex[n.id]] for n in nodes if n.positive}
+    assert len(loop) == len(at)
+    starts_on = {word[0][0]: f for f, word in enumerate(k.faces)}
+    face = {n.id: starts_on[loop[n.id]] for n in nodes if n.positive and n.parent is not None}
+    assert len(face) == len(k.faces)
+    for n in nodes:
+        if n.id in face:
+            e, up = tree_edge[n.id], loop[n.parent]
+            assert k.faces[face[n.id]] == ((loop[n.id], 1), (e, 1), *[(up, -1)] * n.label, (e, -1))
+    return vertex, tree_edge, loop, face
+
+
 # random multigraphs (n, edges): loops, repeated edges and isolated vertices
 MULTIGRAPHS = st.integers(min_value=0, max_value=12).flatmap(
     lambda n: st.tuples(
@@ -156,11 +187,17 @@ class TestCW2Complex:
             (1, [(0, 0)], [[(0, 1)], []], "face 1 has an empty attaching word"),
             (1, [(0, 0)], [[(0, 1)], [(0, 1), (0, 2)]], "face 1 has a bad step (0, 2)"),
             (1, [(0, 0)], [[(1, 1)]], "face 0 has a bad step (1, 1)"),
+            (1, [(0, 0)], [[(0, 1.9)]], "face 0 has a bad step (0, 1.9)"),
+            (1, [(0, 0)], [[(0, 1.0)]], "face 0 has a bad step (0, 1.0)"),
+            (1, [(0, 0)], [[(0.6, -1)]], "face 0 has a bad step (0.6, -1)"),
             (2, [(0, 0), (1, 1)], [[(0, 1), (1, 1)]], "face 0 attaching word is not a path"),
             (2, [(0, 1)], [[(0, 1), (0, 1)]], "face 0 attaching word is not a path"),
             (2, [(0, 1), (1, 1)], [[(0, 1), (1, -1)]], "face 0 attaching word does not close up"),
         ],
-        ids=["endpoint", "empty", "step-sign", "step-edge", "path", "path-twice", "open"],
+        ids=[
+            "endpoint", "empty", "step-sign", "step-edge", "step-sign-fraction", "step-sign-float",
+            "step-edge-fraction", "path", "path-twice", "open",
+        ],
     )
     def test_malformed_complex_messages(self, num_vertices, edges, faces, message):
         with pytest.raises(DomainError) as exc:
@@ -421,7 +458,7 @@ class TestSelections:
         except SizeCeilingError:
             return
         engine = H1Calculator(b.complex)
-        loops = set(b.loop_of_node.values())
+        loops = {e for e, (t, h) in enumerate(b.complex.edges) if t == h}
         for node in b.tree.nodes:
             sel = branch_selection(b, node.id)
             mat = engine.induced(sel)
@@ -475,13 +512,40 @@ class TestSelections:
             b = build_base(tree)
             for tier in range(-1, tree.depth + 2):
                 assert tier_nodes(tree, tier) == tuple(n for n in tree.nodes if n.tier == tier)
+            vertex_of, tree_edge_of, loop_of, face_of = telescope_cells(b)
             for i in range(tree.depth + 1):
-                verts = [b.vertex_of_node[n.id] for n in tree.nodes if n.tier >= i]
-                edges = [b.tree_edge_of_node[n.id] for n in tree.nodes if n.tier > i]
-                edges += [b.loop_of_node[n.id] for n in tree.nodes if n.tier >= i and n.positive]
-                faces = [b.face_of_node[n.id] for n in tree.nodes if n.tier > i and n.positive]
+                verts = [vertex_of[n.id] for n in tree.nodes if n.tier >= i]
+                edges = [tree_edge_of[n.id] for n in tree.nodes if n.tier > i]
+                edges += [loop_of[n.id] for n in tree.nodes if n.tier >= i and n.positive]
+                faces = [face_of[n.id] for n in tree.nodes if n.tier > i and n.positive]
                 want = CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
                 assert infinity_neighborhood_base(b, i) == want
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4), st.data())
+    def test_branches_match_a_full_scan(self, g, depth, data):
+        # each branch against the cells, read off the complex, of the nodes
+        # that a walk down the nodes view reaches, on a tree of each
+        # constructor
+        t = truncate(g, depth)
+        lo = data.draw(st.integers(0, depth - 1))
+        for tree in (t, positive_part(t), elementary_reduction(t, lo, data.draw(st.integers(lo + 1, depth)))):
+            b = build_base(tree)
+            vertex_of, tree_edge_of, loop_of, face_of = telescope_cells(b)
+            kids = {n.id: [] for n in tree.nodes}
+            for n in tree.nodes[1:]:
+                kids[n.parent].append(n)
+            for top in tree.nodes:
+                inside, stack = [], [top]
+                while stack:
+                    inside.append(stack.pop())
+                    stack += kids[inside[-1].id]
+                below = inside[1:]
+                verts = [vertex_of[n.id] for n in inside]
+                edges = [tree_edge_of[n.id] for n in below] + [loop_of[n.id] for n in inside if n.positive]
+                faces = [face_of[n.id] for n in below if n.positive]
+                want = CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
+                assert branch_selection(b, top.id) == want
 
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(0, 4), st.data())
@@ -520,12 +584,14 @@ class TestSelections:
 class TestCover:
     def test_trivial_germ_gives_a_segment(self):
         t = truncate(CORPUS["trivial"], 3)
-        cov = build_cover(CosetTree(t), null_forest(t), 3)
+        c, nf = CosetTree(t), null_forest(t)
+        cov = build_cover(c, nf, 3)
         k = cov.complex
         assert (k.num_vertices, len(k.edges), len(k.faces)) == (7, 6, 0)
         assert len(k.components()) == 1
         # cutting the middle vertex separates the two ends
-        mid = cov.middle_vertex
+        mid = cover_vertex(0, 0, len(c), nf)
+        assert mid == keyed_cover(KeyedCosetTree(keyed_truncate(CORPUS["trivial"], 3)), nf, 3).middle_vertex
         keep = [v for v in range(k.num_vertices) if v != mid]
         relabel = {v: i for i, v in enumerate(keep)}
         rest = CW2Complex(
@@ -558,18 +624,22 @@ class TestCover:
         c = CosetTree(positive_part(t))
         nf = null_forest(t)
         cov = build_cover(c, nf, 2)
+        ref_c = KeyedCosetTree(keyed_truncate(CORPUS["mixed2"], 2).positive_part())
+        ref = keyed_cover(ref_c, nf, 2)
         ci, comp = next(
             (i, comp)
             for i, comp in enumerate(null_components(nf))
             if c.order_of[comp.nodes[0].parent] == 2
         )
+        k = nf.starts[ci]  # the component's root comes first in its positions
         attach = comp.nodes[0].parent
         targets = []
         for h in range(-2, 3):
-            src = cov.null_vertex[(ci, h, comp.root_id)]
+            src = cover_vertex(len(c) + k, h, len(c), nf)
+            assert src == ref.null_vertex[(ci, h, comp.root_id)]
             (dst,) = [d for s, d in cov.complex.edges if s == src]
             targets.append(dst)
-            expected = cov.product_vertex[(c.index[(attach, h % 2)], h)]
+            expected = ref.product_vertex[(ref_c.index[(attach, h % 2)], h)]
             assert dst == expected
         # consecutive heights land on different residue copies
         assert all(a != b for a, b in zip(targets, targets[1:]))
@@ -603,7 +673,7 @@ class TestCover:
         t = truncate(g, depth)
         c, nf = lambda_plus(positive_part(t)), null_forest(t)
         try:
-            ref = keyed_cover(c, nf, height, ceiling)
+            ref = keyed_cover(KeyedCosetTree(keyed_truncate(g, depth).positive_part()), nf, height, ceiling)
         except SizeCeilingError as exc:
             # the skeleton refuses where the faced cover does, faces counted
             for build in (build_cover_graph, build_cover):
@@ -615,15 +685,19 @@ class TestCover:
         assert graph.num_vertices == ref.complex.num_vertices
         assert graph.edges == ref.complex.edges
         assert graph.faces == ()
-        clones = len(c.verts)
+        clones = len(c)
         assert {key: cover_vertex(*key, clones, nf) for key in ref.product_vertex} == ref.product_vertex
-        assert cover_vertex(c.root_index, 0, clones, nf) == ref.middle_vertex
+        assert cover_vertex(0, 0, clones, nf) == ref.middle_vertex
         cov = build_cover(c, nf, height, ceiling)
         assert cov.complex.num_vertices == ref.complex.num_vertices
         assert cov.complex.edges == ref.complex.edges
         assert cov.complex.faces == ref.complex.faces
-        assert cov.product_vertex == ref.product_vertex
-        assert list(cov.null_vertex.items()) == list(ref.null_vertex.items())
+        # null node positions[k]'s copy at h, past the clones
+        null_at = {nf.tree.ids[p]: k for k, p in enumerate(nf.positions)}
+        keys = list(ref.null_vertex)
+        assert [cover_vertex(clones + null_at[node_id], h, len(cov.coset), nf) for _, h, node_id in keys] == [
+            ref.null_vertex[key] for key in keys
+        ]
 
 
 class TestCoverNesting:

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from treeends import cw, unfold
 from treeends.cli import run
-from treeends.coset import clone_tree_models, colored_trees_isomorphic, lambda_plus
+from treeends.coset import CosetTree, OdometerMap, clone_tree_models, colored_trees_isomorphic, lambda_plus
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, render_germ
 from treeends.unfold import (
@@ -144,12 +144,13 @@ def test_null_forest_matches_the_keyed_walk(g, depth):
 
 def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
     """The package reads a truncation's columns and never builds its
-    ``nodes`` view or any other per-node record: with the view and the
+    ``nodes`` view or any other per-node record, and reads a coset tree's
+    runs and never its ``verts`` view: with the two views and the
     ``TreeNode`` name patched to raise, the commands that truncate, the
     battery on the sample germs and the corpus, the telescope, its
     neighbourhoods of infinity and its branches, ``lambda`` on a tree with
     thousands of null nodes, both clone-tree models and their comparison,
-    and the covers over a null forest all run."""
+    the residue odometer and the covers over a null forest all run."""
 
     def view(self):
         raise AssertionError("the nodes view of a truncation was read")
@@ -157,7 +158,11 @@ def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
     def record(*args, **kwargs):
         raise AssertionError("a TreeNode was built")
 
+    def verts(self):
+        raise AssertionError("the verts view of a coset tree was read")
+
     monkeypatch.setattr(TruncatedTree, "nodes", property(view))
+    monkeypatch.setattr(CosetTree, "verts", property(verts))
     monkeypatch.setattr(unfold, "TreeNode", record)
     files = sorted(str(p) for p in test_classify.GERMS.glob("*.germ") if not p.name.startswith("bad_"))
     for name, g in sorted(CORPUS.items()):
@@ -181,6 +186,7 @@ def test_no_src_path_reads_the_nodes_view(monkeypatch, capsys, tmp_path):
         assert colored_trees_isomorphic(*clone_tree_models(g, 3))
         nf = null_forest(t)
         coset = lambda_plus(positive_part(t))
+        assert sorted(map(OdometerMap(coset).image_index, range(len(coset)))) == list(range(len(coset)))
         assert cw.build_cover(coset, nf, 2).complex.heads == cw.build_cover_graph(coset, nf, 2).heads
     # mixed at depth 130 has 8,515 null nodes in 130 components
     (tmp_path / "mixed.germ").write_text(render_germ(CORPUS["mixed"]))
