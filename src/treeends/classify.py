@@ -463,13 +463,12 @@ class BatteryContext:
     def two_ended_split(self) -> tuple:
         if not self.g.is_trivial:
             return None, "only meaningful for the one-vertex germ"
-        cover, splits = self.cover, []
-        mid = cw.cover_vertex(0, 0, self.clones, self.nf)  # the root at height 0
-        for nv, ne in self.cuts:
-            # the cover at each height with the middle vertex and its edges dropped
-            verts = tuple(v for v in range(nv) if v != mid)
-            edges = tuple(e for e in range(ne) if mid not in (cover.tails[e], cover.heads[e]))
-            splits.append(cover.component_count(cw.CellSelection(verts, edges, ())))
+        # level 0 is the lower cover, level 1 the taller one, and the middle
+        # vertex, the root at height 0, is past both, so each count drops it
+        (low, _), (top, _) = self.cuts
+        level = [0] * low + [1] * (top - low)
+        level[cw.cover_vertex(0, 0, self.clones, self.nf)] = 2
+        splits = self.cover.level_component_counts(level)[:2]
         details = [f"height {h}: middle vertex splits into {n}" for h, n in zip(self.heights, splits)]
         return splits == [2, 2], "; ".join(details)
 

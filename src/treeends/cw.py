@@ -7,8 +7,12 @@ closed-form answers elsewhere be compared against cell counting.
 Complexes are immutable after construction.  Faces are attaching words:
 sequences of (edge index, +1/-1) steps that must chain into a closed loop.
 
-Every H1 route reads cycles off one BFS spanning forest; a ``FrontierTower``
-builds each radius's graph and forest once and reads its bonds off them.
+Every H1 route reads cycles off one BFS spanning forest, and one routine,
+``_cycle_columns``, expands its fundamental cycles: it pushes forest
+potentials down once and reads each cycle onto the rows of another graph's
+cycle coordinates.  A ``FrontierTower`` builds each radius's graph and
+forest once and reads its bonds that way, and ``H1Calculator.induced``
+reads a subcomplex's generators straight onto the big complex's rows.
 A frontier graph is the boundary of a clone ball times [-i, i]: two sheets
 of the ball joined by one edge per frontier column, with no vertex at the
 inner heights, so its cells grow with the ball and not with the radius.
@@ -32,7 +36,6 @@ of every such prefix in one union-find pass.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, compress, pairwise
 
@@ -48,6 +51,8 @@ class CW2Complex:
     complexes with the same 1-skeleton may share them."""
 
     def __init__(self, num_vertices: int, tails: list, heads: list, faces: list):
+        if type(num_vertices) is not int or num_vertices < 0:
+            raise DomainError(f"vertex count {num_vertices!r} is not a nonnegative int")
         if len(tails) != len(heads):
             raise DomainError(f"{len(tails)} edge tails but {len(heads)} heads")
         self.num_vertices = num_vertices
@@ -69,7 +74,7 @@ class CW2Complex:
             steps: list = []
             at = start = None
             for e, s in word:
-                if not (isinstance(e, int) and isinstance(s, int) and 0 <= e < n_edges and s in (1, -1)):
+                if not (type(e) is int and type(s) is int and 0 <= e < n_edges and s in (1, -1)):
                     raise DomainError(f"face {fi} has a bad step ({e}, {s})")
                 src, dst = (tails[e], heads[e]) if s == 1 else (heads[e], tails[e])
                 if at is None:
@@ -129,13 +134,9 @@ class CW2Complex:
             groups.setdefault(root, []).append(v)
         return [tuple(vs) for vs in groups.values()]
 
-    def component_count(self, sel: CellSelection | None = None) -> int:
-        """Number of connected components of the 1-skeleton, or of the
-        closed selection ``sel`` (checked as ``subcomplex`` checks it)."""
-        if sel is None:
-            return self.num_vertices - self._union_find()[1]
-        vset = _closed_cells(self, sel)[0]
-        return len(vset) - self._union_find(sel.edges)[1]
+    def component_count(self) -> int:
+        """Number of connected components of the 1-skeleton."""
+        return self.num_vertices - self._union_find()[1]
 
     def level_component_counts(self, level: list) -> list:
         """Given a level >= 0 for each vertex, the number of components of
@@ -211,17 +212,20 @@ class H1Calculator:
 
     def __init__(self, k: CW2Complex):
         self.complex = k
-        self._parent, self._depth, self._non_tree = _spanning_forest(k)
-        pos = {e: r for r, e in enumerate(self._non_tree)}
+        self._forest = _spanning_forest(k)
+        # each edge's cycle row: its place among the non-tree edges, or None
+        self._row = row = [None] * len(k.tails)
+        for r, e in enumerate(self._forest[2]):
+            row[e] = r
         relations = []
         for word in k.faces:
             col: dict = {}
             for e, s in word:
-                r = pos.get(e)
+                r = row[e]
                 if r is not None:
                     col[r] = col.get(r, 0) + s
             relations.append(col)
-        self.presentation = unit_pivot_presentation(len(self._non_tree), relations)
+        self.presentation = unit_pivot_presentation(len(self._forest[2]), relations)
 
     def summary(self) -> H1Summary:
         factors = self.presentation.factors
@@ -245,7 +249,7 @@ class H1Calculator:
                 acc[t] = acc.get(t, 0) - c
         if any(acc.values()):
             raise DomainError("edge vector is not a cycle")
-        return [edge_vector[e] for e in self._non_tree]
+        return [edge_vector[e] for e in self._forest[2]]
 
     def h1_coords(self, edge_vector: list) -> list:
         """Class of a cycle on the nontrivial summands, torsion reduced."""
@@ -256,10 +260,10 @@ class H1Calculator:
         """Class of non-tree edge ``e``'s fundamental cycle, ``e`` closed up
         by the forest path from its head back to its tail: the class of its
         one coordinate, torsion reduced.  A loop is never a forest edge."""
-        if not 0 <= e < len(self.complex.tails):
+        if type(e) is not int or not 0 <= e < len(self.complex.tails):
             raise DomainError(f"edge {e} is not in range({len(self.complex.tails)})")
-        r = bisect_left(self._non_tree, e)
-        if r == len(self._non_tree) or self._non_tree[r] != e:
+        r = self._row[e]
+        if r is None:
             raise DomainError(f"edge {e} is a forest edge")
         return self.presentation.coords({r: 1})
 
@@ -269,34 +273,34 @@ class H1Calculator:
         Rows index the nontrivial summands of H1(k), columns the generators
         of the selected subcomplex; torsion rows are reduced modulo their
         factor.  Only the subcomplex gets an engine of its own, so one
-        engine serves any number of selections.
+        engine serves any number of selections: each sub generator's cycle
+        is read straight onto this engine's cycle rows.
         """
-        k = self.complex
-        sub, _, emap = subcomplex(k, sel)
+        sub, _, emap = subcomplex(self.complex, sel)
         sub_calc = H1Calculator(sub)
-        emap_back = {new: old for old, new in emap.items()}
-        cols = []
-        for which in range(len(sub_calc.presentation.slots)):
-            sub_vec = sub_calc.generator_edge_vector(which)
-            big_vec = [0] * len(k.tails)
-            for new_idx, coef in enumerate(sub_vec):
-                if coef:
-                    big_vec[emap_back[new_idx]] = coef
-            cols.append(self.h1_coords(big_vec))
-        rows = len(self.presentation.slots)
-        return [[col[r] for col in cols] for r in range(rows)]
+        chains = sub_calc._generator_chains([self._row[e] for e in sorted(emap)])
+        cols = [self.presentation.coords(chain) for chain in chains]
+        return [[col[r] for col in cols] for r in range(len(self.presentation.slots))]
 
     def generator_edge_vector(self, which: int) -> list:
         """Edge chain of the ``which``-th H1 generator."""
-        k = self.complex
-        vec = [0] * len(k.tails)
-        for r, c in self.presentation.generator(which).items():
-            # non-tree edge e, closed up by the forest path back to its tail
-            e = self._non_tree[r]
-            vec[e] += c
-            for idx, x in _tree_path_chain(self._parent, self._depth, k.heads[e], k.tails[e]).items():
-                vec[idx] += c * x
-        return vec
+        n_edges = len(self.complex.tails)
+        chain = self._generator_chains(range(n_edges))[which]
+        return [chain.get(e, 0) for e in range(n_edges)]
+
+    def _generator_chains(self, row_of) -> list:
+        """Each generator as a sparse column on the rows ``row_of`` gives
+        the edges (see ``_cycle_columns``): its fundamental cycles' columns,
+        added by its coefficients."""
+        cycles = _cycle_columns(self.complex, self._forest, row_of)
+        chains = []
+        for i in range(len(self.presentation.slots)):
+            chain: dict = {}
+            for r, c in self.presentation.generator(i).items():
+                for row, x in cycles[r].items():
+                    chain[row] = chain.get(row, 0) + c * x
+            chains.append(chain)
+        return chains
 
 
 def h1(k: CW2Complex) -> H1Summary:
@@ -310,17 +314,21 @@ class CellSelection:
     faces: tuple
 
 
-def _closed_cells(k: CW2Complex, sel: CellSelection) -> tuple:
-    """(vertex set, edge set) of a selection, once every index is checked
-    to name a cell of ``k`` and the selection to be closed: each selected
-    edge keeps both endpoints and each selected face all its edges."""
+def subcomplex(k: CW2Complex, sel: CellSelection):
+    """Restrict to a selection, once every index is checked to be an int
+    naming a cell of ``k`` and the selection to be closed: each selected
+    edge keeps both endpoints and each selected face all its edges.
+
+    Returns (complex, vertex_map, edge_map) where the maps send old indices
+    to new ones.
+    """
     for kind, cells, size in (
         ("vertex", sel.vertices, k.num_vertices),
         ("edge", sel.edges, len(k.tails)),
         ("face", sel.faces, len(k.faces)),
     ):
-        if cells and (min(cells) < 0 or max(cells) >= size):
-            bad = next(x for x in cells if not 0 <= x < size)
+        if cells and ({*map(type, cells)} != {int} or min(cells) < 0 or max(cells) >= size):
+            bad = next(x for x in cells if type(x) is not int or not 0 <= x < size)
             raise DomainError(f"selected {kind} {bad} is not in range({size})")
     vset, eset = set(sel.vertices), set(sel.edges)
     tails, heads = k.tails, k.heads
@@ -331,16 +339,6 @@ def _closed_cells(k: CW2Complex, sel: CellSelection) -> tuple:
         for e, _ in k.faces[f]:
             if e not in eset:
                 raise DomainError(f"selection drops an edge of face {f}")
-    return vset, eset
-
-
-def subcomplex(k: CW2Complex, sel: CellSelection):
-    """Restrict to a selection, checking closure.
-
-    Returns (complex, vertex_map, edge_map) where the maps send old indices
-    to new ones.
-    """
-    vset, eset = _closed_cells(k, sel)
     vmap = {v: i for i, v in enumerate(sorted(vset))}
     kept = sorted(eset)
     emap = {e: i for i, e in enumerate(kept)}
@@ -438,6 +436,8 @@ def branch_selection(b: BaseComplex, branch_root: int) -> CellSelection:
     each positive one with its loop, and with its face below the top."""
     t = b.tree
     position, ids, positive = t.position, t.ids, t.positive
+    if type(branch_root) is not int or branch_root not in ids:
+        raise DomainError(f"node {branch_root} is not in the tree")
     top = position(branch_root)
     walked, stack = [], [top]
     while stack:
@@ -482,7 +482,10 @@ def cover_vertex(vi: int, h: int, clones: int, nf: NullForest) -> int:
     ``clones`` vertices and the null forest ``nf``: height h is at position
     2|h| - (h < 0) of the layout.  Past the clones, vertex (clones + k, h) is
     the copy at height h of null node ``nf.positions[k]``."""
-    return (2 * abs(h) - (h < 0)) * _cover_width(clones, nf) + vi
+    width = _cover_width(clones, nf)
+    if not 0 <= vi < width:
+        raise DomainError(f"cover vertex {vi} is not in range({width})")
+    return (2 * abs(h) - (h < 0)) * width + vi
 
 
 def check_cover_size(
@@ -668,24 +671,6 @@ def _spanning_forest(k: CW2Complex):
                     non_tree[idx] = 0
                     queue.append(w)
     return parent, depth, list(compress(range(len(tails)), non_tree))
-
-
-def _tree_path_chain(parent, depth, frm: int, to: int) -> dict:
-    """Edge chain of the forest path from ``frm`` to ``to`` as {edge: coeff}."""
-    chain: dict = {}
-    a, b = frm, to
-    # climb the deeper endpoint; walking v -> parent(v) uses the edge with
-    # opposite sign to parent[v]'s orientation.
-    while a != b:
-        if depth[a] >= depth[b]:
-            up, idx, sign = parent[a]
-            chain[idx] = chain.get(idx, 0) - sign
-            a = up
-        else:
-            up, idx, sign = parent[b]
-            chain[idx] = chain.get(idx, 0) + sign
-            b = up
-    return chain
 
 
 def _cycle_columns(k: CW2Complex, forest: tuple, row_of: list) -> list:

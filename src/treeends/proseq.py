@@ -34,7 +34,7 @@ class MultSequence:
         if not self.cycle:
             raise DomainError("cycle part must be nonempty")
         for x in self.prefix + self.cycle:
-            if not isinstance(x, int) or x < 0:
+            if type(x) is not int or x < 0:
                 raise DomainError(f"labels must be nonnegative integers, got {x!r}")
 
     def term(self, i: int) -> int:

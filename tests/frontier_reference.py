@@ -22,9 +22,15 @@ forest over (neighbour, edge, sign) adjacency tuples, and each fundamental
 cycle walked edge by edge up the forest.  The package keeps its forest as
 int-coded adjacency and reads a bond's columns off forest potentials; the
 tests check that both give the same forest and the same columns.
+
+``edge_vector_induced`` is the former inclusion-induced map: each generator
+of the subcomplex expanded into walked cycles, written back onto the big
+complex's edges as a full-length edge vector and pushed through
+``H1Calculator.h1_coords``, boundary check included.  The package reads the
+generators' cycles straight onto the big complex's cycle rows instead.
 """
 
-from treeends.cw import CollapseBond, CW2Complex
+from treeends.cw import CollapseBond, CW2Complex, H1Calculator, subcomplex
 from treeends.errors import DomainError
 
 
@@ -77,6 +83,25 @@ def fundamental_cycles(k):
         chain[idx] = chain.get(idx, 0) + 1
         chains.append(chain)
     return non_tree, chains
+
+
+def edge_vector_induced(k, sel):
+    """Matrix of H1(selection) -> H1(k) through full-length edge vectors:
+    rows the nontrivial summands of H1(k), columns the generators of the
+    selected subcomplex."""
+    calc = H1Calculator(k)
+    sub, _, emap = subcomplex(k, sel)
+    sub_calc = H1Calculator(sub)
+    edge_back = {new: old for old, new in emap.items()}
+    _, cycles = fundamental_cycles(sub)
+    cols = []
+    for which in range(len(sub_calc.presentation.slots)):
+        vec = [0] * len(k.tails)
+        for r, c in sub_calc.presentation.generator(which).items():
+            for e, x in cycles[r].items():
+                vec[edge_back[e]] += c * x
+        cols.append(calc.h1_coords(vec))
+    return [[col[r] for col in cols] for r in range(len(calc.presentation.slots))]
 
 
 def _pushed(chains, row_of):

@@ -30,7 +30,6 @@ from treeends.cw import (
     H1Calculator,
     H1Summary,
     _spanning_forest,
-    _tree_path_chain,
     branch_selection,
     build_base,
     build_cover,
@@ -193,10 +192,16 @@ class TestCW2Complex:
             (2, [(0, 0), (1, 1)], [[(0, 1), (1, 1)]], "face 0 attaching word is not a path"),
             (2, [(0, 1)], [[(0, 1), (0, 1)]], "face 0 attaching word is not a path"),
             (2, [(0, 1), (1, 1)], [[(0, 1), (1, -1)]], "face 0 attaching word does not close up"),
+            (1, [(0, 0)], [[(0, True)]], "face 0 has a bad step (0, True)"),
+            (2, [(0, 0), (1, 1)], [[(0, 1)], [(False, 1)]], "face 1 has a bad step (False, 1)"),
+            (-3, [], [], "vertex count -3 is not a nonnegative int"),
+            (2.0, [(0, 1)], [], "vertex count 2.0 is not a nonnegative int"),
+            (True, [(0, 0)], [], "vertex count True is not a nonnegative int"),
         ],
         ids=[
             "endpoint", "empty", "step-sign", "step-edge", "step-sign-fraction", "step-sign-float",
-            "step-edge-fraction", "path", "path-twice", "open",
+            "step-edge-fraction", "path", "path-twice", "open", "step-sign-bool", "step-edge-bool",
+            "count-negative", "count-float", "count-bool",
         ],
     )
     def test_malformed_complex_messages(self, num_vertices, edges, faces, message):
@@ -386,22 +391,21 @@ class TestSparseEngine:
     @settings(max_examples=150, deadline=None)
     @given(random_complexes())
     def test_fundamental_class_is_the_class_of_the_cycle(self, k):
-        """Each non-tree edge's class against its fundamental cycle's edge
-        vector pushed through ``h1_coords``; forest edges are refused."""
+        """Each non-tree edge's class against its fundamental cycle, walked
+        up the reference forest, as an edge vector pushed through
+        ``h1_coords``; forest edges are refused."""
         calc = H1Calculator(k)
-        parent, depth, non_tree = _spanning_forest(k)
+        non_tree, chains = fundamental_cycles(k)
+        cycle_of = dict(zip(non_tree, chains))
         for e in range(len(k.tails)):
-            if e not in non_tree:
+            if e not in cycle_of:
                 with pytest.raises(DomainError, match=f"edge {e} is a forest edge"):
                     calc.fundamental_class(e)
                 continue
-            vec = [0] * len(k.tails)
-            vec[e] += 1
-            for idx, x in _tree_path_chain(parent, depth, k.heads[e], k.tails[e]).items():
-                vec[idx] += x
+            vec = [cycle_of[e].get(idx, 0) for idx in range(len(k.tails))]
             assert calc.fundamental_class(e) == calc.h1_coords(vec)
 
-    @pytest.mark.parametrize("e", [-1, 3])
+    @pytest.mark.parametrize("e", [-1, 3, 1.0, 2.5, True])
     def test_fundamental_class_range_checked(self, e):
         calc = H1Calculator(CW2Complex(2, [0, 0, 1], [1, 0, 1], []))
         with pytest.raises(DomainError, match=rf"edge {e} is not in range\(3\)"):
@@ -466,6 +470,16 @@ class TestSelections:
             assert math.gcd(*classes) == math.gcd(*(x for row in mat for x in row))
             assert len(mat) == len(engine.presentation.slots)
 
+    @pytest.mark.parametrize("positive", [False, True], ids=["truncation", "positive-part"])
+    @pytest.mark.parametrize("node", [10**6, -1, 3, 1.0, 1.5, True])
+    def test_branch_root_must_be_a_node(self, positive, node):
+        # bs2 at depth 2 has nodes 0, 1 and 2; its positive part keeps them all
+        t = truncate(CORPUS["bs2"], 2)
+        b = build_base(positive_part(t) if positive else t)
+        with pytest.raises(DomainError) as exc:
+            branch_selection(b, node)
+        assert str(exc.value) == f"node {node} is not in the tree"
+
     def test_neighborhood_tier_range_checked(self):
         b = base_for("bs2", 2)
         with pytest.raises(DomainError):
@@ -490,12 +504,20 @@ class TestSelections:
             (CellSelection((0, 1, 2, 7), (), ()), "selected vertex 7 is not in range(3)"),
             (CellSelection((0, 1, 2), (5,), ()), "selected edge 5 is not in range(3)"),
             (CellSelection((0, 1, 2), (-3, -2, -1), ()), "selected edge -3 is not in range(3)"),
+            (CellSelection((0, 1, 2, 1.5), (), ()), "selected vertex 1.5 is not in range(3)"),
+            (CellSelection((0, 1.0, 2), (), ()), "selected vertex 1.0 is not in range(3)"),
+            (CellSelection((0, 1, 2), (0, 0.5), ()), "selected edge 0.5 is not in range(3)"),
+            (CellSelection((0, 1, 2), (0, 1, 2), (0.0,)), "selected face 0.0 is not in range(1)"),
+            (CellSelection((0, 1, 2), (0, True), ()), "selected edge True is not in range(3)"),
         ],
-        ids=["edge-negative", "face-negative", "vertex-past-end", "edge-past-end", "edges-wrapped"],
+        ids=[
+            "edge-negative", "face-negative", "vertex-past-end", "edge-past-end", "edges-wrapped",
+            "vertex-fraction", "vertex-float", "edge-fraction", "face-float", "edge-bool",
+        ],
     )
     def test_selection_indices_are_range_checked(self, sel, message):
         k = CW2Complex(3, [0, 1, 2], [1, 2, 0], [[(0, 1), (1, 1), (2, 1)]])
-        for route in (subcomplex, induced_h1, CW2Complex.component_count):
+        for route in (subcomplex, induced_h1):
             with pytest.raises(DomainError) as exc:
                 route(k, sel)
             assert str(exc.value) == message, route
@@ -555,7 +577,12 @@ class TestSelections:
         sels = [infinity_neighborhood_base(b, i) for i in range(depth + 1)]
         sels += [branch_selection(b, node) for node in (1, 2, 3) if node < len(b.tree.nodes)]
         for sel in sels:
-            assert k.component_count(sel) == subcomplex(k, sel)[0].component_count()
+            # the selected edges over every vertex of k, less the unselected
+            # vertices, each a component of its own
+            tails, heads = [k.tails[e] for e in sel.edges], [k.heads[e] for e in sel.edges]
+            spanned = CW2Complex(k.num_vertices, tails, heads, [])
+            want = spanned.component_count() - (k.num_vertices - len(sel.vertices))
+            assert subcomplex(k, sel)[0].component_count() == want
             # open the selection up: drop an endpoint of a selected edge, or
             # an edge of a selected face
             broken = []
@@ -570,11 +597,8 @@ class TestSelections:
                 kept = tuple(x for x in sel.edges if x != e)
                 broken.append(CellSelection(sel.vertices, kept, sel.faces))
             for bad in broken:
-                with pytest.raises(DomainError) as by_count:
-                    k.component_count(bad)
-                with pytest.raises(DomainError) as by_subcomplex:
+                with pytest.raises(DomainError, match="selection drops an (endpoint|edge) of"):
                     subcomplex(k, bad)
-                assert str(by_count.value) == str(by_subcomplex.value)
 
     def test_base_ceiling(self):
         with pytest.raises(SizeCeilingError):
@@ -582,6 +606,23 @@ class TestSelections:
 
 
 class TestCover:
+    @pytest.mark.parametrize(
+        "widths, offset, h",
+        [(1, 0, 0), (1, 0, -1), (1, 5, 2), (0, -1, 1), (0, -1, 0)],
+        ids=["width", "width-below", "past-width", "negative", "negative-at-0"],
+    )
+    def test_cover_vertex_is_range_checked(self, widths, offset, h):
+        """A vertex index outside the width would alias a vertex at another
+        height, so it is refused: vi = widths * width + offset."""
+        t = truncate(CORPUS["two_loops"], 3)
+        c, nf = lambda_plus(positive_part(t)), null_forest(t)
+        width = len(c) + len(nf.positions)
+        vi = widths * width + offset
+        with pytest.raises(DomainError) as exc:
+            cover_vertex(vi, h, len(c), nf)
+        assert str(exc.value) == f"cover vertex {vi} is not in range({width})"
+        assert cover_vertex(width - 1, h, len(c), nf) - cover_vertex(0, h, len(c), nf) == width - 1
+
     def test_trivial_germ_gives_a_segment(self):
         t = truncate(CORPUS["trivial"], 3)
         c, nf = CosetTree(t), null_forest(t)

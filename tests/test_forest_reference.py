@@ -1,7 +1,8 @@
 """The package's graph kernels against their references: the spanning
-forest and collapse bonds against frontier_reference (the tuple-adjacency
-BFS forest and the walk-based fundamental cycles), and the level sweep
-against one counted selection per level.
+forest, collapse bonds and induced maps against frontier_reference (the
+tuple-adjacency BFS forest, the walk-based fundamental cycles and the
+edge-vector induced map), and the level sweep against one counted
+selection per level.
 
 The forest must come out equal, parent links, depths and non-tree edges
 alike, on every kind of graph the package builds and on random multigraphs
@@ -12,24 +13,27 @@ each neighbourhood of infinity off it.
 """
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from corpus import CORPUS
-from frontier_reference import fundamental_cycles, keyed_collapse, spanning_forest
+from frontier_reference import edge_vector_induced, fundamental_cycles, keyed_collapse, spanning_forest
 from test_classify import valid_germs
-from test_cw import MULTIGRAPHS, unzip
+from test_cw import MULTIGRAPHS, random_complexes, unzip
 from treeends import cw
 from treeends.coset import CosetTree
 from treeends.cw import (
     CW2Complex,
     CellSelection,
     FrontierTower,
+    H1Calculator,
     _cycle_columns,
     _spanning_forest,
+    branch_selection,
     build_base,
     build_cover,
     build_frontier_graph,
     infinity_neighborhood_base,
+    subcomplex,
 )
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.unfold import null_forest, positive_part, truncate
@@ -122,12 +126,58 @@ class TestCycleColumns:
         assert [b.rows for b in bonds] + [bonds[-1].cols] == [0, 4, 24, 124]
 
 
+@st.composite
+def closed_selections(draw):
+    """A random complex, torsion included, and a closed selection on it,
+    drawn by what it drops: some vertices, then some of the edges left
+    with both ends kept, then some of the faces left with all their edges
+    kept.  A dropped forest edge makes the subcomplex's forest differ from
+    the complex's."""
+    k = draw(random_complexes())
+    verts = set(range(k.num_vertices)) - draw(st.sets(st.integers(0, k.num_vertices - 1)))
+    edges = {e for e, (t, h) in enumerate(k.edges) if t in verts and h in verts}
+    edges -= draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
+    faces = {f for f, word in enumerate(k.faces) if all(e in edges for e, _ in word)}
+    faces -= draw(st.sets(st.sampled_from(sorted(faces)))) if faces else set()
+    return k, CellSelection(tuple(sorted(verts)), tuple(sorted(edges)), tuple(sorted(faces)))
+
+
+class TestInducedMaps:
+    @settings(max_examples=300, deadline=None)
+    @given(closed_selections())
+    # two parallel edges and a back edge: the forest edge of k is dropped,
+    # so the selection's forest takes a row of k
+    @example((CW2Complex(2, [0, 0, 1], [1, 1, 0], []), CellSelection((0, 1), (1, 2), ())))
+    def test_matches_the_edge_vector_route(self, case):
+        """Each generator's cycle read onto the big complex's rows against
+        the same generator written out as an edge vector of the big complex
+        and coordinatized there."""
+        k, sel = case
+        assert H1Calculator(k).induced(sel) == edge_vector_induced(k, sel)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 4))
+    def test_telescope_selections_match_the_edge_vector_route(self, g, depth):
+        """Every neighbourhood of infinity and every branch of a telescope,
+        through one engine, against the edge-vector route."""
+        try:
+            b = build_base(truncate(g, depth, CEILING), CEILING)
+        except SizeCeilingError:
+            return
+        engine = H1Calculator(b.complex)
+        sels = [infinity_neighborhood_base(b, i) for i in range(depth + 1)]
+        sels += [branch_selection(b, node) for node in b.tree.ids]
+        for sel in sels:
+            assert engine.induced(sel) == edge_vector_induced(b.complex, sel)
+
+
 class TestLevelSweep:
     @settings(max_examples=300, deadline=None)
     @given(MULTIGRAPHS, st.data())
     def test_matches_one_selection_per_level(self, graph, data):
         """Each level's count against the selection of the vertices of level
-        <= L and the edges with both ends among them, counted on its own."""
+        <= L and the edges with both ends among them, counted on its own
+        subcomplex."""
         n, edges = graph
         k = CW2Complex(n, *unzip(edges), [])
         level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -136,7 +186,7 @@ class TestLevelSweep:
         for top, got in enumerate(counts):
             verts = tuple(v for v in range(n) if level[v] <= top)
             kept = tuple(e for e, (t, h) in enumerate(edges) if level[t] <= top and level[h] <= top)
-            assert got == k.component_count(CellSelection(verts, kept, ()))
+            assert got == subcomplex(k, CellSelection(verts, kept, ()))[0].component_count()
 
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(1, 4))
@@ -150,7 +200,8 @@ class TestLevelSweep:
         counts = b.complex.level_component_counts([depth - n.tier for n in b.tree.nodes])
         assert len(counts) == depth + 1
         for i in range(depth + 1):
-            assert counts[depth - i] == b.complex.component_count(infinity_neighborhood_base(b, i))
+            sub = subcomplex(b.complex, infinity_neighborhood_base(b, i))[0]
+            assert counts[depth - i] == sub.component_count()
 
     @pytest.mark.parametrize(
         "level, message",

@@ -76,6 +76,17 @@ class TestMultSequence:
         with pytest.raises(DomainError):
             MultSequence((), (-2,))
 
+    @pytest.mark.parametrize(
+        "prefix, cycle, bad",
+        [((False,), (True,), False), ((), (2, True), True), ((1.0,), (2,), 1.0)],
+        ids=["bool-prefix", "bool-cycle", "float"],
+    )
+    def test_non_int_label_rejected(self, prefix, cycle, bad):
+        # a bool would print as a word that parse_sequence refuses
+        with pytest.raises(DomainError) as exc:
+            MultSequence(prefix, cycle)
+        assert str(exc.value) == f"labels must be nonnegative integers, got {bad!r}"
+
     def test_trivial_singleton(self):
         assert TrivialSequence() is TRIVIAL
 
