@@ -88,11 +88,63 @@ class _Quoted(dict):
         return text
 
 
+_QUOTE = json.encoder.encode_basestring_ascii
+_CONSTANTS = {None: "null", True: "true", False: "false"}
+
+
+def _json_chunks(value, indent: str, out: list) -> None:
+    """Append the pieces of ``json.dumps(value, indent=2)`` to ``out``, the
+    value starting ``indent`` deep.  Only str-keyed dicts, lists, tuples,
+    str, int, bool and None are written; any other type is a TypeError."""
+    kind = type(value)
+    if kind is str:
+        out.append(_QUOTE(value))
+    elif kind is int:
+        out.append(int.__repr__(value))
+    elif kind is bool or value is None:
+        out.append(_CONSTANTS[value])
+    elif kind is dict:
+        if not value:
+            out.append("{}")
+            return
+        inner = indent + "  "
+        sep = "{\n" + inner
+        for key, item in value.items():
+            if type(key) is not str:
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (sep, _QUOTE(key), ": ")
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "}")
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = indent + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_chunks(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + indent + "]")
+    else:
+        raise TypeError(f"Object of type {kind.__name__} is not JSON serializable")
+
+
+def _json_text(value) -> str:
+    """``json.dumps(value, indent=2)`` for the types the CLI writes, made
+    without the pure-Python encoder that ``indent`` selects, and leaving no
+    cyclic garbage."""
+    out: list = []
+    _json_chunks(value, "", out)
+    return "".join(out)
+
+
 def _json_nodes(head: dict, records: list) -> str:
     """``json.dumps({**head, "nodes": [...]}, indent=2)`` given each node's
     JSON object as ``records``: one f-string per node, with its ints as their
     digits and its strings (and None color) quoted by ``json.dumps``."""
-    text = json.dumps(head, indent=2)[:-2]  # drop the closing "\n}"
+    text = _json_text(head)[:-2]  # drop the closing "\n}"
     if not records:
         return text + ',\n  "nodes": []\n}'
     # the head and the tail ride on the first and last records, so the
@@ -194,7 +246,7 @@ def germ_json_dict(g: GermGraph) -> dict:
 
 
 def _print_json(payload: dict) -> None:
-    print(json.dumps(payload, indent=2))
+    print(_json_text(payload))
 
 
 def _cmd_validate(args) -> int:

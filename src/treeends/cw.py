@@ -99,16 +99,12 @@ class CW2Complex:
             self._edges = tuple(zip(self.tails, self.heads))
             return self._edges
 
-    def _union_find(self, selected=None, parent=None) -> tuple:
-        """(root links, merge count) over every edge, or over the edges
-        ``selected``, a sequence of indices, starting from the root links
-        ``parent`` (all singletons when None), which it updates in place.
-        Each root is the least vertex of its component, so parent[v] <= v."""
-        tails, heads = self.tails, self.heads
-        if selected is not None:
-            tails, heads = map(tails.__getitem__, selected), map(heads.__getitem__, selected)
-        if parent is None:
-            parent = list(range(self.num_vertices))
+    @staticmethod
+    def _union_find(tails, heads, parent: list) -> int:
+        """Merge the edges whose ends are paired up in ``tails`` and
+        ``heads`` into the root links ``parent``, in place, and return the
+        number of merges.  Each root is the least vertex of its component,
+        so parent[v] <= v."""
         merges = 0
         for t, h in zip(tails, heads):
             # path halving; the smaller root wins
@@ -122,11 +118,12 @@ class CW2Complex:
             elif h < t:
                 parent[t] = h
                 merges += 1
-        return parent, merges
+        return merges
 
     def components(self) -> list:
         """Connected components of the 1-skeleton, each a sorted vertex tuple."""
-        parent = self._union_find()[0]
+        parent = list(range(self.num_vertices))
+        self._union_find(self.tails, self.heads, parent)
         # parent[v] <= v, so one ascending pass sends each vertex to its root
         groups: dict = {}
         for v in range(len(parent)):
@@ -136,53 +133,62 @@ class CW2Complex:
 
     def component_count(self) -> int:
         """Number of connected components of the 1-skeleton."""
-        return self.num_vertices - self._union_find()[1]
+        return self.num_vertices - self._union_find(self.tails, self.heads, list(range(self.num_vertices)))
 
     def level_component_counts(self, level: list) -> list:
-        """Given a level >= 0 for each vertex, the number of components of
-        the full subgraph on the vertices of level <= L, for L = 0 up to
-        the top level.  One union-find sweep adds each edge at the larger
-        level of its two ends and reads the merge count at every level."""
+        """Given an int level >= 0 for each vertex, the number of components
+        of the full subgraph on the vertices of level <= L, for L = 0 up to
+        the top level.  Each edge's ends are bucketed at the larger level of
+        the two, and one union-find sweep merges the buckets in level order
+        and reads the merge count at every level."""
         if len(level) != self.num_vertices:
             raise DomainError(f"{len(level)} levels for {self.num_vertices} vertices")
+        if not set(map(type, level)) <= {int}:
+            x = next(x for x in level if type(x) is not int)
+            raise DomainError(f"vertex level {x!r} is not an int")
         if min(level, default=0) < 0:
             raise DomainError(f"negative vertex level {min(level)}")
         top = max(level, default=-1)
         new_vertices = [0] * (top + 1)
         for x in level:
             new_vertices[x] += 1
-        new_edges: list = [[] for _ in range(top + 1)]
-        edge_levels = map(max, map(level.__getitem__, self.tails), map(level.__getitem__, self.heads))
-        for e, x in enumerate(edge_levels):
-            new_edges[x].append(e)
-        counts, parent, count = [], None, 0
-        for n, edges in zip(new_vertices, new_edges):
-            parent, merges = self._union_find(edges, parent)
-            count += n - merges
+        new_tails: list = [[] for _ in range(top + 1)]
+        new_heads: list = [[] for _ in range(top + 1)]
+        for t, h in zip(self.tails, self.heads):
+            x, y = level[t], level[h]
+            x = x if x > y else y
+            new_tails[x].append(t)
+            new_heads[x].append(h)
+        counts, parent, count = [], list(range(self.num_vertices)), 0
+        for n, tails, heads in zip(new_vertices, new_tails, new_heads):
+            count += n - self._union_find(tails, heads, parent)
             counts.append(count)
         return counts
 
     def prefix_component_counts(self, cuts: list) -> list:
-        """Given ascending (vertex count, edge count) cuts, the number of
+        """Given ascending (vertex count, edge count) int cuts, the number of
         components of each prefix: vertices ``range(nv)`` and edges
         ``range(ne)``.  Each prefix must be closed, its edges ending at its
-        vertices.  One union-find pass adds each cut's new run of edges; the
-        root links grow with the vertex prefix, so an edge that leaves it
-        fails at its lookup and no edge list is copied."""
+        vertices.  One union-find pass adds each cut's new run of edges, a
+        slice of the tails and of the heads; the root links grow with the
+        vertex prefix, so an edge that leaves it fails at its lookup."""
         counts: list = []
         parent: list = []
         merges = done = 0
+        tails, heads = self.tails, self.heads
         for nv, ne in cuts:
-            if not (len(parent) <= nv <= self.num_vertices and done <= ne <= len(self.tails)):
+            if type(nv) is not int or type(ne) is not int:
+                raise DomainError(f"cut ({nv!r}, {ne!r}) is not a pair of ints")
+            if not (len(parent) <= nv <= self.num_vertices and done <= ne <= len(tails)):
                 raise DomainError(
                     f"cut ({nv}, {ne}) does not ascend from ({len(parent)}, {done})"
-                    f" within ({self.num_vertices}, {len(self.tails)})"
+                    f" within ({self.num_vertices}, {len(tails)})"
                 )
             parent += range(len(parent), nv)
             try:
-                merges += self._union_find(range(done, ne), parent)[1]
+                merges += self._union_find(tails[done:ne], heads[done:ne], parent)
             except IndexError:
-                e = next(e for e in range(done, ne) if max(self.tails[e], self.heads[e]) >= nv)
+                e = next(e for e in range(done, ne) if max(tails[e], heads[e]) >= nv)
                 raise DomainError(f"prefix of {nv} vertices drops an endpoint of edge {e}") from None
             done = ne
             counts.append(nv - merges)

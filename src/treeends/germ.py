@@ -254,15 +254,18 @@ def walk_counts(
 ) -> Iterator[int]:
     """Yield, for n = 0..steps, the total weight of the length-n walks from
     ``starts``; a walk weighs the product of ``weight`` over its edges, and
-    edges of weight 0 are never taken.  Lazily: one step's weights are held
-    at a time, and a caller that stops early computes no further."""
+    edges of weight 0 are never taken.  ``weight`` is read once per edge,
+    before the first step, so it must be a pure function of the edge.
+    Lazily: one step's weights are held at a time, and a caller that stops
+    early computes no further."""
     weights = dict.fromkeys(starts, 1)
     yield sum(weights.values())
+    edge_weight = list(map(weight, g.edges))
     for _ in range(steps):
         nxt: dict[str, int] = {}
         for v, w in weights.items():
-            for _, e in g.out_edges(v):
-                k = weight(e)
+            for i, e in g.out_edges(v):
+                k = edge_weight[i]
                 if k:
                     nxt[e.dst] = nxt.get(e.dst, 0) + w * k
         weights = nxt

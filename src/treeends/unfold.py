@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from functools import cache, cached_property
+from functools import cached_property
 from itertools import accumulate, chain, compress, pairwise, repeat
 from operator import not_, sub
 from typing import NamedTuple
@@ -259,11 +259,15 @@ def null_end_class(g: GermGraph) -> Cardinality:
     zone = _null_zone(g)
     if not zone:
         return Cardinality.EMPTY
-    reach_from = cache(lambda w: reachable(g, (w,)))
+    reach_from: dict = {}  # vertex -> the vertices it reaches, for this call only
     for v in zone:
         out = g.out_edges(v)
-        if len(out) > 1 and sum(v in reach_from(e.dst) for _, e in out) > 1:
-            return Cardinality.UNCOUNTABLE
+        if len(out) > 1:
+            for _, e in out:
+                if e.dst not in reach_from:
+                    reach_from[e.dst] = reachable(g, (e.dst,))
+            if sum(v in reach_from[e.dst] for _, e in out) > 1:
+                return Cardinality.UNCOUNTABLE
     return Cardinality.COUNTABLY_INFINITE
 
 
@@ -292,7 +296,7 @@ def growth_class(counts: list[int]) -> GrowthClass:
     tail = counts[len(counts) // 3 :]
     diffs = list(tail)
     for _ in range(9):  # difference orders 0..8
-        if all(x == 0 for x in diffs):
+        if not any(diffs):
             return GrowthClass.POLYNOMIAL
         if len(diffs) < 2:
             break

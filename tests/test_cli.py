@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface."""
 
 import contextlib
+import gc
 import io
 import json
 import os
@@ -12,7 +13,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from json_reference import colored_tree_payload, tree_payload
 from test_classify import valid_germs
@@ -616,6 +617,68 @@ class TestJsonWriters:
             text = _stdout(argv + [germ_file, "--depth", depth, "--format", "json"])
             assert json.loads(text) == payload
             assert text == _dumps(payload)
+
+
+# Every type the CLI writes: str, int (4000-digit ones too), bool and None,
+# in lists, tuples and str-keyed dicts, empty ones included.  Text draws
+# non-ASCII, control and surrogate characters, which json escapes.
+_TEXT = st.text(st.characters(blacklist_categories=()))
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.tuples(st.sampled_from((1, -1)), st.integers(0, 10**6)).map(lambda p: p[0] * (10**3999 + p[1]))
+    | _TEXT,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(_TEXT, inner, max_size=4),
+    max_leaves=20,
+)
+
+
+class TestJsonText:
+    """The CLI's JSON writer against ``json.dumps(value, indent=2)``."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(JSON_VALUES)
+    @example({})
+    @example([])
+    @example(())
+    @example({"a": [], "b": {}, "c": [[], [{}]], "d": ()})
+    @example({"\u00e9\x00\x1f\ud800": ["\t\n\"\\", "\U0001f600"], "": [None, True, False, 0, -1]})
+    @example([10**3999, -(10**3999)])
+    def test_matches_json_dumps(self, value):
+        assert cli_module._json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize(
+        "value",
+        [1.5, float("nan"), b"x", {1, 2}, {1: "a"}, {None: 0}, [object()], {"k": [1, (2, 0.0)]}],
+        ids=["float", "nan", "bytes", "set", "int-key", "none-key", "object", "nested-float"],
+    )
+    def test_other_types_are_refused(self, value):
+        with pytest.raises(TypeError):
+            cli_module._json_text(value)
+
+    @pytest.mark.parametrize("command", ["oracle", "classify"])
+    @pytest.mark.parametrize("germ", ["two_loops", "null_ray", "trivial"])
+    def test_json_output_leaves_no_cyclic_garbage(self, command, germ):
+        """``--format json`` output is freed by reference counting: the
+        writer builds no closures that refer to each other, as json's
+        pure-Python encoder does."""
+        argv = [command, str(GERMS / f"{germ}.germ"), "--format", "json"]
+
+        def quietly():
+            with contextlib.redirect_stdout(io.StringIO()):
+                assert run(argv) == 0
+
+        quietly()  # warm up what is built once per process
+        gc.collect()
+        gc.disable()
+        try:
+            quietly()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestParser:

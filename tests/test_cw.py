@@ -808,6 +808,45 @@ class TestCoverNesting:
         assert str(exc.value) == "cut (2, 2) does not ascend from (3, 2) within (4, 3)"
 
 
+class TestCounterArguments:
+    """The nested counters refuse a level or a cut that is not an int, as
+    the constructor refuses such a vertex count."""
+
+    @pytest.mark.parametrize(
+        "level, message",
+        [
+            ([0, 0.5, 1], "vertex level 0.5 is not an int"),
+            ([0, 1, 2.0], "vertex level 2.0 is not an int"),
+            ([True, 0, 1], "vertex level True is not an int"),
+            ([0, "1", 1], "vertex level '1' is not an int"),
+            ([0, None, 1], "vertex level None is not an int"),
+        ],
+        ids=["fraction", "float", "bool", "str", "none"],
+    )
+    def test_levels_must_be_ints(self, level, message):
+        k = CW2Complex(3, [0, 1], [1, 2], [])
+        with pytest.raises(DomainError) as exc:
+            k.level_component_counts(level)
+        assert str(exc.value) == message
+
+    @pytest.mark.parametrize(
+        "cuts, message",
+        [
+            ([(2.0, 1)], "cut (2.0, 1) is not a pair of ints"),
+            ([(1, 0), (3, 1.0)], "cut (3, 1.0) is not a pair of ints"),
+            ([(True, 0)], "cut (True, 0) is not a pair of ints"),
+            ([(3, False)], "cut (3, False) is not a pair of ints"),
+            ([(None, 0)], "cut (None, 0) is not a pair of ints"),
+        ],
+        ids=["float-vertices", "float-edges", "bool-vertices", "bool-edges", "none"],
+    )
+    def test_cuts_must_be_ints(self, cuts, message):
+        k = CW2Complex(3, [0, 1], [1, 2], [])
+        with pytest.raises(DomainError) as exc:
+            k.prefix_component_counts(cuts)
+        assert str(exc.value) == message
+
+
 class TestTelescopeGraph:
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(0, 4), st.integers(1, 3000))

@@ -1,15 +1,17 @@
 """The package's graph kernels against their references: the spanning
 forest, collapse bonds and induced maps against frontier_reference (the
 tuple-adjacency BFS forest, the walk-based fundamental cycles and the
-edge-vector induced map), and the level sweep against one counted
-selection per level.
+edge-vector induced map), the level sweep against one counted
+selection per level, and the prefix counts against the BFS forest of each
+prefix graph.
 
 The forest must come out equal, parent links, depths and non-tree edges
 alike, on every kind of graph the package builds and on random multigraphs
 with loops and repeated edges: the H1 engine's generator signs, and so the
 homology digests, follow the forest.  The bonds must have the same columns.
 The sweep must give every level's component count, since the battery reads
-each neighbourhood of infinity off it.
+each neighbourhood of infinity off it, and the prefix counts every lower
+cover's, on multigraphs with loops and parallel edges too.
 """
 
 import pytest
@@ -132,10 +134,16 @@ def closed_selections(draw):
     drawn by what it drops: some vertices, then some of the edges left
     with both ends kept, then some of the faces left with all their edges
     kept.  A dropped forest edge makes the subcomplex's forest differ from
-    the complex's."""
+    the complex's, and its forest then takes a non-tree edge of k wherever
+    one joins the same pieces, the one case in which the signs of the
+    forest potentials show; so the edges dropped are often forest edges
+    of k on purpose."""
     k = draw(random_complexes())
     verts = set(range(k.num_vertices)) - draw(st.sets(st.integers(0, k.num_vertices - 1)))
     edges = {e for e, (t, h) in enumerate(k.edges) if t in verts and h in verts}
+    forest = sorted(edges.intersection(up[1] for up in spanning_forest(k)[0] if up is not None))
+    if forest and draw(st.booleans()):
+        edges -= draw(st.sets(st.sampled_from(forest), min_size=1))
     edges -= draw(st.sets(st.sampled_from(sorted(edges)))) if edges else set()
     faces = {f for f, word in enumerate(k.faces) if all(e in edges for e, _ in word)}
     faces -= draw(st.sets(st.sampled_from(sorted(faces)))) if faces else set()
@@ -171,6 +179,23 @@ class TestInducedMaps:
             assert engine.induced(sel) == edge_vector_induced(b.complex, sel)
 
 
+# Edges in the order of their larger end: a loop at 0, three edges between
+# 0 and 1 (two parallel, one opposite), a loop at 2 and two opposite edges
+# between 1 and 2.
+LOOPED_MULTIGRAPH = [(0, 0), (0, 1), (1, 0), (0, 1), (2, 2), (1, 2), (2, 1)]
+
+
+def counts_per_level(k: CW2Complex, level: list) -> list:
+    """Each level's count, from the selection of the vertices of level <= L
+    and the edges with both ends among them, counted on its own subcomplex."""
+    counts = []
+    for top in range(max(level, default=-1) + 1):
+        verts = tuple(v for v in range(k.num_vertices) if level[v] <= top)
+        kept = tuple(e for e, (t, h) in enumerate(k.edges) if level[t] <= top and level[h] <= top)
+        counts.append(subcomplex(k, CellSelection(verts, kept, ()))[0].component_count())
+    return counts
+
+
 class TestLevelSweep:
     @settings(max_examples=300, deadline=None)
     @given(MULTIGRAPHS, st.data())
@@ -181,12 +206,15 @@ class TestLevelSweep:
         n, edges = graph
         k = CW2Complex(n, *unzip(edges), [])
         level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
-        counts = k.level_component_counts(level)
-        assert len(counts) == max(level, default=-1) + 1
-        for top, got in enumerate(counts):
-            verts = tuple(v for v in range(n) if level[v] <= top)
-            kept = tuple(e for e, (t, h) in enumerate(edges) if level[t] <= top and level[h] <= top)
-            assert got == subcomplex(k, CellSelection(verts, kept, ()))[0].component_count()
+        assert k.level_component_counts(level) == counts_per_level(k, level)
+
+    @pytest.mark.parametrize("level", [[0, 0, 0], [0, 1, 2], [2, 1, 0], [1, 0, 1], [0, 3, 0]])
+    def test_loops_and_parallel_edges(self, level):
+        """A loop at each end of a path whose two steps are each taken by
+        parallel and opposite edges: each level's count against the
+        counted selection."""
+        k = CW2Complex(3, *unzip(LOOPED_MULTIGRAPH), [])
+        assert k.level_component_counts(level) == counts_per_level(k, level)
 
     @settings(max_examples=100, deadline=None)
     @given(valid_germs(), st.integers(1, 4))
@@ -211,3 +239,28 @@ class TestLevelSweep:
         k = CW2Complex(3, [0, 1], [1, 2], [])
         with pytest.raises(DomainError, match=message):
             k.level_component_counts(level)
+
+
+class TestPrefixCounts:
+    @settings(max_examples=300, deadline=None)
+    @given(MULTIGRAPHS, st.data())
+    def test_matches_each_prefix_counted_on_its_own(self, graph, data):
+        """With the edges in the order of their larger end, every vertex
+        prefix is closed with the edges below it.  Cuts at drawn vertex
+        counts keep all or some of those edges, loops and parallel edges
+        included, and each count is checked against the BFS forest of the
+        prefix graph built on its own."""
+        n, edges = graph
+        edges = sorted(edges, key=max)
+        k = CW2Complex(n, *unzip(edges), [])
+        cuts, ne = [], 0
+        for nv in sorted(data.draw(st.lists(st.integers(0, n), max_size=5))):
+            ne = data.draw(st.integers(ne, sum(max(e) < nv for e in edges)))
+            cuts.append((nv, ne))
+        want = [spanning_forest(CW2Complex(nv, *unzip(edges[:ne]), []))[0].count(None) for nv, ne in cuts]
+        assert k.prefix_component_counts(cuts) == want
+
+    def test_loops_and_parallel_edges(self):
+        k = CW2Complex(3, *unzip(LOOPED_MULTIGRAPH), [])
+        cuts = [(1, 0), (1, 1), (2, 1), (2, 2), (2, 4), (3, 4), (3, 5), (3, 6), (3, 7)]
+        assert k.prefix_component_counts(cuts) == [1, 1, 2, 1, 1, 2, 2, 1, 1]

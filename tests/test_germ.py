@@ -15,10 +15,12 @@ from treeends.germ import (
     render_germ,
     require_valid,
     validate_germ,
+    walk_counts,
 )
 from treeends.reduce import germ_power
 from treeends.unfold import truncate
 from corpus import CORPUS
+from test_classify import valid_germs
 
 # What ``treeends reduce --power 2`` prints for the germ ``edge A A 2**40``.
 POWER_2_40 = "root A\nedge A A 1208925819614629174706176\n"
@@ -247,3 +249,49 @@ def test_parse_gives_a_germ_or_a_parse_error(text):
     except ParseError:
         return
     assert isinstance(g, GermGraph)
+
+
+def enumerated_walk_totals(g, starts, weight, steps) -> list:
+    """Reference for ``walk_counts``: every walk from the distinct starts is
+    listed on its own, with the product of its edges' weights, and each
+    length's total is the sum over its walks.  Out-edges are found by a scan
+    of ``g.edges``, not by the germ's index."""
+    walks = [(v, 1) for v in dict.fromkeys(starts)]
+    totals = []
+    for n in range(steps + 1):
+        totals.append(sum(w for _, w in walks))
+        if n < steps:
+            walks = [(e.dst, w * weight(e)) for v, w in walks for e in g.edges if e.src == v]
+    return totals
+
+
+class TestWalkCounts:
+    @settings(max_examples=200, deadline=None)
+    @given(valid_germs(), st.integers(0, 5), st.data())
+    def test_matches_the_enumerated_walks(self, g, steps, data):
+        """Label weights from the root, the null indicator from the null
+        zone, and arbitrary per-edge weights, 0 included, from any starts."""
+        n = len(g.edges)
+        per_edge = {}
+        for e, w in zip(g.edges, data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))):
+            per_edge.setdefault(e, w)  # equal edges weigh the same
+        starts = data.draw(st.lists(st.sampled_from(g.vertices), max_size=4))
+        cases = [
+            ((g.root,), lambda e: e.label),
+            ({e.dst for e in g.edges if e.label == 0}, lambda e: int(e.label == 0)),
+            (starts, per_edge.__getitem__),
+        ]
+        for starts, weight in cases:
+            assert list(walk_counts(g, starts, weight, steps)) == enumerated_walk_totals(g, starts, weight, steps)
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(), st.integers(1, 6))
+    def test_weight_is_read_once_per_edge(self, g, steps):
+        """No weight is read before the first step, and then each edge's
+        weight once, however many steps the walk takes."""
+        calls = []
+        walk = walk_counts(g, (g.root,), lambda e: calls.append(e) or e.label, steps)
+        next(walk)
+        assert calls == []
+        list(walk)
+        assert calls == list(g.edges)
