@@ -298,9 +298,7 @@ def power_ray(g: GermGraph, ray: RaySpec, m: int) -> RaySpec:
     """Image of a ray under edge-path blocking: the ray of ``germ_power(g, m)``
     whose length-m blocks retrace the original edges."""
     check_ray(g, ray)
-    if m < 1:
-        raise DomainError("power must be at least 1")
-    powered, paths = germ_power_detailed(g, m)
+    powered, paths = germ_power_detailed(g, m)  # refuses m unless an int >= 1
     lookup = {
         (edge.src, paths[j]): j for j, edge in enumerate(powered.edges)
     }

@@ -83,7 +83,7 @@ class CosetTree:
 
     def _run(self, vert_idx: int) -> tuple:
         """(position, start, order) of the run that holds ``vert_idx``."""
-        if not 0 <= vert_idx < len(self.parent_idx):
+        if type(vert_idx) is not int or not 0 <= vert_idx < len(self.parent_idx):
             raise DomainError(f"vertex {vert_idx} is not in range({len(self.parent_idx)})")
         p = bisect_right(self.runs, vert_idx, key=itemgetter(0)) - 1
         return (p, *self.runs[p])
@@ -129,6 +129,8 @@ class OdometerMap:
     coset: CosetTree
 
     def image_index(self, vert_idx: int, power: int = 1) -> int:
+        if type(power) is not int:
+            raise DomainError(f"power {power!r} is not an int")
         _, start, order = self.coset._run(vert_idx)
         return start + (vert_idx - start + power) % order
 

@@ -18,12 +18,15 @@ of the ball joined by one edge per frontier column, with no vertex at the
 inner heights, so its cells grow with the ball and not with the radius.
 One ``H1Calculator`` serves every induced map into its complex, and
 ``H1Calculator.fundamental_class`` reads the class of one non-tree edge's
-cycle, such as a telescope loop's, without an edge vector.  Its
-presentation comes from ``intmat.unit_pivot_presentation``, whose passes
-skip the relations no elimination changed, in the same order, so the
-generators are the same.  ``CW2Complex.level_component_counts`` counts a
-whole nested family of full subgraphs, such as a telescope's neighbourhoods
-of infinity, in one union-find sweep.
+cycle, such as a telescope loop's, without an edge vector.  That engine's
+state, its forest, cycle rows and presentation, belongs to the complex: it
+is built on first use and kept, so ``h1`` and ``induced_h1`` build it once
+per complex, however often they are called.  Its presentation comes from
+``intmat.unit_pivot_presentation``, whose passes skip the relations no
+elimination changed, in the same order, so the generators are the same.
+``CW2Complex.level_component_counts`` counts a whole nested family of full
+subgraphs, such as a telescope's neighbourhoods of infinity, in one
+union-find sweep.
 
 Checks that read only vertices and edges build 1-skeletons:
 ``telescope_graph`` is the face-free telescope, which ``build_base`` fills
@@ -48,7 +51,8 @@ from .unfold import DEFAULT_CEILING, NullForest, TruncatedTree
 class CW2Complex:
     """A finite 2-complex.  Edge e runs from ``tails[e]`` to ``heads[e]``.
     The two lists are kept as given, so no one may change them afterwards;
-    complexes with the same 1-skeleton may share them."""
+    complexes with the same 1-skeleton may share them.  The H1 engine state
+    read off them is kept on the complex once built (see ``H1Calculator``)."""
 
     def __init__(self, num_vertices: int, tails: list, heads: list, faces: list):
         if type(num_vertices) is not int or num_vertices < 0:
@@ -176,7 +180,11 @@ class CW2Complex:
         parent: list = []
         merges = done = 0
         tails, heads = self.tails, self.heads
-        for nv, ne in cuts:
+        for cut in cuts:
+            try:
+                nv, ne = cut
+            except (TypeError, ValueError):
+                raise DomainError(f"cut {cut!r} is not a pair of ints") from None
             if type(nv) is not int or type(ne) is not int:
                 raise DomainError(f"cut ({nv!r}, {ne!r}) is not a pair of ints")
             if not (len(parent) <= nv <= self.num_vertices and done <= ne <= len(tails)):
@@ -214,14 +222,29 @@ class H1Calculator:
     those coordinates, and ``presentation`` (see ``unit_pivot_presentation``)
     turns them into invariant factors and generators, so inclusion-induced
     maps still come out as honest integer matrices.
+
+    The forest, each edge's cycle row and the presentation belong to the
+    complex: the first calculator of a complex builds them and keeps them
+    on it, and every later one is a view that reads them.
     """
 
     def __init__(self, k: CW2Complex):
         self.complex = k
-        self._forest = _spanning_forest(k)
+        try:
+            state = k._h1_state
+        except AttributeError:
+            state = k._h1_state = self._build_state(k)
+        self._forest, self._row, self.presentation = state
+
+    @staticmethod
+    def _build_state(k: CW2Complex) -> tuple:
+        """(spanning forest, each edge's cycle row, presentation) of ``k``.
+        None of the three refers to ``k``, so keeping them on it makes no
+        reference cycle."""
+        forest = _spanning_forest(k)
         # each edge's cycle row: its place among the non-tree edges, or None
-        self._row = row = [None] * len(k.tails)
-        for r, e in enumerate(self._forest[2]):
+        row = [None] * len(k.tails)
+        for r, e in enumerate(forest[2]):
             row[e] = r
         relations = []
         for word in k.faces:
@@ -231,7 +254,7 @@ class H1Calculator:
                 if r is not None:
                     col[r] = col.get(r, 0) + s
             relations.append(col)
-        self.presentation = unit_pivot_presentation(len(self._forest[2]), relations)
+        return forest, row, unit_pivot_presentation(len(forest[2]), relations)
 
     def summary(self) -> H1Summary:
         factors = self.presentation.factors
@@ -279,8 +302,8 @@ class H1Calculator:
         Rows index the nontrivial summands of H1(k), columns the generators
         of the selected subcomplex; torsion rows are reduced modulo their
         factor.  Only the subcomplex gets an engine of its own, so one
-        engine serves any number of selections: each sub generator's cycle
-        is read straight onto this engine's cycle rows.
+        engine of ``k`` serves any number of selections: each sub
+        generator's cycle is read straight onto its cycle rows.
         """
         sub, _, emap = subcomplex(self.complex, sel)
         sub_calc = H1Calculator(sub)
@@ -310,6 +333,7 @@ class H1Calculator:
 
 
 def h1(k: CW2Complex) -> H1Summary:
+    """H1 of ``k`` from its engine, built on first use (``H1Calculator``)."""
     return H1Calculator(k).summary()
 
 
@@ -357,8 +381,9 @@ def subcomplex(k: CW2Complex, sel: CellSelection):
 
 
 def induced_h1(k: CW2Complex, sel: CellSelection) -> Matrix:
-    """Matrix of H1(selection) -> H1(k), from an engine of its own
-    (``H1Calculator.induced``)."""
+    """Matrix of H1(selection) -> H1(k) (``H1Calculator.induced``).  The
+    engine of ``k`` is built on the first call and kept on ``k``, so a whole
+    tower of selections into one complex builds it once."""
     return H1Calculator(k).induced(sel)
 
 

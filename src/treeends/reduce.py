@@ -45,6 +45,8 @@ def germ_power_detailed(
     """Power germ plus, for each new edge, the tuple of original edge
     indices of the length-m path it came from."""
     require_valid(g)
+    if type(m) is not int:
+        raise DomainError(f"power {m!r} is not an int")
     if m < 1:
         raise DomainError("power must be at least 1")
     edges: list[GermEdge] = []

@@ -140,6 +140,25 @@ def test_odometer_orbits_have_full_length(name):
         assert {c.verts[v][0] for v in orbit} == {bid}
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        ((1.5,), "vertex 1.5 is not in range"),
+        ((1.0,), "vertex 1.0 is not in range"),
+        ((True,), "vertex True is not in range"),
+        ((1, 0.5), "power 0.5 is not an int"),
+        ((1, 2.0), "power 2.0 is not an int"),
+        ((1, True), "power True is not an int"),
+        ((1, None), "power None is not an int"),
+    ],
+    ids=["fraction", "float", "bool", "fraction-power", "float-power", "bool-power", "none-power"],
+)
+def test_odometer_refuses_non_int_arguments(args, message):
+    c = CosetTree(positive_part(truncate(CORPUS["two_loops"], 3)))
+    with pytest.raises(DomainError, match=message):
+        OdometerMap(c).image_index(*args)
+
+
 def test_odometer_power_wraps():
     c = lambda_plus(positive_part(truncate(CORPUS["bs2"], 2)))
     od = OdometerMap(c)

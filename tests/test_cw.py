@@ -1,5 +1,6 @@
 """Tests for 2-complexes, telescope bases, strip covers, and frontier graphs."""
 
+import gc
 import math
 from collections import deque
 from fractions import Fraction
@@ -21,6 +22,7 @@ from frontier_reference import (
 )
 from test_classify import valid_germs
 from tree_reference import KeyedCosetTree, keyed_truncate, null_components, tier_nodes
+from treeends import cw
 from treeends.classify import classify_ends
 from treeends.coset import CosetTree, lambda_plus
 from treeends.cw import (
@@ -412,6 +414,66 @@ class TestSparseEngine:
             calc.fundamental_class(e)
 
 
+def twin(k: CW2Complex) -> CW2Complex:
+    """A complex equal to ``k`` that shares none of its lists, and so none
+    of its engine state."""
+    return CW2Complex(k.num_vertices, list(k.tails), list(k.heads), [list(word) for word in k.faces])
+
+
+class TestSharedEngine:
+    """The engine state of a complex, its forest, cycle rows and
+    presentation, is built on first use and kept on the complex."""
+
+    @pytest.mark.parametrize("name, depth", [("bs2", 4), ("two_loops", 3), ("spin", 3), ("deep_null_entry", 4)])
+    def test_a_tower_builds_the_forest_once(self, monkeypatch, name, depth):
+        base = base_for(name, depth)
+        forests, presentations = [], []
+        spanning_forest, present = cw._spanning_forest, cw.unit_pivot_presentation
+        monkeypatch.setattr(cw, "_spanning_forest", lambda k: forests.append(k) or spanning_forest(k))
+        monkeypatch.setattr(cw, "unit_pivot_presentation", lambda *a: presentations.append(a) or present(*a))
+
+        def tower():
+            return [induced_h1(base.complex, infinity_neighborhood_base(base, i)) for i in range(depth + 1)]
+
+        first = tower()
+        # one forest and one presentation for the telescope, and one of each
+        # for every neighbourhood's own subcomplex
+        assert sum(k is base.complex for k in forests) == 1
+        assert len(forests) == len(presentations) == depth + 2
+        forests.clear()
+        presentations.clear()
+        assert tower() == first
+        assert h1(base.complex) == H1Summary(1, ())
+        assert all(k is not base.complex for k in forests)
+        assert len(forests) == len(presentations) == depth + 1
+
+    def test_every_calculator_of_a_complex_reads_one_state(self):
+        k = base_for("two_loops", 3).complex
+        one, two = H1Calculator(k), H1Calculator(k)
+        assert one.presentation is two.presentation
+        assert one._forest is two._forest and one._row is two._row
+        assert H1Calculator(twin(k)).presentation is not one.presentation
+
+    @pytest.mark.parametrize("name, depth", [("bs2", 4), ("two_loops", 3), ("mixed2", 3)])
+    def test_h1_and_a_tower_leave_no_cyclic_garbage(self, name, depth):
+        """The kept state refers to nothing that refers back to its
+        complex, so reference counting frees the complex with its state."""
+        gc.collect()
+        gc.disable()
+        try:
+            base = base_for(name, depth)
+            h1(base.complex)
+            for i in range(depth + 1):
+                induced_h1(base.complex, infinity_neighborhood_base(base, i))
+            engine = H1Calculator(base.complex)
+            engine.fundamental_class(engine._forest[2][0])
+            engine.generator_edge_vector(0)
+            del base, engine
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+
 class TestSelections:
     def test_full_selection_is_the_identity(self):
         for name in ["bs2", "two_loops"]:
@@ -437,15 +499,16 @@ class TestSelections:
     @given(valid_germs(), st.integers(1, 4))
     def test_one_engine_serves_every_selection(self, g, depth):
         """One engine, asked for the neighbourhoods and branches in both
-        orders, gives the matrices of fresh ``induced_h1`` calls: it keeps
-        no state between calls."""
+        orders, gives the matrices of ``induced_h1`` calls on an equal but
+        separate complex: it keeps no state between calls but its own."""
         try:
             b = build_base(truncate(g, depth, 3000), 3000)
         except SizeCeilingError:
             return
         sels = [infinity_neighborhood_base(b, i) for i in range(depth + 1)]
         sels += [branch_selection(b, n.id) for n in b.tree.nodes[1:4]]
-        want = [induced_h1(b.complex, sel) for sel in sels]
+        fresh = twin(b.complex)
+        want = [induced_h1(fresh, sel) for sel in sels]
         engine = H1Calculator(b.complex)
         assert [engine.induced(sel) for sel in sels] == want
         assert [engine.induced(sel) for sel in reversed(sels)] == want[::-1]
@@ -809,8 +872,8 @@ class TestCoverNesting:
 
 
 class TestCounterArguments:
-    """The nested counters refuse a level or a cut that is not an int, as
-    the constructor refuses such a vertex count."""
+    """The nested counters refuse a level that is not an int and a cut that
+    is not a pair of ints, as the constructor refuses such a vertex count."""
 
     @pytest.mark.parametrize(
         "level, message",
@@ -837,14 +900,20 @@ class TestCounterArguments:
             ([(True, 0)], "cut (True, 0) is not a pair of ints"),
             ([(3, False)], "cut (3, False) is not a pair of ints"),
             ([(None, 0)], "cut (None, 0) is not a pair of ints"),
+            ([(1, 0, 0)], "cut (1, 0, 0) is not a pair of ints"),
+            ([[2]], "cut [2] is not a pair of ints"),
+            ([5], "cut 5 is not a pair of ints"),
+            ([(1, 0), None], "cut None is not a pair of ints"),
         ],
-        ids=["float-vertices", "float-edges", "bool-vertices", "bool-edges", "none"],
+        ids=["float-vertices", "float-edges", "bool-vertices", "bool-edges", "none", "triple", "single", "int",
+             "none-cut"],
     )
     def test_cuts_must_be_ints(self, cuts, message):
         k = CW2Complex(3, [0, 1], [1, 2], [])
         with pytest.raises(DomainError) as exc:
             k.prefix_component_counts(cuts)
         assert str(exc.value) == message
+
 
 
 class TestTelescopeGraph:

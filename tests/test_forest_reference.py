@@ -2,8 +2,9 @@
 forest, collapse bonds and induced maps against frontier_reference (the
 tuple-adjacency BFS forest, the walk-based fundamental cycles and the
 edge-vector induced map), the level sweep against one counted
-selection per level, and the prefix counts against the BFS forest of each
-prefix graph.
+selection per level, the prefix counts against the BFS forest of each
+prefix graph, and the engine state a complex keeps against an engine built
+from scratch on an equal but separate complex.
 
 The forest must come out equal, parent links, depths and non-tree edges
 alike, on every kind of graph the package builds and on random multigraphs
@@ -20,7 +21,8 @@ from hypothesis import example, given, settings, strategies as st
 from corpus import CORPUS
 from frontier_reference import edge_vector_induced, fundamental_cycles, keyed_collapse, spanning_forest
 from test_classify import valid_germs
-from test_cw import MULTIGRAPHS, random_complexes, unzip
+from dense import full_selection
+from test_cw import MULTIGRAPHS, random_complexes, twin, unzip
 from treeends import cw
 from treeends.coset import CosetTree
 from treeends.cw import (
@@ -34,6 +36,8 @@ from treeends.cw import (
     build_base,
     build_cover,
     build_frontier_graph,
+    h1,
+    induced_h1,
     infinity_neighborhood_base,
     subcomplex,
 )
@@ -177,6 +181,39 @@ class TestInducedMaps:
         sels += [branch_selection(b, node) for node in b.tree.ids]
         for sel in sels:
             assert engine.induced(sel) == edge_vector_induced(b.complex, sel)
+
+
+def engine_answers(engine: H1Calculator, sels: list) -> tuple:
+    """Everything an engine answers: its summary, the induced map of each
+    selection, each edge's fundamental class (None on a forest edge) and
+    each generator's edge vector."""
+    classes = []
+    for e in range(len(engine.complex.tails)):
+        try:
+            classes.append(engine.fundamental_class(e))
+        except DomainError:
+            classes.append(None)
+    vectors = [engine.generator_edge_vector(i) for i in range(len(engine.presentation.slots))]
+    return engine.summary(), [engine.induced(sel) for sel in sels], classes, vectors
+
+
+class TestSharedEngine:
+    """An engine that reads the state its complex keeps answers as an
+    engine built on an equal but separate complex, from scratch."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(random_complexes())
+    def test_random_complexes(self, k):
+        sels = [full_selection(k), CellSelection((), (), ())]
+        h1(k)  # builds and keeps k's state
+        assert engine_answers(H1Calculator(k), sels) == engine_answers(H1Calculator(twin(k)), sels)
+
+    @settings(max_examples=150, deadline=None)
+    @given(closed_selections())
+    def test_closed_selections(self, case):
+        k, sel = case
+        induced_h1(k, sel)  # builds and keeps k's state
+        assert engine_answers(H1Calculator(k), [sel]) == engine_answers(H1Calculator(twin(k)), [sel])
 
 
 # Edges in the order of their larger end: a loop at 0, three edges between

@@ -1,15 +1,34 @@
 """Tests for tier-interval reductions and germ powers."""
 
 import itertools
+import signal
+from contextlib import contextmanager
 
 import pytest
 
 from corpus import CORPUS
+from treeends.classify import default_ray, power_ray
 from treeends.coset import frontier_count
 from treeends.errors import DomainError, SizeCeilingError, ValidationFailed
 from treeends.germ import GermGraph, germ_from_edges
 from treeends.reduce import elementary_reduction, germ_power, germ_power_detailed
 from treeends.unfold import truncate
+
+
+@contextmanager
+def within(seconds: float):
+    """Fail the block, rather than hang, if it runs past ``seconds``."""
+
+    def expire(signum, frame):
+        raise AssertionError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def walks_by_brute_force(g: GermGraph, m: int):
@@ -126,6 +145,21 @@ class TestGermPower:
     def test_power_must_be_positive(self):
         with pytest.raises(DomainError):
             germ_power(CORPUS["bs2"], 0)
+
+    @pytest.mark.parametrize("power", [2.5, 1.5, 2.0, True, None, "2"])
+    @pytest.mark.parametrize("name", ["bs2", "spin"])
+    def test_power_must_be_an_int(self, name, power):
+        # a walk never reaches a length that is not an int, and the ceiling
+        # counts only the edges it emits, so such a power must be refused
+        # before the walk; a bool is not taken as 0 or 1
+        for build in (germ_power, germ_power_detailed):
+            with within(5), pytest.raises(DomainError, match=f"power {power!r} is not an int"):
+                build(CORPUS[name], power, ceiling=1000)
+
+    def test_power_ray_refuses_a_non_int_power(self):
+        g = CORPUS["bs2"]
+        with within(5), pytest.raises(DomainError, match="power 1.5 is not an int"):
+            power_ray(g, default_ray(g), 1.5)
 
     def test_root_and_vertices_preserved(self):
         p = germ_power(CORPUS["mixed"], 3)
