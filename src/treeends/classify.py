@@ -10,7 +10,8 @@ rows (``CHECKS``) and the ``Report`` fields they check:
   the multipliers of the telescope's branch maps, read off the classes of
   each branch's loops in the telescope's H1;
 - ``ray-stable-label1``: ``flags``, for a ray whose cycle labels are all 1,
-  by a ladder to the constant tower;
+  by a ladder to the constant tower, built from the exact pro-isomorphism
+  criterion and passed only when ``verify_ladder`` accepts it;
 - ``null-growth``: ``ends.null_ends``, against null path counts;
 - ``two-ended-split``: ``ends.end_class``, on the one-vertex germ only;
 - ``power-invariance-2`` and ``-3``: all of ``ends``, but only against the
@@ -43,6 +44,7 @@ from .proseq import (
     format_sequence,
     inverse_limit_mult,
     ladder_search,
+    verify_ladder,
 )
 from .reduce import germ_power, germ_power_detailed
 from .unfold import (
@@ -500,8 +502,10 @@ class BatteryContext:
         seq = pro_pi1_ray(self.g, self.ray)
         if any(k != 1 for k in seq.cycle):
             return None, "ray cycle labels are not all 1"
-        cert = ladder_search(seq, MultSequence((), (1,)), depth=4, bound=8)
-        return cert is not None, "ladder to the constant tower " + ("missing" if cert is None else "found")
+        constant = MultSequence((), (1,))
+        cert = ladder_search(seq, constant, depth=4)
+        found = cert is not None and verify_ladder(seq, constant, cert)
+        return found, "ladder to the constant tower " + ("found" if found else "missing")
 
 
 # The battery in report order: each check's name and its function of the

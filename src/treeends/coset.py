@@ -172,30 +172,29 @@ class ColoredTree:
         return zip(count(), self.parent, self.color, self.original, self.vertex, self.label, self.residue)
 
 
-def _canonical_key(tree: ColoredTree, node_id: int, interned: dict):
-    """(color, original, germ vertex, label, sorted child keys) of the
-    subtree at ``node_id``, built bottom-up: children have larger ids than
-    their parent, so depth costs no recursion.  Keys made through one
-    ``interned`` table are one object whenever they are equal, so they
-    compare by identity however deep they nest."""
+def _canonical_code(tree: ColoredTree, node_id: int, interned: dict) -> int:
+    """Number of the subtree at ``node_id`` in the ``interned`` table, keyed
+    by (color, original, germ vertex, label) and its sorted child numbers.
+    Subtrees numbered through one table get one number exactly when they are
+    isomorphic.  Built bottom-up: children have larger ids than their
+    parent, so depth costs no recursion."""
     parent = tree.parent
     kids: list = [[] for _ in parent]
     fields = list(zip(tree.color, tree.original, tree.vertex, tree.label))
     for i in range(len(parent) - 1, node_id - 1, -1):
         children = kids[i]
         children.sort()
-        key = fields[i] + (tuple(children),)
-        key = interned.setdefault((fields[i], tuple(map(id, children))), key)
+        code = interned.setdefault((fields[i], tuple(children)), len(interned))
         if i == node_id:
-            return key
-        kids[parent[i]].append(key)
+            return code
+        kids[parent[i]].append(code)
 
 
 def colored_trees_isomorphic(a: ColoredTree, b: ColoredTree) -> bool:
     if len(a) != len(b):
         return False
     interned: dict = {}
-    return _canonical_key(a, 0, interned) is _canonical_key(b, 0, interned)
+    return _canonical_code(a, 0, interned) == _canonical_code(b, 0, interned)
 
 
 def _wedge_copies(tree: TruncatedTree, base_id: int, original: bool) -> tuple:

@@ -311,11 +311,11 @@ class H1Calculator:
         cols = [self.presentation.coords(chain) for chain in chains]
         return [[col[r] for col in cols] for r in range(len(self.presentation.slots))]
 
-    def generator_edge_vector(self, which: int) -> list:
-        """Edge chain of the ``which``-th H1 generator."""
+    def generator_edge_vectors(self) -> list:
+        """Edge chain of each H1 generator, from one expansion of the
+        fundamental cycles."""
         n_edges = len(self.complex.tails)
-        chain = self._generator_chains(range(n_edges))[which]
-        return [chain.get(e, 0) for e in range(n_edges)]
+        return [[chain.get(e, 0) for e in range(n_edges)] for chain in self._generator_chains(range(n_edges))]
 
     def _generator_chains(self, row_of) -> list:
         """Each generator as a sparse column on the rows ``row_of`` gives

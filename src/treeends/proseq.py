@@ -9,16 +9,21 @@ Equivalence of two towers is witnessed by a finite commuting ladder: index
 selections i_0 < ... < i_T on one side and j_0 < ... < j_{T-1} on the other,
 up maps u_t: b[j_t] -> a[i_t] and down maps d_t: a[i_t] -> b[j_{t-1}], with
 every triangle matching the tower bonds exactly.
+
+``pro_isomorphic`` decides when such a ladder exists (Baer, Duke Math. J.
+3, 1937, through duality; Mardesic and Segal, Shape Theory, 1982),
+``ladder_search`` builds it and ``verify_ladder`` rechecks it.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from enum import Enum
 from math import lcm, prod
 
 from .errors import DomainError, ParseError
-from .germ import parse_label
+from .germ import check_label, parse_label
 
 
 @dataclass(frozen=True)
@@ -208,90 +213,71 @@ def verify_ladder(a, b, cert: LadderCertificate) -> bool:
     return True
 
 
-def _side_params(s, depth: int) -> tuple:
-    """(start cap, gap cap, window) for one side of the ladder search."""
+def _pro_zero(s) -> bool:
+    return isinstance(s, TrivialSequence) or 0 in s.cycle
+
+
+def pro_isomorphic(a, b) -> bool:
+    """Both towers pro-zero (trivial, or a 0 in the cycle), or neither, with
+    cycle products P and Q of the same prime divisors.  Every prime of P
+    divides Q exactly when P | Q**k for k = P.bit_length(), which is at
+    least each exponent in P; the modular power never forms Q**k."""
+    if _pro_zero(a) or _pro_zero(b):
+        return _pro_zero(a) and _pro_zero(b)
+    p, q = prod(a.cycle), prod(b.cycle)
+    return pow(q, p.bit_length(), p) == 0 and pow(p, q.bit_length(), q) == 0
+
+
+def _zero_stages(s, count: int) -> tuple:
+    """Stage 0 and the next ``count - 1`` stages whose label is 0, so every
+    bond between two of them is 0."""
     if isinstance(s, TrivialSequence):
-        # Stages of the trivial tower are interchangeable; pin them.
-        return 0, 1, depth + 1
-    period = max(1, len(s.cycle))
-    reach = len(s.prefix) + 2 * period
-    window = len(s.prefix) + (depth + 2) * period + depth
-    return reach, max(1, reach), window
+        return tuple(range(count))
+    zeros = (i for i in itertools.count(1) if s.term(i) == 0)
+    return (0,) + tuple(itertools.islice(zeros, count - 1))
 
 
-def ladder_search(a, b, depth: int = 4, bound: int = 8):
-    """First commuting ladder with ``depth`` rungs, coefficients in
-    [-bound, bound], or None.
+def _next_rung(base: int, divisor: int) -> tuple:
+    """(k, base**k // divisor) for the least k >= 1 with ``divisor`` |
+    base**k, refused before base**k passes the digit limit of labels.
+    Every prime of ``divisor`` must divide ``base``."""
+    k, power = 1, check_label(base, "ladder bond")
+    while power % divisor:
+        k += 1
+        power = check_label(power * base, "ladder bond")
+    return k, power // divisor
 
-    The search is a depth-first sweep in ascending lexicographic order over
-    (i_0, j_0, u_0, i_1, d_1, j_1, u_1, ..., i_T, d_T); all but the first up
-    map and the index choices are forced by divisibility, so pruning is
-    immediate.  Gaps between chosen indices are capped at one prefix plus two
-    cycle lengths; an eventually periodic tower that admits a ladder at all
-    admits one within that reach.
+
+def ladder_search(a, b, depth: int = 4):
+    """A commuting ladder with ``depth`` rungs, built exactly when ``a`` and
+    ``b`` are pro-isomorphic, else None.
+
+    Pro-zero towers get rungs at zero-label stages and all maps 0.  Others
+    get rungs on cycle-block boundaries after each prefix, x_t blocks into
+    ``a`` and y_t into ``b``, with cycle products P and Q: x_0 = y_0 = 0,
+    and each later count is the least past its predecessor with
+    Q^y_{t-1} | P^x_t | Q^y_t.  The maps are the quotients
+    u_t = Q^y_t / P^x_t and d_t = P^x_t / Q^y_{t-1}.  Raises
+    SizeCeilingError before a bond between rungs passes the digit limit.
     """
     if depth < 2:
         raise DomainError("ladder depth must be at least 2")
-    t_count = depth
-    start_a, gap_a, win_a = _side_params(a, depth)
-    start_b, gap_b, win_b = _side_params(b, depth)
-    if isinstance(a, TrivialSequence) or isinstance(b, TrivialSequence):
-        coeffs = (0,)  # every map into or out of a zero group is zero
-    else:
-        coeffs = tuple(range(-bound, bound + 1))
-
-    def down_candidates(u_prev: int, a_bond: int) -> tuple:
-        # d_t as a map a[i_t] -> b[j_{t-1}], constrained by the upper triangle.
-        if u_prev != 0:
-            if a_bond % u_prev == 0 and abs(a_bond // u_prev) <= bound:
-                return (a_bond // u_prev,)
-            return ()
-        return coeffs if a_bond == 0 else ()
-
-    def up_candidates(d_cur: int, b_bond: int) -> tuple:
-        # u_t as a map b[j_t] -> a[i_t], constrained by the lower triangle.
-        if d_cur != 0:
-            if b_bond % d_cur == 0 and abs(b_bond // d_cur) <= bound:
-                return (b_bond // d_cur,)
-            return ()
-        return coeffs if b_bond == 0 else ()
-
-    def search_top(t, tops, bots, ups, downs):
-        # choose i_t, then d_t; t runs 1..t_count
-        hi = min(tops[-1] + gap_a, win_a - (t_count - t))
-        for i_t in range(tops[-1] + 1, hi + 1):
-            for d in down_candidates(ups[-1], stage_bond(a, tops[-1], i_t)):
-                if t == t_count:
-                    return LadderCertificate(
-                        tuple(tops) + (i_t,), tuple(bots), tuple(ups), tuple(downs) + (d,)
-                    )
-                found = search_bottom(t, tops + [i_t], bots, ups, downs + [d])
-                if found is not None:
-                    return found
+    if not pro_isomorphic(a, b):
         return None
-
-    def search_bottom(t, tops, bots, ups, downs):
-        # choose j_t, then u_t; t runs 1..t_count-1
-        hi = min(bots[-1] + gap_b, win_b - (t_count - 1 - t))
-        for j_t in range(bots[-1] + 1, hi + 1):
-            for u in up_candidates(downs[-1], stage_bond(b, bots[-1], j_t)):
-                found = search_top(t + 1, tops, bots + [j_t], ups + [u], downs)
-                if found is not None:
-                    return found
-        return None
-
-    try:
-        for i_0 in range(0, min(start_a, win_a - t_count) + 1):
-            for j_0 in range(0, min(start_b, win_b - (t_count - 1)) + 1):
-                for u_0 in coeffs:
-                    found = search_top(1, [i_0], [j_0], [u_0], [])
-                    if found is not None:
-                        return found
-        return None
-    finally:
-        # the two searches close over each other; emptying their cells frees
-        # them without the cyclic collector
-        del search_top, search_bottom
+    if _pro_zero(a):
+        zeros = (0,) * depth
+        return LadderCertificate(_zero_stages(a, depth + 1), _zero_stages(b, depth), zeros, zeros)
+    p, q = prod(a.cycle), prod(b.cycle)
+    tops, bots, ups, downs = [len(a.prefix)], [len(b.prefix)], [1], []
+    for t in range(depth):
+        k, d = _next_rung(p, ups[-1])
+        tops.append(tops[-1] + k * len(a.cycle))
+        downs.append(d)
+        if t < depth - 1:
+            k, u = _next_rung(q, d)
+            bots.append(bots[-1] + k * len(b.cycle))
+            ups.append(u)
+    return LadderCertificate(tuple(tops), tuple(bots), tuple(ups), tuple(downs))
 
 
 def epi_normal_form(s: MultSequence):

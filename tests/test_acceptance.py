@@ -233,7 +233,7 @@ def test_criterion_8_sequence_family_certificates():
                 for cycle in itertools.product(labels, repeat=clen):
                     s = MultSequence(prefix, cycle)
                     total += 1
-                    cert = ladder_search(s, TRIVIAL, depth=3, bound=1)
+                    cert = ladder_search(s, TRIVIAL, depth=3)
                     if (cert is not None) != classify_mult(s).pro_trivial:
                         problems.append(f"{s}: trivial certificate mismatch")
                         continue
@@ -245,7 +245,7 @@ def test_criterion_8_sequence_family_certificates():
                             problems.append(f"{s}: certified trivial but limit nonzero")
                     nf = epi_normal_form(s)
                     if nf is not None and nf is not TRIVIAL:
-                        cert2 = ladder_search(s, nf, depth=4, bound=8)
+                        cert2 = ladder_search(s, nf, depth=4)
                         if cert2 is None or not verify_ladder(s, nf, cert2):
                             problems.append(f"{s}: no ladder to its normal form")
                         elif inverse_limit_mult(s) != inverse_limit_mult(nf):

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from test_classify import valid_germs
 from tree_reference import (
     KeyedCosetTree,
-    canonical_key,
+    canonical_code,
     colored_nodes,
     keyed_elementary_reduction,
     keyed_lambda_of_coset,
@@ -195,9 +195,17 @@ def test_models_agree_as_colored_trees(name, depth):
 
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_canonical_keys_match_the_recursive_keys(name):
+    # both models number their subtrees in one table, so equal numbers mean
+    # isomorphic subtrees across the models as well as within one
+    interned: dict = {}
+    sampled = []
     for tree in clone_tree_models(CORPUS[name], 3):
-        for node_id in (0, len(tree) // 2, len(tree) - 1):
-            assert canonical_key(tree, node_id) == recursive_canonical_key(colored_nodes(tree), node_id)
+        nodes = colored_nodes(tree)
+        for node_id in sorted({0, 1 % len(tree), len(tree) // 2, len(tree) - 1}):
+            sampled.append((canonical_code(tree, node_id, interned), recursive_canonical_key(nodes, node_id)))
+    for code_u, key_u in sampled:
+        for code_v, key_v in sampled:
+            assert (code_u == code_v) == (key_u == key_v)
 
 
 def test_models_agree_past_the_recursion_limit():

@@ -303,9 +303,10 @@ class TestH1:
         ]:
             calc = H1Calculator(k)
             n = len(calc.presentation.slots)
-            for which in range(n):
-                coords = calc.h1_coords(calc.generator_edge_vector(which))
-                assert coords == [1 if i == which else 0 for i in range(n)]
+            vectors = calc.generator_edge_vectors()
+            assert len(vectors) == n
+            for which, vector in enumerate(vectors):
+                assert calc.h1_coords(vector) == [1 if i == which else 0 for i in range(n)]
 
     def test_non_cycle_rejected(self):
         k = base_for("bs2", 2).complex
@@ -383,9 +384,10 @@ class TestSparseEngine:
         calc = H1Calculator(k)
         assert calc.summary() == dense_h1(k)
         n = len(calc.presentation.slots)
-        for which in range(n):
-            coords = calc.h1_coords(calc.generator_edge_vector(which))
-            assert coords == [1 if i == which else 0 for i in range(n)]
+        vectors = calc.generator_edge_vectors()
+        assert len(vectors) == n
+        for which, vector in enumerate(vectors):
+            assert calc.h1_coords(vector) == [1 if i == which else 0 for i in range(n)]
         d2 = boundary2(k)
         for j in range(len(k.faces)):
             assert calc.h1_coords([row[j] for row in d2]) == [0] * n
@@ -467,7 +469,7 @@ class TestSharedEngine:
                 induced_h1(base.complex, infinity_neighborhood_base(base, i))
             engine = H1Calculator(base.complex)
             engine.fundamental_class(engine._forest[2][0])
-            engine.generator_edge_vector(0)
+            engine.generator_edge_vectors()
             del base, engine
             assert gc.collect() == 0
         finally:

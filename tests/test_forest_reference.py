@@ -193,8 +193,7 @@ def engine_answers(engine: H1Calculator, sels: list) -> tuple:
             classes.append(engine.fundamental_class(e))
         except DomainError:
             classes.append(None)
-    vectors = [engine.generator_edge_vector(i) for i in range(len(engine.presentation.slots))]
-    return engine.summary(), [engine.induced(sel) for sel in sels], classes, vectors
+    return engine.summary(), [engine.induced(sel) for sel in sels], classes, engine.generator_edge_vectors()
 
 
 class TestSharedEngine:

@@ -1,10 +1,14 @@
 """Tests for multiplication towers and ladders."""
 
+import time
+from fractions import Fraction
+from math import prod
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from treeends.errors import DomainError, ParseError
+from treeends.errors import DomainError, ParseError, SizeCeilingError
 from treeends.proseq import (
     TRIVIAL,
     InverseLimitClass,
@@ -20,6 +24,7 @@ from treeends.proseq import (
     inverse_limit_mult,
     ladder_search,
     parse_sequence,
+    pro_isomorphic,
     stage_bond,
     verify_ladder,
 )
@@ -179,9 +184,51 @@ class TestClassifyMult:
         assert inverse_limit_mult(s) == limit
 
 
+def factor(n: int) -> dict:
+    """Prime exponents of a positive ``n`` by trial division."""
+    exponents, p = {}, 2
+    while p * p <= n:
+        while n % p == 0:
+            exponents[p] = exponents.get(p, 0) + 1
+            n //= p
+        p += 1
+    if n > 1:
+        exponents[n] = exponents.get(n, 0) + 1
+    return exponents
+
+
+def pro_isomorphic_by_factoring(a, b) -> bool:
+    """The criterion with the prime divisors of each cycle product listed."""
+    zero_a = a is TRIVIAL or 0 in a.cycle
+    zero_b = b is TRIVIAL or 0 in b.cycle
+    if zero_a or zero_b:
+        return zero_a and zero_b
+    return set(factor(prod(a.cycle))) == set(factor(prod(b.cycle)))
+
+
+def exponents_in_proportion(a, b) -> bool:
+    """Whether one ratio takes each prime's exponent in a's cycle product to
+    its exponent in b's.  Otherwise the block counts of every ladder grow
+    geometrically with its rungs: for each prime, a block count on one
+    side times that prime's exponent there bounds the next block count on
+    the other side times its exponent there."""
+    p, q = factor(prod(a.cycle)), factor(prod(b.cycle))
+    return len({Fraction(p[prime], q[prime]) for prime in p}) <= 1
+
+
+towers = st.one_of(
+    st.just(TRIVIAL),
+    st.builds(
+        MultSequence,
+        st.lists(st.integers(0, 12), max_size=3).map(tuple),
+        st.lists(st.integers(0, 12), min_size=1, max_size=3).map(tuple),
+    ),
+)
+
+
 class TestLadders:
     def test_collapsing_tower_matches_trivial(self):
-        cert = ladder_search(MultSequence((), (0,)), TRIVIAL, depth=3, bound=1)
+        cert = ladder_search(MultSequence((), (0,)), TRIVIAL, depth=3)
         assert cert == LadderCertificate(
             top_indices=(0, 1, 2, 3),
             bottom_indices=(0, 1, 2),
@@ -192,7 +239,7 @@ class TestLadders:
 
     def test_zero_every_other_stage_matches_trivial(self):
         a = MultSequence((), (2, 0))
-        cert = ladder_search(a, TRIVIAL, depth=3, bound=1)
+        cert = ladder_search(a, TRIVIAL, depth=3)
         # top stages step by two so each top bond passes through a zero
         assert cert == LadderCertificate(
             top_indices=(0, 2, 4, 6),
@@ -205,35 +252,36 @@ class TestLadders:
     def test_identity_tower_absorbs_a_prefix(self):
         a = MultSequence((), (1,))
         b = MultSequence((3,), (1,))
-        cert = ladder_search(a, b, depth=3, bound=4)
+        cert = ladder_search(a, b, depth=3)
+        # the bottom rungs start after b's prefix
         assert cert == LadderCertificate(
             top_indices=(0, 1, 2, 3),
             bottom_indices=(1, 2, 3),
-            up_maps=(-1, -1, -1),
-            down_maps=(-1, -1, -1),
+            up_maps=(1, 1, 1),
+            down_maps=(1, 1, 1),
         )
         assert verify_ladder(a, b, cert)
 
     def test_prefix_of_twos_before_identity_tail(self):
         a = MultSequence((2, 2), (1,))
         b = MultSequence((), (1,))
-        cert = ladder_search(a, b, depth=4, bound=8)
+        cert = ladder_search(a, b, depth=4)
         assert cert == LadderCertificate(
-            top_indices=(0, 2, 3, 4, 5),
+            top_indices=(2, 3, 4, 5, 6),
             bottom_indices=(0, 1, 2, 3),
-            up_maps=(-4, -1, -1, -1),
-            down_maps=(-1, -1, -1, -1),
+            up_maps=(1, 1, 1, 1),
+            down_maps=(1, 1, 1, 1),
         )
         assert verify_ladder(a, b, cert)
 
     def test_doubling_tower_is_not_the_identity_tower(self):
-        assert ladder_search(MultSequence((), (2,)), MultSequence((), (1,)), 4, 8) is None
+        assert ladder_search(MultSequence((), (2,)), MultSequence((), (1,)), 4) is None
 
     def test_doubling_tower_is_not_trivial(self):
-        assert ladder_search(MultSequence((), (2,)), TRIVIAL, 3, 1) is None
+        assert ladder_search(MultSequence((), (2,)), TRIVIAL, 3) is None
 
     def test_identity_tower_is_not_trivial(self):
-        assert ladder_search(MultSequence((), (1,)), TRIVIAL, 3, 1) is None
+        assert ladder_search(MultSequence((), (1,)), TRIVIAL, 3) is None
 
     def test_search_rejects_shallow_depth(self):
         with pytest.raises(DomainError):
@@ -245,15 +293,79 @@ class TestLadders:
     )
     def test_trivial_certificate_iff_pro_trivial(self, prefix, cycle):
         s = MultSequence(prefix, cycle)
-        cert = ladder_search(s, TRIVIAL, depth=3, bound=1)
+        cert = ladder_search(s, TRIVIAL, depth=3)
         assert (cert is not None) == classify_mult(s).pro_trivial
+
+    def test_a_shared_prime_is_not_enough(self):
+        # 2 divides the first cycle product, 10, and not the second, 45
+        a = parse_sequence("prefix:0;cycle:10,1")
+        b = parse_sequence("prefix:2,5;cycle:5,9")
+        assert not pro_isomorphic(a, b)
+        assert ladder_search(a, b, 4) is None
+        assert ladder_search(a, b, 6) is None
+
+    def test_a_shifted_cycle_is_pro_isomorphic(self):
+        # one cycle product, 60, read from two starting points
+        a, b = parse_sequence("cycle:12,5"), parse_sequence("cycle:5,12")
+        for depth in (4, 6):
+            cert = ladder_search(a, b, depth)
+            assert cert is not None and cert.rungs == depth
+            assert verify_ladder(a, b, cert)
+
+    def test_long_exponent_chains_are_refused_in_time(self):
+        # the rung exponents grow 1, 1, 99, 99, 9900, ...: the fourth rung's
+        # bond 6**9900 passes the digit limit, so the ladder is refused
+        a, b = MultSequence((), (6,)), MultSequence((), (2**100 * 3,))
+        assert pro_isomorphic(a, b)
+        started = time.perf_counter()
+        with pytest.raises(SizeCeilingError, match="ladder bond digits"):
+            ladder_search(a, b, 4)
+        assert time.perf_counter() - started < 1.0
+
+    def test_ladder_on_a_long_identity_cycle(self):
+        a = MultSequence((4, 0), (1,) * 1600)
+        started = time.perf_counter()
+        cert = ladder_search(a, MultSequence((), (1,)), 4)
+        assert verify_ladder(a, MultSequence((), (1,)), cert)
+        assert time.perf_counter() - started < 0.1
+        assert cert.top_indices == (2, 1602, 3202, 4802, 6402)
+
+    @settings(max_examples=400, deadline=None)
+    @given(towers, towers, st.integers(2, 5))
+    @example(MultSequence((), (2, 9)), MultSequence((), (4, 12)), 5)
+    def test_certificate_iff_pro_isomorphic(self, a, b, depth):
+        assert pro_isomorphic(a, b) == pro_isomorphic_by_factoring(a, b)
+        try:
+            cert = ladder_search(a, b, depth)
+        except SizeCeilingError:
+            # cycle products 18 and 48 need blocks 18**1, 48**2, 18**8, 48**16,
+            # ..., so their fifth rung's bond 18**4096 passes the digit limit
+            assert pro_isomorphic(a, b)
+            assert not exponents_in_proportion(a, b)
+            assert depth > 2
+            return
+        assert (cert is not None) == pro_isomorphic(a, b)
+        if cert is not None:
+            assert cert.rungs == depth
+            assert verify_ladder(a, b, cert)
+
+    @given(towers, st.integers(1, 4))
+    def test_criterion_survives_block_compression(self, s, m):
+        if s is not TRIVIAL:
+            assert pro_isomorphic(s, block_compress(s, m))
+
+    @given(towers, st.lists(st.integers(0, 12), max_size=3).map(tuple))
+    def test_criterion_ignores_a_finite_prefix(self, s, prefix):
+        if s is not TRIVIAL:
+            assert pro_isomorphic(s, MultSequence(prefix, s.cycle))
+            assert pro_isomorphic(s, MultSequence(prefix + s.prefix, s.cycle))
 
 
 class TestVerifyLadder:
     def good(self):
         a = MultSequence((), (1,))
         b = MultSequence((3,), (1,))
-        cert = ladder_search(a, b, depth=3, bound=4)
+        cert = ladder_search(a, b, depth=3)
         return a, b, cert
 
     def test_too_few_rungs(self):
@@ -314,7 +426,7 @@ class TestEpiNormalForm:
         s = MultSequence(prefix, cycle)
         nf = epi_normal_form(s)
         assert nf is not None
-        cert = ladder_search(s, nf, depth=4, bound=8)
+        cert = ladder_search(s, nf, depth=4)
         assert cert is not None
         assert verify_ladder(s, nf, cert)
         nf_limit = (

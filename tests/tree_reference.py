@@ -31,7 +31,7 @@ from bisect import bisect_left, bisect_right
 from itertools import repeat
 from typing import NamedTuple
 
-from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, _canonical_key
+from treeends.coset import BLACK, DASHED, GRAY, ColoredTree, _canonical_code
 from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import check_label, require_valid
 from treeends.unfold import DEFAULT_CEILING, TreeNode, TruncatedTree
@@ -91,9 +91,10 @@ def colored_tree(nodes):
     return ColoredTree(*([getattr(n, field) for n in nodes] for field in ColoredNode._fields[1:]))
 
 
-def canonical_key(tree, node_id=0):
-    """The package's bottom-up key of the subtree at ``node_id``."""
-    return _canonical_key(tree, node_id, {})
+def canonical_code(tree, node_id, interned):
+    """The package's bottom-up number of the subtree at ``node_id`` in the
+    table ``interned``."""
+    return _canonical_code(tree, node_id, interned)
 
 
 def tree_from_nodes(depth, nodes):
