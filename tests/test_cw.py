@@ -587,6 +587,33 @@ class TestSelections:
                 route(k, sel)
             assert str(exc.value) == message, route
 
+    @pytest.mark.parametrize(
+        "sel, message",
+        [
+            # vertex 2 is gone: edges 2 and 1 lose it, and edge 2 comes first
+            (CellSelection((3, 0, 1), (3, 2, 0, 1), ()), "selection drops an endpoint of edge 2"),
+            # edge 4 is gone: faces 1 and 0 lose it, and face 1 comes first
+            (CellSelection((0, 1, 2, 3), (3, 2, 1, 0), (1, 0)), "selection drops an edge of face 1"),
+            # both at once: the edges are checked before the faces
+            (CellSelection((1, 0, 3), (3, 0, 1, 2), (1, 0)), "selection drops an endpoint of edge 1"),
+        ],
+        ids=["endpoints", "face-edges", "both"],
+    )
+    def test_open_selections_name_their_first_offender(self, sel, message):
+        """A square 0-1-2-3 cut by the diagonal 0 -> 2 (edge 4) into two
+        triangles; each selection lists its cells out of sorted order, and
+        the refusal names the first offender in the selection's own order."""
+        k = CW2Complex(
+            4,
+            [0, 1, 2, 3, 0],
+            [1, 2, 3, 0, 2],
+            [[(0, 1), (1, 1), (4, -1)], [(4, 1), (2, 1), (3, 1)]],
+        )
+        for route in (subcomplex, induced_h1):
+            with pytest.raises(DomainError) as exc:
+                route(k, sel)
+            assert str(exc.value) == message, route
+
     @settings(max_examples=150, deadline=None)
     @given(valid_germs(), st.integers(1, 4), st.data())
     def test_tier_slices_match_a_full_scan(self, g, depth, data):
