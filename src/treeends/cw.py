@@ -23,7 +23,8 @@ state, its forest, cycle rows and presentation, belongs to the complex: it
 is built on first use and kept, so ``h1`` and ``induced_h1`` build it once
 per complex, however often they are called.  Its presentation comes from
 ``intmat.unit_pivot_presentation``, whose passes skip the relations no
-elimination changed, in the same order, so the generators are the same.
+elimination changed, in the same order, and never visit an empty one, which
+no elimination reaches, so the generators are the same.
 ``CW2Complex.level_component_counts`` counts a whole nested family of full
 subgraphs, such as a telescope's neighbourhoods of infinity, in one
 union-find sweep.
@@ -306,8 +307,7 @@ class H1Calculator:
         generator's cycle is read straight onto its cycle rows.
         """
         sub, _, emap = subcomplex(self.complex, sel)
-        sub_calc = H1Calculator(sub)
-        chains = sub_calc._generator_chains([self._row[e] for e in sorted(emap)])
+        chains = H1Calculator(sub)._generator_chains([self._row[e] for e in emap])
         cols = [self.presentation.coords(chain) for chain in chains]
         return [[col[r] for col in cols] for r in range(len(self.presentation.slots))]
 
@@ -346,8 +346,9 @@ class CellSelection:
 
 def subcomplex(k: CW2Complex, sel: CellSelection):
     """Restrict to a selection, once every index is checked to be an int
-    naming a cell of ``k`` and the selection to be closed: each selected
-    edge keeps both endpoints and each selected face all its edges.
+    naming a cell of ``k``.  The remap is the check that it is closed, each
+    selected edge keeping both endpoints and each selected face all its
+    edges; an open one is scanned again in its own order for its first offender.
 
     Returns (complex, vertex_map, edge_map) where the maps send old indices
     to new ones.
@@ -360,23 +361,18 @@ def subcomplex(k: CW2Complex, sel: CellSelection):
         if cells and ({*map(type, cells)} != {int} or min(cells) < 0 or max(cells) >= size):
             bad = next(x for x in cells if type(x) is not int or not 0 <= x < size)
             raise DomainError(f"selected {kind} {bad} is not in range({size})")
-    vset, eset = set(sel.vertices), set(sel.edges)
-    tails, heads = k.tails, k.heads
-    for e in sel.edges:
-        if tails[e] not in vset or heads[e] not in vset:
-            raise DomainError(f"selection drops an endpoint of edge {e}")
-    for f in sel.faces:
-        for e, _ in k.faces[f]:
-            if e not in eset:
-                raise DomainError(f"selection drops an edge of face {f}")
-    vmap = {v: i for i, v in enumerate(sorted(vset))}
-    kept = sorted(eset)
-    emap = {e: i for i, e in enumerate(kept)}
-    tails = [vmap[k.tails[e]] for e in kept]
-    heads = [vmap[k.heads[e]] for e in kept]
-    faces = [
-        [(emap[e], s) for e, s in k.faces[f]] for f in sorted(sel.faces)
-    ]
+    vmap = {v: i for i, v in enumerate(sorted({*sel.vertices}))}
+    emap = {e: i for i, e in enumerate(sorted({*sel.edges}))}
+    try:
+        tails = [vmap[k.tails[e]] for e in emap]
+        heads = [vmap[k.heads[e]] for e in emap]
+        faces = [[(emap[e], s) for e, s in k.faces[f]] for f in sorted(sel.faces)]
+    except KeyError:
+        for e in sel.edges:
+            if k.tails[e] not in vmap or k.heads[e] not in vmap:
+                raise DomainError(f"selection drops an endpoint of edge {e}") from None
+        f = next(f for f in sel.faces if any(e not in emap for e, _ in k.faces[f]))
+        raise DomainError(f"selection drops an edge of face {f}") from None
     return CW2Complex(len(vmap), tails, heads, faces), vmap, emap
 
 
@@ -492,7 +488,6 @@ class CoverComplex:
 
     complex: CW2Complex
     coset: CosetTree
-    height: int
 
 
 def _layout_heights(height: int) -> list:
@@ -632,7 +627,7 @@ def build_cover(
         )
 
     k = CW2Complex(skeleton.num_vertices, skeleton.tails, skeleton.heads, faces)
-    return CoverComplex(complex=k, coset=c, height=height)
+    return CoverComplex(complex=k, coset=c)
 
 
 @dataclass
@@ -666,7 +661,7 @@ def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
     parents = c.parent_idx[1:nb]
     # sheet +i, sheet -i, then the columns from (vi, -i) up to (vi, i)
     tails = [*range(1, nb), *range(nb + 1, 2 * nb), *range(nb + f0, 2 * nb)]
-    heads = [*parents, *[nb + p for p in parents], *range(f0, nb)]
+    heads = [*parents, *map(nb.__add__, parents), *range(f0, nb)]
     return FrontierGraph(CW2Complex(2 * nb, tails, heads, []))
 
 
@@ -719,7 +714,10 @@ def _cycle_columns(k: CW2Complex, forest: tuple, row_of: list) -> list:
     columns = []
     for e in non_tree:
         a, b, row = pot[k.tails[e]], pot[k.heads[e]], row_of[e]
-        col = {} if a is b else {**a, **{r: a.get(r, 0) - x for r, x in b.items()}}
+        if a is b:
+            columns.append({} if row is None else {row: 1})
+            continue
+        col = {**a, **{r: a.get(r, 0) - x for r, x in b.items()}}
         if row is not None:
             col[row] = col.get(row, 0) + 1
         columns.append({r: x for r, x in col.items() if x})

@@ -12,7 +12,7 @@ import math
 import re
 import sys
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple
 
 from .errors import ParseError, SizeCeilingError, ValidationFailed
@@ -283,6 +283,13 @@ def _digit_limit() -> int:
 _ALWAYS_PRINTABLE_BITS = 3 * getattr(sys.int_info, "str_digits_check_threshold", 0)
 
 
+@cache
+def _limit_power(limit: int) -> int:
+    """10**limit, the least integer of more than ``limit`` digits, built
+    once per limit, since a caller may check a growing number step by step."""
+    return 10**limit
+
+
 def check_label(label: int, what: str = "label") -> int:
     """Return ``label``, or raise SizeCeilingError when it has more decimal
     digits than Python converts (``sys.get_int_max_str_digits()``, 0 for no
@@ -292,7 +299,7 @@ def check_label(label: int, what: str = "label") -> int:
     if label.bit_length() <= _ALWAYS_PRINTABLE_BITS:
         return label
     limit = _digit_limit()
-    if limit and label.bit_length() > 3 * limit and label >= 10**limit:
+    if limit and label.bit_length() > 3 * limit and label >= _limit_power(limit):
         digits = int(label.bit_length() * math.log10(2))  # the count, or one less
         raise SizeCeilingError(f"{what} digits", digits + (label >= 10**digits), limit)
     return label

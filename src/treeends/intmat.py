@@ -220,6 +220,7 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
     Relations are visited from the last one backwards, in passes until none
     has a +-1 entry.  A pass skips each relation that no elimination has
     changed since its last visit: it still has no +-1 entry, or is dead.
+    An empty one, in no row's occurrences, is never visited.
     The row eliminated is the +-1 entry that occurs in the fewest live
     relations, ties going to the largest row index; the choice is
     deterministic, so generator signs downstream are too.
@@ -230,7 +231,7 @@ def unit_pivot_presentation(n: int, relations: list) -> Presentation:
         for r in col:
             occ[r].add(j)
     log = []
-    dirty = bytearray(b"\x01") * len(cols)  # changed since its last visit
+    dirty = bytearray(map(bool, cols))  # changed since its last visit
     j = len(cols)
     while True:
         # the next relation to visit in this pass, else the first of the next

@@ -4,6 +4,7 @@ import sys
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from treeends import germ
 from treeends.classify import full_report
 from treeends.errors import ParseError, SizeCeilingError, ValidationFailed
 from treeends.germ import (
@@ -17,6 +18,7 @@ from treeends.germ import (
     validate_germ,
     walk_counts,
 )
+from treeends.proseq import MultSequence, ladder_search
 from treeends.reduce import germ_power
 from treeends.unfold import truncate
 from corpus import CORPUS
@@ -229,6 +231,16 @@ def test_label_check_at_the_least_digit_limit(int_digit_limit):
     sys.set_int_max_str_digits(0)  # no limit
     for label in (2**1920 - 1, 10**640 - 1, 10**640, 2**15000):
         assert check_label(label) == label
+
+
+def test_a_ladder_refusal_builds_the_limit_power_once(int_digit_limit):
+    # the rung search checks each growing bond against the digit limit,
+    # thousands of calls past 3 * 4300 bits, but 10**4300 is built once
+    germ._limit_power.cache_clear()
+    with pytest.raises(SizeCeilingError) as exc:
+        ladder_search(MultSequence((), (6,)), MultSequence((), (3 * 2**100,)))
+    assert str(exc.value) == "ladder bond digits exceeds the size ceiling (4301 > 4300)"
+    assert germ._limit_power.cache_info().misses == 1
 
 
 TOKENS = st.one_of(
