@@ -15,6 +15,16 @@ reached by dashed edges.
 
 The tree writers read a truncation's or a clone tree's columns row by row
 and build no per-node record.
+
+The module imports only what every command needs: ``germ``, ``unfold``,
+``coset`` and ``errors``, which the parser's ``--ceiling`` default and the
+tree writers read, and which are all ``validate``, ``unfold`` and ``lambda``
+use.  The other handlers import their layers when they run: ``proseq`` the
+sequence layer, ``reduce`` the reductions, and ``classify`` and ``oracle``
+the battery (``classify``, with ``cw``, ``intmat``, ``proseq`` and
+``reduce`` behind it).  So a command that never runs the battery never
+compiles it, which is most of its cold start when no bytecode cache is
+written.
 """
 
 from __future__ import annotations
@@ -23,12 +33,9 @@ import argparse
 import json
 import sys
 
-from .classify import classify_ends, cross_checks, default_ray, full_report, render_text, to_json_dict
 from .coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
 from .errors import ParseError, SizeCeilingError, TreeEndsError
 from .germ import GermGraph, parse_germ, render_germ, require_valid, validate_germ
-from .proseq import classify_mult, format_sequence, inverse_limit_mult, parse_sequence
-from .reduce import elementary_reduction, germ_power
 from .unfold import DEFAULT_CEILING, TruncatedTree, null_forest, positive_part, truncate
 
 
@@ -274,6 +281,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_classify(args) -> int:
+    from .classify import full_report, render_text, to_json_dict
+
     g = _load_germ(args.germ)
     if args.format == "dot":
         return _reject_format("dot", "classify")
@@ -312,6 +321,8 @@ def _cmd_lambda(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    from .reduce import elementary_reduction, germ_power
+
     g = _load_germ(args.germ)
     if args.power is not None:
         powered = germ_power(g, args.power, ceiling=args.ceiling)
@@ -335,6 +346,8 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_proseq(args) -> int:
+    from .proseq import classify_mult, format_sequence, inverse_limit_mult, parse_sequence
+
     if args.format == "dot":
         return _reject_format("dot", "proseq")
     seq = parse_sequence(args.sequence)
@@ -354,6 +367,8 @@ def _cmd_proseq(args) -> int:
 
 
 def _cmd_oracle(args) -> int:
+    from .classify import classify_ends, cross_checks, default_ray
+
     g = _load_germ(args.germ)
     if args.format == "dot":
         return _reject_format("dot", "oracle")

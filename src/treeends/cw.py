@@ -366,7 +366,7 @@ def subcomplex(k: CW2Complex, sel: CellSelection):
     try:
         tails = [vmap[k.tails[e]] for e in emap]
         heads = [vmap[k.heads[e]] for e in emap]
-        faces = [[(emap[e], s) for e, s in k.faces[f]] for f in sorted(sel.faces)]
+        faces = [[(emap[e], s) for e, s in k.faces[f]] for f in sorted({*sel.faces})]
     except KeyError:
         for e in sel.edges:
             if k.tails[e] not in vmap or k.heads[e] not in vmap:
@@ -445,6 +445,8 @@ def infinity_neighborhood_base(b: BaseComplex, i: int) -> CellSelection:
     kind of cell is a run of the layout: the vertices and loops from tier i
     on, and the tree edges and faces from tier i + 1 on."""
     t = b.tree
+    if type(i) is not int:
+        raise DomainError(f"tier {i!r} is not an int")
     if not (0 <= i <= t.depth):
         raise DomainError(f"tier {i} outside 0..{t.depth}")
     n = len(t.parent)
@@ -653,6 +655,8 @@ class FrontierGraph:
 
 
 def build_frontier_graph(c: CosetTree, i: int) -> FrontierGraph:
+    if type(i) is not int:
+        raise DomainError(f"radius {i!r} is not an int")
     if i < 0 or i > c.depth:
         raise DomainError(f"radius {i} outside 0..{c.depth}")
     if i == 0:
@@ -758,6 +762,8 @@ class FrontierTower:
         """Collapse sheets and columns by ancestor, and push the deep frontier
         graph's cycle basis into the shallow one's coordinates."""
         c = self.coset
+        if type(i) is not int:
+            raise DomainError(f"radius {i!r} is not an int")
         if i + 1 > c.depth:
             raise DomainError(f"need coset depth {i + 1}, have {c.depth}")
         deep, forest = self.level(i + 1)

@@ -12,6 +12,9 @@ def elementary_reduction(t: TruncatedTree, i: int, j: int) -> TruncatedTree:
     ancestor with the product of the path labels, deeper tiers shift up,
     and node ids are renumbered breadth first.  j = i+1 changes nothing.
     """
+    for tier in (i, j):
+        if type(tier) is not int:
+            raise DomainError(f"tier {tier!r} is not an int")
     if not (0 <= i < j <= t.depth):
         raise DomainError(f"need 0 <= i < j <= {t.depth}, got i={i}, j={j}")
     starts = t.tier_starts

@@ -125,6 +125,8 @@ def truncate(g: GermGraph, depth: int, ceiling: int = DEFAULT_CEILING) -> Trunca
     before any of its nodes is made.
     """
     require_valid(g)
+    if type(depth) is not int:
+        raise DomainError(f"depth {depth!r} is not an int")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     # germ vertex -> its out-degree, and its children's columns in declaration

@@ -11,10 +11,13 @@ import importlib.util
 import sys
 from pathlib import Path
 
+import pytest
+
 import corpus
 from treeends import cli, germ
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+GERM = str(PERFBENCH.parent / "germs" / "two_loops.germ")
 
 
 def load(name):
@@ -56,3 +59,28 @@ def test_op_lists_build_and_library_ops_pass(tmp_path):
     assert {op.kind for op in library_ops} == {"h1", "coords", "bond", "models"}
     for op in library_ops:
         assert op.check(op.run()) == [], op.key
+
+
+@pytest.mark.parametrize(
+    "argv, spans",
+    [
+        (["classify", GERM], {"classify.ends", "cli.render"}),
+        (["classify", "--format", "json", GERM], {"classify.ends", "cli.render"}),
+        (["oracle", GERM], {"classify.ends", "classify.ray", "classify.checks"}),
+        (["proseq", "prefix:3,0;cycle:2,1"], {"proseq.classify"}),
+        (["reduce", "--power", "2", GERM], {"reduce.power", "cli.render"}),
+    ],
+    ids=["classify", "classify-json", "oracle", "proseq", "reduce"],
+)
+def test_tracer_times_the_calls_a_handler_imports(argv, spans, capsys):
+    """The handlers import the battery, the sequence layer and the
+    reductions when they run; their calls still open spans directly under
+    the ``cli.run`` span."""
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert cli.run(argv) == 0, capsys.readouterr().err
+    finally:
+        tracer.uninstall()
+    (run,) = [i for i, span in enumerate(tracer.spans) if span[0] == "cli.run"]
+    assert spans <= {span[0] for span in tracer.spans if span[3] == run}

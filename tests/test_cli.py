@@ -926,3 +926,50 @@ class TestInstalledEntryPoints:
         proc = _run_console_script("validate", "-", stdin="root A\nedge A A 3\n")
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout == "ok\n"
+
+
+# What ``import treeends.cli`` loads: the parser's defaults and the tree
+# writers read these at import; the battery and the sequence layer wait for
+# the handlers that run them.
+CLI_LAYERS = {"cli", "coset", "errors", "germ", "unfold"}
+ALL_LAYERS = CLI_LAYERS | {"classify", "cw", "intmat", "proseq", "reduce"}
+
+
+def _loaded_layers(*argv):
+    """The ``treeends`` submodules a fresh interpreter has loaded after
+    importing the CLI and, given ``argv``, running it in process once."""
+    script = (
+        "import contextlib, io, sys\n"
+        "from treeends import cli\n"
+        f"argv = {list(argv)!r}\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    code = cli.run(argv) if argv else 0\n"
+        "print(code, *sorted(n[9:] for n in sys.modules if n.startswith('treeends.')))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, env=_child_env())
+    assert proc.returncode == 0, proc.stderr
+    code, *layers = proc.stdout.split()
+    assert code == "0", proc.stderr
+    return set(layers)
+
+
+class TestImports:
+    def test_import_loads_only_the_parser_layers(self):
+        assert _loaded_layers() == CLI_LAYERS
+
+    @pytest.mark.parametrize(
+        "argv, extra",
+        [
+            pytest.param(["validate"], set(), id="validate"),
+            pytest.param(["unfold", "--depth", "3"], set(), id="unfold"),
+            pytest.param(["lambda", "--depth", "3"], set(), id="lambda"),
+            pytest.param(["reduce", "--power", "2"], {"reduce"}, id="reduce"),
+            pytest.param(["classify"], ALL_LAYERS - CLI_LAYERS, id="classify"),
+            pytest.param(["oracle"], ALL_LAYERS - CLI_LAYERS, id="oracle"),
+        ],
+    )
+    def test_each_germ_command_loads_only_what_it_runs(self, argv, extra):
+        assert _loaded_layers(*argv, str(GERMS / "two_loops.germ")) == CLI_LAYERS | extra
+
+    def test_proseq_loads_only_the_sequence_layer(self):
+        assert _loaded_layers("proseq", "prefix:3,0;cycle:2,1") == CLI_LAYERS | {"proseq"}

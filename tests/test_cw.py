@@ -614,6 +614,20 @@ class TestSelections:
                 route(k, sel)
             assert str(exc.value) == message, route
 
+    def test_repeated_cells_are_kept_once(self):
+        """The two-triangle square again, its diagonal and second triangle
+        each selected twice: the subcomplex is the square, one copy of each."""
+        k = CW2Complex(
+            4,
+            [0, 1, 2, 3, 0],
+            [1, 2, 3, 0, 2],
+            [[(0, 1), (1, 1), (4, -1)], [(4, 1), (2, 1), (3, 1)]],
+        )
+        sub, vmap, emap = subcomplex(k, CellSelection((0, 1, 2, 3), (0, 1, 2, 3, 4, 4), (1, 0, 1)))
+        assert (sub.num_vertices, len(sub.tails), len(sub.faces)) == (4, 5, 2)
+        assert (list(vmap), list(emap)) == ([0, 1, 2, 3], [0, 1, 2, 3, 4])
+        assert h1(sub) == h1(k) == H1Summary(0, ())
+
     @settings(max_examples=150, deadline=None)
     @given(valid_germs(), st.integers(1, 4), st.data())
     def test_tier_slices_match_a_full_scan(self, g, depth, data):
@@ -943,6 +957,23 @@ class TestCounterArguments:
             k.prefix_component_counts(cuts)
         assert str(exc.value) == message
 
+
+@pytest.mark.parametrize("bad", [2.0, True, "3", None])
+def test_tiers_and_radii_must_be_ints(bad):
+    """A neighbourhood of infinity, a frontier graph and a collapse bond
+    refuse a tier or radius that is not an int; a bool is not taken as 1."""
+    t, c = truncate(CORPUS["two_loops"], 3), coset_for("two_loops", 3)
+    tower = cw.FrontierTower(c)
+    tower.bond(1)  # radius 1 cached, where True or 1.0 would find it
+    for route, kind in (
+        (lambda: infinity_neighborhood_base(build_base(t), bad), "tier"),
+        (lambda: build_frontier_graph(c, bad), "radius"),
+        (lambda: tower.bond(bad), "radius"),
+        (lambda: collapse_h1_matrix(c, bad), "radius"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            route()
+        assert str(exc.value) == f"{kind} {bad!r} is not an int"
 
 
 class TestTelescopeGraph:

@@ -101,6 +101,14 @@ class TestElementaryReduction:
         with pytest.raises(DomainError):
             elementary_reduction(t, i, j)
 
+    @pytest.mark.parametrize("tier", [2.0, True, "3", None])
+    def test_tiers_must_be_ints(self, tier):
+        t = truncate(CORPUS["bs2"], 4)
+        for i, j in ((tier, 4), (0, tier)):
+            with pytest.raises(DomainError) as exc:
+                elementary_reduction(t, i, j)
+            assert str(exc.value) == f"tier {tier!r} is not an int"
+
 
 class TestGermPower:
     def test_two_loops_squared(self):

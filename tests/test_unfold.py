@@ -109,6 +109,14 @@ def test_truncate_rejects_negative_depth():
         truncate(CORPUS["bs2"], -1)
 
 
+@pytest.mark.parametrize("depth", [2.0, True, "3", None])
+def test_truncate_refuses_a_depth_that_is_not_an_int(depth):
+    # a bool is not taken as depth 1, nor a float as its int
+    with pytest.raises(DomainError) as exc:
+        truncate(CORPUS["bs2"], depth)
+    assert str(exc.value) == f"depth {depth!r} is not an int"
+
+
 @pytest.mark.parametrize("name", sorted(CORPUS))
 def test_positive_part_keeps_ids_and_positivity(name):
     g = CORPUS[name]
