@@ -98,47 +98,38 @@ def classify_ends(g: GermGraph) -> EndReport:
     finite_plus, _ = gamma_plus_is_finite(g)
     if nulls is Cardinality.EMPTY:
         assert not finite_plus, "leafless and null-free forces a positive cycle"
-        return EndReport(
-            end_class=EndClass.ONE_ENDED,
-            fixed_end_count=1,
-            gamma_plus_finite=False,
-            null_ends=nulls,
-            rationale=(
-                (
-                    "no zero-labeled edge is reachable, so no null rays exist",
-                    "no-null-rays",
-                ),
-                (
-                    "the positive part is infinite and the telescope pins one end",
-                    "infinite-telescope",
-                ),
-            ),
-        )
-    rationale = [
-        (
-            "reachable zero-labeled edges hang a null ray off every clone",
-            "null-rays-exist",
-        )
-    ]
-    if nulls is Cardinality.UNCOUNTABLE:
-        end_class = EndClass.INFINITE_UNCOUNTABLE
-        rationale.append(
+        end_class = EndClass.ONE_ENDED
+        rationale = [
             (
-                "some null cluster carries two distinct cycles, "
-                "so the null rays branch without bound",
-                "null-cycle-pair",
+                "no zero-labeled edge is reachable, so no null rays exist",
+                "no-null-rays",
             )
-        )
+        ]
     else:
-        end_class = EndClass.INFINITE_COUNTABLE
-        rationale.append(
+        rationale = [
             (
-                "null rays never branch, so the null ends stay countable",
-                "null-linear-growth",
+                "reachable zero-labeled edges hang a null ray off every clone",
+                "null-rays-exist",
             )
-        )
+        ]
+        if nulls is Cardinality.UNCOUNTABLE:
+            end_class = EndClass.INFINITE_UNCOUNTABLE
+            rationale.append(
+                (
+                    "some null cluster carries two distinct cycles, "
+                    "so the null rays branch without bound",
+                    "null-cycle-pair",
+                )
+            )
+        else:
+            end_class = EndClass.INFINITE_COUNTABLE
+            rationale.append(
+                (
+                    "null rays never branch, so the null ends stay countable",
+                    "null-linear-growth",
+                )
+            )
     if finite_plus:
-        fixed = 2
         rationale.append(
             (
                 "the positive part is finite: a compact core crossed with "
@@ -147,7 +138,6 @@ def classify_ends(g: GermGraph) -> EndReport:
             )
         )
     else:
-        fixed = 1
         rationale.append(
             (
                 "the positive part is infinite and the telescope pins one end",
@@ -156,7 +146,7 @@ def classify_ends(g: GermGraph) -> EndReport:
         )
     return EndReport(
         end_class=end_class,
-        fixed_end_count=fixed,
+        fixed_end_count=2 if finite_plus else 1,
         gamma_plus_finite=finite_plus,
         null_ends=nulls,
         rationale=tuple(rationale),
@@ -174,21 +164,17 @@ class RaySpec:
 def check_ray(g: GermGraph, ray: RaySpec) -> None:
     if not ray.cycle:
         raise DomainError("a ray needs a nonempty cycle part")
-    at = g.root
     for e in ray.prefix + ray.cycle:
         if not (0 <= e < len(g.edges)):
             raise DomainError(f"ray references edge {e}, germ has {len(g.edges)}")
-    for e in ray.prefix:
-        edge = g.edges[e]
-        if edge.src != at:
-            raise DomainError(f"ray prefix breaks at edge {e}: not at {edge.src}")
-        at = edge.dst
-    start = at
-    for e in ray.cycle:
-        edge = g.edges[e]
-        if edge.src != at:
-            raise DomainError(f"ray cycle breaks at edge {e}: not at {edge.src}")
-        at = edge.dst
+    at = g.root
+    for part, edges in (("prefix", ray.prefix), ("cycle", ray.cycle)):
+        start = at
+        for e in edges:
+            edge = g.edges[e]
+            if edge.src != at:
+                raise DomainError(f"ray {part} breaks at edge {e}: not at {edge.src}")
+            at = edge.dst
     if at != start:
         raise DomainError("ray cycle part does not close up")
 
@@ -288,6 +274,8 @@ def pro_h1_fixed_end(g: GermGraph, depth: int, ends: EndReport) -> RankSequence:
     """Rank tower of the neighborhoods of the fixed end: one less than the
     clone count over each tier.  Only defined with exactly one fixed end,
     as ``ends``, the end report of ``g``, says."""
+    if type(depth) is not int:
+        raise DomainError(f"depth {depth!r} is not an int")
     if depth < 0:
         raise DomainError("depth must be nonnegative")
     if ends.fixed_end_count != 1:
@@ -358,6 +346,9 @@ class BatteryContext:
     def __init__(
         self, g: GermGraph, ends: EndReport, ray: RaySpec | None, depth: int, height: int, ceiling: int
     ):
+        for name, x in (("depth", depth), ("height", height)):
+            if type(x) is not int:
+                raise DomainError(f"{name} {x!r} is not an int")
         if depth < 1 or height < 1:
             raise DomainError("depth and height must be at least 1")
         self.g, self.ends, self.ray, self.depth, self.ceiling = g, ends, ray, depth, ceiling
@@ -607,18 +598,7 @@ def render_text(report: Report) -> str:
         lines.append(f"ranks: {report.ranks}")
     if report.ray_sequence is not None:
         lines.append(f"ray_sequence: {format_sequence(report.ray_sequence)}")
-        f = report.flags
-        lines.append(
-            "flags: "
-            + " ".join(
-                [
-                    f"pro_trivial={str(f.pro_trivial).lower()}",
-                    f"semistable={str(f.semistable).lower()}",
-                    f"pro_mono={str(f.pro_mono).lower()}",
-                    f"stable={str(f.stable).lower()}",
-                    f"inverse_limit={report.limit.value}",
-                ]
-            )
-        )
+        flags = [f"{key}={str(value).lower()}" for key, value in report.flags.as_dict().items()]
+        lines.append(f"flags: {' '.join(flags)} inverse_limit={report.limit.value}")
     lines.extend(str(c) for c in report.checks)
     return "\n".join(lines) + "\n"

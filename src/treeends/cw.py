@@ -753,6 +753,8 @@ class FrontierTower:
 
     def level(self, i: int) -> tuple:
         """(frontier graph, spanning forest) at radius ``i``."""
+        if type(i) is not int:
+            raise DomainError(f"radius {i!r} is not an int")
         if i not in self._levels:
             graph = build_frontier_graph(self.coset, i)
             self._levels[i] = graph, _spanning_forest(graph.complex)

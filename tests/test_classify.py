@@ -28,7 +28,7 @@ from treeends.classify import (
     to_json_dict,
 )
 from treeends import classify, cli, coset, cw, germ, intmat, unfold
-from treeends.errors import DomainError
+from treeends.errors import DomainError, SizeCeilingError
 from treeends.germ import germ_from_edges, parse_germ, render_germ
 from treeends.proseq import block_compress
 from treeends.reduce import germ_power
@@ -367,6 +367,56 @@ EXPECTED_SKIPS = {
 def battery(g, **options):
     """The oracle battery on the closed-form claims for ``g``."""
     return cross_checks(g, classify_ends(g), default_ray(g), **options)
+
+
+@pytest.mark.parametrize("bad", [2.0, True, "3", None])
+def test_depths_and_heights_must_be_ints(bad):
+    """The rank tower, the battery and the full report refuse a depth or a
+    height that is not an int, naming the value passed; a bool is not
+    taken as 1."""
+    one, two = CORPUS["bs2"], CORPUS["null_ray"]
+    for route, name in (
+        (lambda: pro_h1_fixed_end(one, bad, classify_ends(one)), "depth"),
+        (lambda: battery(one, depth=bad), "depth"),
+        (lambda: battery(two, height=bad), "height"),
+        (lambda: full_report(one, bad), "depth"),
+        (lambda: full_report(two, bad), "depth"),
+        (lambda: full_report(two, 2, bad), "height"),
+    ):
+        with pytest.raises(DomainError) as exc:
+            route()
+        assert str(exc.value) == f"{name} {bad!r} is not an int"
+
+
+class TestRowFacts:
+    """The facts behind the ``cover-connected`` and ``branch-components``
+    rows, which hold by construction, on random germs."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(max_vertices=4))
+    def test_the_cover_is_connected_at_every_height(self, g):
+        t = unfold.truncate(g, 3)
+        try:
+            c = coset.CosetTree(unfold.positive_part(t), ceiling=2000)
+            covers = [cw.build_cover_graph(c, unfold.null_forest(t), h, 20000) for h in range(1, 5)]
+        except SizeCeilingError:
+            return
+        assert [k.component_count() for k in covers] == [1] * 4
+
+    @settings(max_examples=100, deadline=None)
+    @given(valid_germs(max_vertices=4), st.integers(1, 4))
+    def test_each_tier_node_has_one_neighbourhood_component(self, g, depth):
+        # the tier-i neighbourhood of infinity is the full subgraph at level
+        # depth - tier <= depth - i
+        try:
+            t = unfold.truncate(g, depth, 2000)
+            counts = cw.telescope_graph(t, 20000).level_component_counts([depth - i for i in t.tiers()])
+        except SizeCeilingError:
+            return
+        starts = t.tier_starts
+        assert [counts[depth - i] for i in range(depth + 1)] == [
+            starts[i + 1] - starts[i] for i in range(depth + 1)
+        ]
 
 
 class TestCrossChecks:

@@ -1007,6 +1007,15 @@ class TestFrontier:
         three = build_frontier_graph(c, 3)
         assert (three.complex.num_vertices, len(three.complex.edges), three.betti) == (30, 36, 7)
 
+    @pytest.mark.parametrize("bad", [1.0, True, "1", None])
+    def test_a_level_refuses_a_radius_that_is_not_an_int(self, bad):
+        # once radius 1 is cached, 1.0 and True would hash to its key
+        tower = cw.FrontierTower(CosetTree(positive_part(truncate(germ_from_edges("A", [("A", "A", 2)]), 3))))
+        tower.level(1)
+        with pytest.raises(DomainError) as exc:
+            tower.level(bad)
+        assert str(exc.value) == f"radius {bad!r} is not an int"
+
     def test_two_loops_pins(self):
         c = coset_for("two_loops", 3)
         assert build_frontier_graph(c, 1).betti == 4
