@@ -69,13 +69,25 @@ class EndClass(Enum):
     INFINITE_UNCOUNTABLE = "InfiniteUncountable"
 
 
+# Each rule that decides an end report, and the claim its ``because`` line states.
+RULES = {
+    "trivial-germ": "a single vertex with no edges unfolds to a point, so the space is a line with two ends",
+    "no-null-rays": "no zero-labeled edge is reachable, so no null rays exist",
+    "null-rays-exist": "reachable zero-labeled edges hang a null ray off every clone",
+    "null-cycle-pair": "some null cluster carries two distinct cycles, so the null rays branch without bound",
+    "null-linear-growth": "null rays never branch, so the null ends stay countable",
+    "compact-core": "the positive part is finite: a compact core crossed with a line keeps two fixed ends",
+    "infinite-telescope": "the positive part is infinite and the telescope pins one end",
+}
+
+
 @dataclass(frozen=True)
 class EndReport:
     end_class: EndClass
     fixed_end_count: int
     gamma_plus_finite: bool
     null_ends: Cardinality
-    rationale: tuple  # (claim, rule name) pairs
+    rationale: tuple  # names of the deciding rules, keys of RULES
 
 
 def classify_ends(g: GermGraph) -> EndReport:
@@ -86,70 +98,24 @@ def classify_ends(g: GermGraph) -> EndReport:
             fixed_end_count=2,
             gamma_plus_finite=True,
             null_ends=Cardinality.EMPTY,
-            rationale=(
-                (
-                    "a single vertex with no edges unfolds to a point, "
-                    "so the space is a line with two ends",
-                    "trivial-germ",
-                ),
-            ),
+            rationale=("trivial-germ",),
         )
     nulls = null_end_class(g)
     finite_plus, _ = gamma_plus_is_finite(g)
     if nulls is Cardinality.EMPTY:
         assert not finite_plus, "leafless and null-free forces a positive cycle"
-        end_class = EndClass.ONE_ENDED
-        rationale = [
-            (
-                "no zero-labeled edge is reachable, so no null rays exist",
-                "no-null-rays",
-            )
-        ]
+        end_class, rules = EndClass.ONE_ENDED, ["no-null-rays"]
+    elif nulls is Cardinality.UNCOUNTABLE:
+        end_class, rules = EndClass.INFINITE_UNCOUNTABLE, ["null-rays-exist", "null-cycle-pair"]
     else:
-        rationale = [
-            (
-                "reachable zero-labeled edges hang a null ray off every clone",
-                "null-rays-exist",
-            )
-        ]
-        if nulls is Cardinality.UNCOUNTABLE:
-            end_class = EndClass.INFINITE_UNCOUNTABLE
-            rationale.append(
-                (
-                    "some null cluster carries two distinct cycles, "
-                    "so the null rays branch without bound",
-                    "null-cycle-pair",
-                )
-            )
-        else:
-            end_class = EndClass.INFINITE_COUNTABLE
-            rationale.append(
-                (
-                    "null rays never branch, so the null ends stay countable",
-                    "null-linear-growth",
-                )
-            )
-    if finite_plus:
-        rationale.append(
-            (
-                "the positive part is finite: a compact core crossed with "
-                "a line keeps two fixed ends",
-                "compact-core",
-            )
-        )
-    else:
-        rationale.append(
-            (
-                "the positive part is infinite and the telescope pins one end",
-                "infinite-telescope",
-            )
-        )
+        end_class, rules = EndClass.INFINITE_COUNTABLE, ["null-rays-exist", "null-linear-growth"]
+    rules.append("compact-core" if finite_plus else "infinite-telescope")
     return EndReport(
         end_class=end_class,
         fixed_end_count=2 if finite_plus else 1,
         gamma_plus_finite=finite_plus,
         null_ends=nulls,
-        rationale=tuple(rationale),
+        rationale=tuple(rules),
     )
 
 
@@ -262,15 +228,7 @@ def pro_pi1_ray(g: GermGraph, ray: RaySpec) -> MultSequence:
     )
 
 
-@dataclass(frozen=True)
-class RankSequence:
-    ranks: tuple
-
-    def __str__(self) -> str:
-        return ",".join(str(r) for r in self.ranks)
-
-
-def pro_h1_fixed_end(g: GermGraph, depth: int, ends: EndReport) -> RankSequence:
+def pro_h1_fixed_end(g: GermGraph, depth: int, ends: EndReport) -> tuple:
     """Rank tower of the neighborhoods of the fixed end: one less than the
     clone count over each tier.  Only defined with exactly one fixed end,
     as ``ends``, the end report of ``g``, says."""
@@ -281,7 +239,7 @@ def pro_h1_fixed_end(g: GermGraph, depth: int, ends: EndReport) -> RankSequence:
     if ends.fixed_end_count != 1:
         raise DomainError("rank tower needs exactly one fixed end")
     counts = walk_counts(g, (g.root,), lambda e: e.label, depth)  # frontier_count, every tier
-    return RankSequence(tuple(check_label(n - 1, "rank") for n in counts))
+    return tuple(check_label(n - 1, "rank") for n in counts)
 
 
 def power_ray(g: GermGraph, ray: RaySpec, m: int) -> RaySpec:
@@ -379,11 +337,6 @@ class BatteryContext:
         return list(map(cw.FrontierTower(self.cover_coset).bond, range(self.d3)))
 
     @cached_property
-    def faced_telescope(self) -> tuple:
-        base = cw.build_base(self.t, self.ceiling)
-        return base, cw.H1Calculator(base.complex)
-
-    @cached_property
     def cover(self) -> cw.CW2Complex:
         return cw.build_cover_graph(self.cover_coset, self.nf, self.heights[1], self.ceiling)
 
@@ -412,7 +365,7 @@ class BatteryContext:
     def frontier_rank(self) -> tuple:
         if self.ends.fixed_end_count != 1:
             return None, "rank tower needs exactly one fixed end"
-        ranks = list(pro_h1_fixed_end(self.g, self.d3, self.ends).ranks)
+        ranks = list(pro_h1_fixed_end(self.g, self.d3, self.ends))
         # a bond's rows and cols are the Betti numbers of its two graphs
         betti = [b.rows for b in self.bonds] + [self.bonds[-1].cols]
         return ranks == betti, f"closed form {ranks} vs frontier graphs {betti}"
@@ -431,7 +384,8 @@ class BatteryContext:
     def ray_multiplier(self) -> tuple:
         if self.ends.fixed_end_count != 1 or self.ray is None:
             return None, "needs one fixed end and a ray"
-        base, engine = self.faced_telescope
+        base = cw.build_base(self.t, self.ceiling)
+        engine = cw.H1Calculator(base.complex)
         k, rank = base.complex, len(engine.presentation.slots)
         ok, details, node_id, prod = True, [], self.t.ids[0], 1
         # the ray's first edges, two at most, whether or not it has a prefix
@@ -536,7 +490,7 @@ def cross_checks(
 @dataclass
 class Report:
     ends: EndReport
-    ranks: RankSequence | None
+    ranks: tuple | None
     ray_sequence: MultSequence | None
     flags: SequenceClass | None
     limit: InverseLimitClass | None
@@ -574,7 +528,7 @@ def to_json_dict(report: Report) -> dict:
         "fixed_ends": report.ends.fixed_end_count,
         "gamma_plus_finite": report.ends.gamma_plus_finite,
         "null_ends": str(report.ends.null_ends),
-        "ranks": list(report.ranks.ranks) if report.ranks is not None else None,
+        "ranks": list(report.ranks) if report.ranks is not None else None,
         "ray_sequence": (
             format_sequence(report.ray_sequence)
             if report.ray_sequence is not None
@@ -592,10 +546,9 @@ def render_text(report: Report) -> str:
         f"gamma_plus_finite: {str(report.ends.gamma_plus_finite).lower()}",
         f"null_ends: {report.ends.null_ends}",
     ]
-    for claim, rule in report.ends.rationale:
-        lines.append(f"because [{rule}] {claim}")
+    lines.extend(f"because [{rule}] {RULES[rule]}" for rule in report.ends.rationale)
     if report.ranks is not None:
-        lines.append(f"ranks: {report.ranks}")
+        lines.append(f"ranks: {','.join(map(str, report.ranks))}")
     if report.ray_sequence is not None:
         lines.append(f"ray_sequence: {format_sequence(report.ray_sequence)}")
         flags = [f"{key}={str(value).lower()}" for key, value in report.flags.as_dict().items()]

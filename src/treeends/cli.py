@@ -1,10 +1,12 @@
 """Command-line interface.
 
 Every subcommand reads a germ file (``-`` means stdin) except ``proseq``,
-which takes a sequence literal like ``prefix:3,0;cycle:2,1``.  Results go
-to stdout, diagnostics to stderr, and output for a fixed input is byte
-identical from run to run.  Exit codes: 0 success, 1 domain failure
-(parse error, invalid germ, failed oracle), 2 usage, 3 size ceiling.
+which takes a sequence literal like ``prefix:3,0;cycle:2,1``.  A germ file
+may also hold the JSON object that ``reduce --power M --format json``
+writes.  Results go to stdout, diagnostics to stderr, and output for a
+fixed input is byte identical from run to run.  Exit codes: 0 success, 1
+domain failure (parse error, invalid germ, failed oracle), 2 usage, 3 size
+ceiling.
 
 DOT conventions: nodes are emitted in id order as ``n<id>``, labeled with
 their germ vertex; positive nodes are colored black, everything else gray.
@@ -35,7 +37,7 @@ import sys
 
 from .coset import BLACK, DASHED, GRAY, ColoredTree, lambda_of_coset, lambda_plus
 from .errors import ParseError, SizeCeilingError, TreeEndsError
-from .germ import GermGraph, parse_germ, render_germ, require_valid, validate_germ
+from .germ import NAME_RE, GermEdge, GermGraph, parse_germ, render_germ, require_valid, validate_germ
 from .unfold import DEFAULT_CEILING, TruncatedTree, null_forest, positive_part, truncate
 
 
@@ -64,10 +66,36 @@ def _load_germ(path: str, validate: bool = True) -> GermGraph:
         # the bytes before the bad one decode; count lines as parse_germ does
         line = len((data[: exc.start].decode("utf-8") + ".").splitlines())
         raise ParseError(line, f"byte 0x{data[exc.start]:02x} is not valid UTF-8") from None
-    g = parse_germ(text)
+    # no directive starts with "{", so such input is the JSON form
+    g = _parse_json_germ(text) if text.lstrip().startswith("{") else parse_germ(text)
     if validate:
         require_valid(g)
     return g
+
+
+def _parse_json_germ(text: str) -> GermGraph:
+    """The germ in the schema-1 object that ``germ_json_dict`` writes, its
+    names and labels held to the rules of a germ file."""
+    try:
+        obj = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # bad or too deeply nested JSON, or too long an int
+        raise ParseError(getattr(exc, "lineno", 1), f"bad JSON germ: {getattr(exc, 'msg', exc)}") from None
+    if not (
+        type(obj) is dict
+        and obj.keys() == {"schema", "root", "vertices", "edges"}
+        and type(obj["schema"]) is int and obj["schema"] == 1
+        and type(obj["vertices"]) is list and type(obj["edges"]) is list
+        and all(type(e) is dict and e.keys() == {"src", "dst", "label"} for e in obj["edges"])
+    ):
+        raise ParseError(1, "a JSON germ is the schema-1 object that reduce --format json writes")
+    edges = [GermEdge(e["src"], e["dst"], e["label"]) for e in obj["edges"]]
+    for name in (obj["root"], *obj["vertices"], *(name for e in edges for name in (e.src, e.dst))):
+        if type(name) is not str or not NAME_RE.fullmatch(name):
+            raise ParseError(1, f"bad name {name!r}")
+    for i, e in enumerate(edges):
+        if type(e.label) is not int or e.label < 0:
+            raise ParseError(1, f"edge {i} label is not a nonnegative integer")
+    return GermGraph(vertices=tuple(obj["vertices"]), root=obj["root"], edges=tuple(edges))
 
 
 def _reject_format(fmt: str, command: str) -> int:

@@ -86,9 +86,7 @@ def parse_germ(text: str) -> GermGraph:
     vertex line textually before the edge.
     """
     root_name: str | None = None
-    root_line = 0
-    declared_at: dict[str, int] = {}
-    order: list[tuple[int, str]] = []  # (line, name) in declaration order
+    declared_at: dict[str, int] = {}  # name -> its line, in declaration order
     edge_rows: list[tuple[int, str, str, int]] = []
 
     lines = text.splitlines()
@@ -108,9 +106,7 @@ def parse_germ(text: str) -> GermGraph:
             if name in declared_at:
                 raise ParseError(lineno, f"name {name!r} already declared")
             root_name = name
-            root_line = lineno
             declared_at[name] = lineno
-            order.append((lineno, name))
         elif kind == "vertex":
             if len(tokens) != 2:
                 raise ParseError(lineno, "vertex takes exactly one name")
@@ -119,7 +115,6 @@ def parse_germ(text: str) -> GermGraph:
             if name in declared_at:
                 raise ParseError(lineno, f"name {name!r} already declared")
             declared_at[name] = lineno
-            order.append((lineno, name))
         elif kind == "edge":
             if len(tokens) != 4:
                 raise ParseError(lineno, "edge takes source, target and label")
@@ -142,8 +137,7 @@ def parse_germ(text: str) -> GermGraph:
                 raise ParseError(lineno, f"name {name!r} used before declaration")
         edges.append(GermEdge(src, dst, label))
 
-    vertices = tuple(name for _, name in order)
-    return GermGraph(vertices=vertices, root=root_name, edges=tuple(edges))
+    return GermGraph(vertices=tuple(declared_at), root=root_name, edges=tuple(edges))
 
 
 def _check_name(lineno: int, name: str) -> None:

@@ -66,8 +66,8 @@ def test_criterion_1_full_pipeline():
     report = full_report(g)
     if report.ends.end_class.value != "OneEnded":
         problems.append(f"end class {report.ends.end_class}")
-    if tuple(report.ranks.ranks) != (0, 1, 3, 7, 15):
-        problems.append(f"ranks {report.ranks.ranks}")
+    if report.ranks != (0, 1, 3, 7, 15):
+        problems.append(f"ranks {report.ranks}")
     if str(report.ray_sequence) != "cycle:2":
         problems.append(f"ray sequence {report.ray_sequence}")
     fails = [c.name for c in report.checks if c.status == "fail"]
@@ -269,7 +269,7 @@ def test_criterion_9_horizon_stability():
     g = CORPUS["bs2"]
     ends = classify_ends(g)
     deeper = pro_h1_fixed_end(g, 5, ends)
-    if tuple(deeper.ranks[:5]) != tuple(pro_h1_fixed_end(g, 4, ends).ranks):
+    if deeper[:5] != pro_h1_fixed_end(g, 4, ends):
         problems.append("rank tower changes under a deeper horizon")
     report = full_report(g, depth=5, height=5)
     if report.ends.end_class.value != "OneEnded" or str(report.ray_sequence) != "cycle:2":

@@ -10,13 +10,14 @@ import hashlib
 from collections import Counter
 
 from census import census
-from treeends.classify import classify_ends, cross_checks, default_ray, pro_h1_fixed_end
+from corpus import CORPUS
+from treeends.classify import RULES, classify_ends, cross_checks, default_ray, pro_h1_fixed_end
 
 CENSUS = census()
 
 # sha256 over one repr((end report, default ray, rank tower to depth 4 or
 # None)) line per census germ, in census order
-CLOSED_FORM_DIGEST = "4b6d0a0d6eb7863ee1b17843a0eb262cf6233084e1cba676a983df08515fa7f2"
+CLOSED_FORM_DIGEST = "532c9bf8a2c19953685919b1b84f2416f7da3d16a2bbd3e3e9dad04eb6ba0501"
 
 BATTERY_STRIDE = 5
 
@@ -43,6 +44,13 @@ def test_closed_forms_are_frozen():
         ranks = pro_h1_fixed_end(g, 4, ends) if ends.fixed_end_count == 1 else None
         digest.update(repr((ends, default_ray(g), ranks)).encode() + b"\n")
     assert digest.hexdigest() == CLOSED_FORM_DIGEST
+
+
+def test_every_rule_is_cited():
+    # the census germs cite every rule but the trivial germ's own
+    cited = {rule for g in CENSUS for rule in classify_ends(g).rationale}
+    assert cited == set(RULES) - {"trivial-germ"}
+    assert classify_ends(CORPUS["trivial"]).rationale == ("trivial-germ",)
 
 
 def test_battery_fails_only_where_known():

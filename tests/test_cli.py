@@ -428,6 +428,48 @@ class TestReduce:
         assert [e["label"] for e in data["edges"]] == [4, 6, 6, 9]
 
 
+_JSON_EDGE = '{"schema": 1, "root": "A", "vertices": ["A"], "edges": [{"src": "A", "dst": "A", "label": %s}]}'
+
+
+class TestJsonGerms:
+    """What ``reduce --power --format json`` writes, every command reads back."""
+
+    @pytest.mark.parametrize("path", sorted(GERMS.glob("*.germ")), ids=lambda p: p.name)
+    def test_the_json_germ_reads_back(self, cli, tmp_path, path):
+        written = {}
+        for fmt in ("text", "json"):
+            written[fmt] = cli("reduce", path, "--power", 2, "--format", fmt)
+        if written["text"][0] != 0:  # the germ does not power; neither form is written
+            assert written["json"][0] == written["text"][0]
+            return
+        files = {fmt: tmp_path / f"power.{fmt}" for fmt in written}
+        for fmt, file in files.items():
+            file.write_text(written[fmt][1])
+        # vertex and edge order are kept
+        assert cli_module._load_germ(str(files["json"])) == parse_germ(written["text"][1])
+        assert cli("classify", files["json"]) == cli("classify", files["text"])
+
+    @pytest.mark.parametrize(
+        "text,reason",
+        [
+            ("{", "bad JSON germ"),
+            ('{"schema": 2}', "schema-1 object"),
+            (_JSON_EDGE % "2.0", "edge 0 label is not a nonnegative integer"),
+            (_JSON_EDGE % ("7" * 5000), "Exceeds the limit"),
+            ('{"schema": 1, "root": "9A", "vertices": ["9A"], "edges": []}', "bad name '9A'"),
+            ('{"edges": ' + "[" * 100_000, "bad JSON germ"),
+        ],
+        ids=["truncated", "schema-2", "float-label", "long-label", "bad-name", "deeply-nested"],
+    )
+    def test_bad_json_germs_are_parse_errors(self, cli, tmp_path, text, reason):
+        germ_file = tmp_path / "bad.json"
+        germ_file.write_text("\n " + text)  # the first non-blank character decides
+        for command in ("validate", "classify"):
+            code, out, err = cli(command, germ_file)
+            assert (code, out) == (1, "")
+            assert err.startswith("error: line ") and reason in err, err
+
+
 class TestLabels:
     """Labels are Python ints, bounded only by the int/str digit limit."""
 

@@ -10,7 +10,7 @@ import re
 from pathlib import Path
 
 import treeends
-from treeends import cli
+from treeends import classify, cli
 
 ROOT = Path(__file__).resolve().parent.parent
 README = ROOT / "README.md"
@@ -40,6 +40,12 @@ def test_every_plain_name_in_the_tour_exists_in_its_module():
             if m and not hasattr(module, m.group(1)) and not hasattr(builtins, m.group(1)):
                 missing.append(f"treeends.{module_name}.{m.group(1)}")
     assert missing == []
+
+
+def test_the_classify_bullet_names_every_rule():
+    # rule names are the bullet's hyphenated spans that name no check
+    spans = set(re.findall(r"`([a-z]+(?:-[a-z0-9]+)+)`", tour_bullets()["classify"]))
+    assert spans - {name for name, _ in classify.CHECKS} == set(classify.RULES)
 
 
 def test_package_root_binds_no_function_or_class():
